@@ -310,16 +310,6 @@ class SeriesFn(EntireFn):
         return f"SeriesFn(order={self.max_order}, rho={self.rho}, C={self.C})"
 
 
-def entire_derivative(g: EntireFn, n: int) -> EntireFn:
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    return g.derivative(n)
-
-
-def entire_eval(g: EntireFn, t):
-    return g.eval(t)
-
-
 # JSON mini-language ---------------------------------------------------------
 
 
@@ -553,10 +543,6 @@ class BiPoly:
         return True
 
 
-def bipoly_wirtinger(f: BiPoly, slot: str) -> BiPoly:
-    return f.wirtinger(slot)
-
-
 # ---------------------------------------------------------------------------
 # the basis family f_{p,q}(z, w) = z^p w^q / (1 - zw)^max(p,q)
 # ---------------------------------------------------------------------------
@@ -588,7 +574,3 @@ class BasisFpq:
 
     def __repr__(self):
         return f"BasisFpq({self.p}, {self.q})"
-
-
-def fpq_eval(b: BasisFpq, z, w):
-    return b.eval(z, w)

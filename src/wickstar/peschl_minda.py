@@ -3,9 +3,12 @@
 Four function variants are supported:
 
 * ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F; the
-  derivatives are computed exactly through the closed recursion
-  D^{n+1} f = (1 - |z|^2) d^{n+1}[ (1 - |z|^2)^n f ], where d is the
-  Wirtinger derivative acting on the holomorphic slot.
+  derivatives are computed exactly, one order at a time, by the step
+  D^{n+1} f = (1 - zw) d_z D^n f - n w D^n f   (w standing for conj z),
+  and the same step with the slots swapped for Dbar.  It holds because
+  D^n f(z) = d_u^n F(T_z(u), w)|_0 with T_z(u) = (z + u)/(1 + wu), and
+  d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
+  gives the term -n w D^n f.
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2);
   closed-form derivatives.
 * ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2);
@@ -55,31 +58,47 @@ def _check_order(n):
 # ---------------------------------------------------------------------------
 
 
+def pm_step(dn: BiPoly, n: int, slot: str) -> BiPoly:
+    """D^{n+1} f from D^n f: (1 - zw) d_z D^n f - n w D^n f.
+
+    With slot "w" the roles of z and w swap, which steps Dbar^n f.  Per
+    monomial a z^i w^j the step gives a i z^{i-1} w^j - a (i + n) z^i w^{j+1},
+    so it is one pass over the terms; the BiPoly constructor merges equal
+    exponents and drops the zero coefficients of terms constant in the slot."""
+    if slot not in ("z", "w"):
+        raise ValueError("slot must be 'z' or 'w'")
+    terms = []
+    for (i, j), a in dn.coeffs.items():
+        if slot == "z":
+            terms += [((i - 1, j), a * i), ((i, j + 1), a * -(i + n))]
+        else:
+            terms += [((i, j - 1), a * j), ((i + 1, j), a * -(j + n))]
+    return BiPoly(terms)
+
+
+def _tower_to(tower: list, n: int, slot: str) -> BiPoly:
+    """tower[n], first extending tower = [f, D f, ...] one step at a time."""
+    _check_order(n)
+    while len(tower) <= n:
+        tower.append(pm_step(tower[-1], len(tower) - 1, slot))
+    return tower[n]
+
+
 def pm_bipoly(f: BiPoly, n: int) -> BiPoly:
     """D^n of a polynomial disk function, as an exact BiPoly.
 
-    For n >= 1: (1 - zw) * d_z^n [ (1 - zw)^{n-1} F ]."""
-    _check_order(n)
-    if n == 0:
-        return f
-    one_minus = BiPoly({(0, 0): 1, (1, 1): -1})
-    inner = one_minus.pow(n - 1) * f
-    for _ in range(n):
-        inner = inner.wirtinger("z")
-    return one_minus * inner
+    Built by n steps D^{k+1} f = (1 - zw) d_z D^k f - k w D^k f
+    (:func:`pm_step`), which hold because d_z T_z = (1 + wu)/(1 - zw) d_u T_z
+    for T_z(u) = (z + u)/(1 + wu); Leibniz's rule on the factor (1 + wu)
+    gives the term -k w D^k f.  Equal to the closed form
+    (1 - zw) d_z^n [ (1 - zw)^{n-1} F ] for n >= 1."""
+    return _tower_to([f], n, "z")
 
 
 def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
-    """Dbar^n of a polynomial disk function: the same recursion with the
+    """Dbar^n of a polynomial disk function: the same steps with the
     Wirtinger derivative acting on the antiholomorphic slot."""
-    _check_order(n)
-    if n == 0:
-        return f
-    one_minus = BiPoly({(0, 0): 1, (1, 1): -1})
-    inner = one_minus.pow(n - 1) * f
-    for _ in range(n):
-        inner = inner.wirtinger("w")
-    return one_minus * inner
+    return _tower_to([f], n, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +156,22 @@ class DiskFunction:
 class PolyDisk(DiskFunction):
     """z -> F(z, conj z) for a bivariate polynomial F; exact derivatives."""
 
-    __slots__ = ("f", "_pm_cache", "_pm_bar_cache")
+    __slots__ = ("f", "_pm_tower", "_pm_bar_tower")
 
     def __init__(self, f: BiPoly):
         self.f = f
-        self._pm_cache = {}
-        self._pm_bar_cache = {}
+        # [D^0 f, D^1 f, ...], extended on demand
+        self._pm_tower = [f]
+        self._pm_bar_tower = [f]
 
     def value(self, z):
         return self.f.eval_diag(z)
 
     def pm_poly(self, n: int) -> BiPoly:
-        if n not in self._pm_cache:
-            self._pm_cache[n] = pm_bipoly(self.f, n)
-        return self._pm_cache[n]
+        return _tower_to(self._pm_tower, n, "z")
 
     def pm_bar_poly(self, n: int) -> BiPoly:
-        if n not in self._pm_bar_cache:
-            self._pm_bar_cache[n] = pm_bar_bipoly(self.f, n)
-        return self._pm_bar_cache[n]
+        return _tower_to(self._pm_bar_tower, n, "w")
 
     def pm_with_bound(self, n, z):
         _check_order(n)

@@ -25,8 +25,7 @@ from fractions import Fraction
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, is_exact, to_complex
 from .functions import BiPoly, PolyFn
-from .peschl_minda import (DiskFunction, PolyDisk, _check_disk,
-                           pm_bar_bipoly, pm_bipoly)
+from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +122,7 @@ def _c_stream(hv, nmax: int):
 
 def c_sequence(h, nmax: int):
     """[c_0, ..., c_nmax] via the recurrence c_{n+1} = c_n h / (1 + n h)."""
-    hv = Hbar.of(h).value
-    one = _one_like(hv)
-    out = [one]
-    for n in range(nmax):
-        out.append(out[-1] * hv / (one + n * hv))
-    return out
+    return _c_stream(Hbar.of(h).value, nmax)
 
 
 def c_n(h, n: int):
@@ -358,12 +352,13 @@ def star_disk_poly_exact(f: BiPoly, g: BiPoly, h, max_terms: int = 64) -> BiPoly
     one = _one_like(hv)
     c = one
     total = BiPoly()
+    f_bar, g_d = f, g
     for n in range(max_terms + 1):
-        f_bar = pm_bar_bipoly(f, n)
-        g_d = pm_bipoly(g, n)
-        if n >= 1 and (f_bar.is_zero or g_d.is_zero):
-            return total
         if n > 0:
+            f_bar = pm_step(f_bar, n - 1, "w")
+            g_d = pm_step(g_d, n - 1, "z")
+            if f_bar.is_zero or g_d.is_zero:
+                return total
             c = c * hv / _c_divisor(one, hv, n - 1)
         total = total + f_bar * g_d * (c * Fraction(1, math.factorial(n)))
     raise NonTerminatingError(
@@ -379,12 +374,13 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     one = _one_like(hv)
     c = one
     total = BiPoly()
+    f_bar, g_d = f, g
     for n in range(n_terms + 1):
-        f_bar = pm_bar_bipoly(f, n)
-        g_d = pm_bipoly(g, n)
-        if n >= 1 and (f_bar.is_zero or g_d.is_zero):
-            break
         if n > 0:
+            f_bar = pm_step(f_bar, n - 1, "w")
+            g_d = pm_step(g_d, n - 1, "z")
+            if f_bar.is_zero or g_d.is_zero:
+                break
             c = c * hv / _c_divisor(one, hv, n - 1)
         total = total + f_bar * g_d * (c * Fraction(1, math.factorial(n)))
     return total

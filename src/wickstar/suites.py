@@ -19,8 +19,7 @@ from .errors import DomainError
 from .functions import BiPoly, PolyFn
 from .peschl_minda import (ComposedP, ComposedQ, MoebiusPullback, PolyDisk,
                            p_aux, q_aux)
-from .sampling import (rng_for, sample_disk, sample_gpoints,
-                       sample_half_plane, sample_punctured)
+from .sampling import rng_for, sample_disk, sample_gpoints, sample_half_plane
 from .sphere import (MoebiusMap, annulus_deck_multiplier,
                      covering_disk_to_annulus, covering_disk_to_punctured,
                      covering_half_to_annulus, danielewski_chart)

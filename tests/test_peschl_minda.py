@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickstar.peschl_minda as peschl_minda
+import wickstar.star as star
 from wickstar.errors import DomainError, NonRepresentableError
 from wickstar.exact import QC, conj
 from wickstar.functions import BiPoly, ExpFn, PolyFn
@@ -155,6 +158,80 @@ def test_symbolic_towers_of_the_coordinate_functions():
     assert pm_bar_bipoly(BiPoly.z(), 1).is_zero
     assert pm_bar_bipoly(BiPoly.w(), 1) == one_minus
     assert pm_bipoly(BiPoly.w(), 1).is_zero
+
+
+def _closed_form_tower(f: BiPoly, n: int, slot: str) -> BiPoly:
+    """Independent oracle: (1 - zw) d^n [ (1 - zw)^{n-1} F ] in the slot."""
+    if n == 0:
+        return f
+    one_minus = BiPoly({(0, 0): 1, (1, 1): -1})
+    inner = one_minus.pow(n - 1) * f
+    for _ in range(n):
+        inner = inner.wirtinger(slot)
+    return one_minus * inner
+
+
+def _random_exact_bipoly(rng: random.Random) -> BiPoly:
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): QC(q(), q())
+                   for _ in range(rng.randint(1, 6))})
+
+
+def test_stepped_towers_equal_the_closed_form_exactly():
+    rng = random.Random(11)
+    for _ in range(3):
+        f = _random_exact_bipoly(rng)
+        disk = PolyDisk(f)
+        # fill the cached towers out of order: a high order first
+        disk.pm_poly(17)
+        disk.pm_bar_poly(17)
+        # the closed form costs O(n^2) work per order, so sample the orders
+        for n in (5, 0, 1, 2, 3, 4, 6, 7, 8, 11, 17, 23, 30):
+            d, dbar = _closed_form_tower(f, n, "z"), _closed_form_tower(f, n, "w")
+            assert pm_bipoly(f, n) == d
+            assert pm_bar_bipoly(f, n) == dbar
+            assert disk.pm_poly(n) == d
+            assert disk.pm_bar_poly(n) == dbar
+
+
+def test_float_towers_match_the_definitional_oracle_to_high_order():
+    f = PolyDisk(BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j, (2, 2): 0.5}))
+    for z in (0.9, -0.6 + 0.6j, 0.3 - 0.8j):
+        for n in range(41):
+            assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z), rel=1e-12)
+            assert f.pm_bar(n, z) == pytest.approx(
+                pm_bar_definitional(f, n, z), rel=1e-12)
+
+
+def test_tower_work_grows_linearly_with_the_order(monkeypatch):
+    # a rebuild of every order from scratch costs O(N^2) steps or products
+    counts = {"mul": 0, "step": 0}
+    mul, step = BiPoly.__mul__, peschl_minda.pm_step
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_step(*args):
+        counts["step"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(BiPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(peschl_minda, "pm_step", counting_step)
+    monkeypatch.setattr(star, "pm_step", counting_step)
+    f = BiPoly({(i, j): complex(i + 1, j - 1) for i in range(3) for j in range(3)})
+    disk = PolyDisk(f)
+    disk.pm_poly(64)
+    disk.pm_bar_poly(64)
+    disk.pm_poly(30)
+    assert counts["step"] == 2 * 64
+    assert counts["mul"] <= 4 * 64
+    counts.update(mul=0, step=0)
+    star.star_disk_poly_truncated(f, f, 0.5, 64)
+    assert counts["step"] == 2 * 64
+    assert counts["mul"] <= 4 * 64
 
 
 def test_definitional_oracle_guard_order():
