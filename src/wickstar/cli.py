@@ -21,7 +21,7 @@ import os
 import sys
 from importlib import resources
 
-from .errors import ConvergenceError, DomainError, WickstarError
+from .errors import DomainError, WickstarError
 from .functions import BiPoly, entire_from_json
 from .peschl_minda import ComposedP, ComposedQ, PolyDisk
 from .rigidity import (InvarianceExperiment, elliptic_invariant_indices,
@@ -120,8 +120,7 @@ def cmd_verify(args) -> int:
     threads = _threads_from_env()
     names = args.suite if args.suite else None
     report = run_suites(names=names, seed=args.seed, tol=args.tol,
-                        mode=args.mode, timing=args.timing,
-                        inject_bug=args.inject_bug)
+                        timing=args.timing, inject_bug=args.inject_bug)
     report["metadata"]["threads"] = threads
     print(json.dumps(report, indent=2))
     if all(c["status"] == "pass" for c in report["checks"]):
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                                f"{', '.join(sorted(SUITES))}")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=1e-12)
-    p_verify.add_argument("--mode", default="exact", choices=["exact", "float"])
     p_verify.add_argument("--timing", action="store_true",
                           help="record wall-clock times (breaks byte-identical "
                                "reports on purpose)")
@@ -276,9 +274,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(json.dumps({"error": str(exc), "kind": "non-convergence"}))
-        return EXIT_NONCONVERGED
     except (DomainError, ValueError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}))
         return EXIT_DOMAIN

@@ -24,8 +24,3 @@ class SeriesOrderError(WickstarError, ValueError):
 class NonTerminatingError(WickstarError, ValueError):
     """Exact-finite evaluation was requested for a star-product series
     that does not terminate for the given operands."""
-
-
-class ConvergenceError(WickstarError, RuntimeError):
-    """A numerically truncated series failed to converge within the
-    configured term budget."""

@@ -5,15 +5,22 @@ Entire functions come in three shapes: exact polynomials, exponentials
 a mandatory geometric tail certificate |a_k| <= C / rho^k for k > M.
 A truncated series never silently drops its truncation error: every
 evaluation returns (value, bound).
+
+Truncated Taylor jets compute in their scalar type: float jets run on
+numpy (products by np.convolve, reciprocals by Newton doubling), exact
+jets (QC, Fraction, int coefficients) on truncated Python loops.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, SeriesOrderError
-from .exact import QC, conj, is_exact
+from .exact import QC, conj, is_exact, to_complex
 
 
 # ---------------------------------------------------------------------------
@@ -21,15 +28,71 @@ from .exact import QC, conj, is_exact
 # and the Moebius-pullback evaluation path)
 # ---------------------------------------------------------------------------
 
+# n! as doubles up to n = 170, the largest n! below the double range
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])
+
+
+def _float_coeffs(coeffs) -> np.ndarray:
+    if isinstance(coeffs, np.ndarray):
+        return coeffs
+    return np.array([to_complex(c) for c in coeffs], dtype=complex)
+
+
+def _mul_exact(a: list, b: list) -> list:
+    """Truncated Cauchy product of two exact coefficient lists."""
+    n = len(a) - 1
+    out = [a[0] * 0] * (n + 1)
+    for i, x in enumerate(a):
+        for j in range(0, n + 1 - i):
+            out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def _reciprocal_exact(a: list) -> list:
+    """Coefficients of 1/a by the recurrence b_n = -b_0 sum_k a_k b_{n-k}."""
+    b0 = QC(1) / a[0] if isinstance(a[0], QC) else Fraction(1) / a[0]
+    out = [b0]
+    for n in range(1, len(a)):
+        acc = a[0] * 0
+        for k in range(1, n + 1):
+            acc = acc + a[k] * out[n - k]
+        out.append(-b0 * acc)
+    return out
+
+
+def _reciprocal_float(a: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/a by Newton doubling b <- b (2 - a b): each step
+    doubles the number of correct coefficients, two convolutions a step."""
+    b = np.array([1 / a[0]])
+    m = 1
+    while m < len(a):
+        m = min(2 * m, len(a))
+        e = -np.convolve(a[:m], b)[:m]
+        e[0] += 2
+        b = np.convolve(b, e)[:m]
+    return b
+
 
 class Jet:
-    """Truncated Taylor expansion sum_k c_k u^k, exact in the scalar type."""
+    """Truncated Taylor expansion sum_k c_k u^k, exact in the scalar type.
+
+    The scalar type alone picks the arithmetic.  When every coefficient is
+    exact (QC, Fraction, int) they stay in a list and products and
+    reciprocals run the truncated Python loops.  Otherwise the jet is a
+    float jet: its coefficients are a complex128 numpy array, products are
+    truncated np.convolve calls and reciprocals Newton doubling over
+    convolutions.  An operation that mixes the two kinds gives a float jet."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
+        if isinstance(coeffs, np.ndarray):
+            coeffs = coeffs.astype(complex, copy=False)
+        else:
+            coeffs = list(coeffs)
+            if not all(is_exact(c) for c in coeffs):
+                coeffs = _float_coeffs(coeffs)
+        if not len(coeffs):
             raise ValueError("jet needs at least the constant coefficient")
         self.coeffs = coeffs
 
@@ -37,54 +100,67 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def exact(self) -> bool:
+        """True for a list of exact coefficients, False for a float jet."""
+        return not isinstance(self.coeffs, np.ndarray)
+
     @staticmethod
     def constant(x, order: int) -> "Jet":
-        zero = x * 0
-        return Jet([x] + [zero] * order)
+        if is_exact(x):
+            return Jet([x] + [x * 0] * order)
+        out = np.zeros(order + 1, dtype=complex)
+        out[0] = x
+        return Jet(out)
 
     @staticmethod
     def variable(x0, order: int) -> "Jet":
         """Jet of u -> x0 + u."""
-        zero = x0 * 0
-        one = zero + 1
-        if order == 0:
-            return Jet([x0])
-        return Jet([x0, one] + [zero] * (order - 1))
+        jet = Jet.constant(x0, order)
+        if order > 0:
+            jet.coeffs[1] = x0 * 0 + 1
+        return jet
 
-    def _wrap(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            return other
-        return Jet.constant(self.coeffs[0] * 0 + other, self.order)
+    def _operands(self, other: "Jet"):
+        """The two coefficient sequences, as lists when both jets are
+        exact and as complex arrays otherwise."""
+        if other.order != self.order:
+            raise ValueError("jet order mismatch")
+        if self.exact and other.exact:
+            return self.coeffs, other.coeffs
+        return _float_coeffs(self.coeffs), _float_coeffs(other.coeffs)
 
     def __add__(self, other):
-        o = self._wrap(other)
-        return Jet([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if isinstance(other, Jet):
+            a, b = self._operands(other)
+            return Jet(a + b if isinstance(a, np.ndarray) else [x + y for x, y in zip(a, b)])
+        c = self.coeffs
+        if self.exact:
+            return Jet([c[0] + other] + c[1:])
+        out = c.copy()
+        out[0] += to_complex(other)
+        return Jet(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._wrap(other)
-        return Jet([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._wrap(other) - self
+        return -self + other
 
     def __neg__(self):
-        return Jet([-a for a in self.coeffs])
+        return Jet([-a for a in self.coeffs] if self.exact else -self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet([a * other for a in self.coeffs])
-        o = self._wrap(other)
-        n = self.order
-        zero = self.coeffs[0] * 0
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            for j in range(0, n + 1 - i):
-                out[i + j] = out[i + j] + a * o.coeffs[j]
-        return Jet(out)
+            if self.exact:
+                return Jet([a * other for a in self.coeffs])
+            return Jet(self.coeffs * to_complex(other))
+        a, b = self._operands(other)
+        if isinstance(a, np.ndarray):
+            return Jet(np.convolve(a, b)[:len(a)])
+        return Jet(_mul_exact(a, b))
 
     __rmul__ = __mul__
 
@@ -92,38 +168,36 @@ class Jet:
         a = self.coeffs
         if a[0] == 0:
             raise ZeroDivisionError("jet has vanishing constant term")
-        if isinstance(a[0], QC):
-            b0 = QC(1) / a[0]
-        elif is_exact(a[0]):
-            b0 = Fraction(1) / a[0]
-        else:
-            b0 = 1 / a[0]
-        out = [b0]
-        for n in range(1, self.order + 1):
-            acc = a[0] * 0
-            for k in range(1, n + 1):
-                acc = acc + a[k] * out[n - k]
-            out.append(-b0 * acc)
-        return Jet(out)
+        return Jet(_reciprocal_exact(a) if self.exact else _reciprocal_float(a))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet([a / other for a in self.coeffs])
+        if self.exact:
+            return Jet([a / other for a in self.coeffs])
+        return Jet(self.coeffs / to_complex(other))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def exp(self) -> "Jet":
         """Jet of exp(self); float scalars only (divides by integers)."""
-        a = self.coeffs
-        out = [cmath.exp(complex(a[0]))]
+        a = [complex(c) for c in self.coeffs]
+        out = [cmath.exp(a[0])]
         for n in range(1, self.order + 1):
             acc = 0j
             for k in range(1, n + 1):
-                acc += k * complex(a[k]) * out[n - k]
+                acc += k * a[k] * out[n - k]
             out.append(acc / n)
         return Jet(out)
+
+    def derivatives(self, start: int = 0) -> list:
+        """[n! c_n for n = start..order]: the derivatives at u = 0."""
+        if self.exact:
+            return [math.factorial(n) * self.coeffs[n] for n in range(start, self.order + 1)]
+        if self.order >= len(_FACTORIALS):
+            raise OverflowError(f"{self.order}! exceeds the double range")
+        return (self.coeffs[start:] * _FACTORIALS[start:self.order + 1]).tolist()
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
@@ -500,9 +574,17 @@ class BiPoly:
         return out
 
     def eval(self, z, w):
+        # one power per distinct exponent, shared by the terms that use it
+        zp, wp = {}, {}
         acc = None
         for (i, j), a in self.coeffs.items():
-            term = a * z ** i * w ** j
+            zi = zp.get(i)
+            if zi is None:
+                zi = zp[i] = z ** i
+            wj = wp.get(j)
+            if wj is None:
+                wj = wp[j] = w ** j
+            term = a * zi * wj
             acc = term if acc is None else acc + term
         if acc is None:
             return z * 0

@@ -23,8 +23,6 @@ The jet route doubles as an independent oracle for every variant
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError, NonRepresentableError
 from .exact import conj, to_complex
 from .functions import BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn, moebius_jet
@@ -129,12 +127,12 @@ class DiskFunction:
     def conj_fn(self) -> "DiskFunction":
         raise NotImplementedError
 
-    def pm_sequence(self, nmax: int, z):
-        """[(D^n f(z), bound) for n = 0..nmax]; variants may batch this."""
-        return [self.pm_with_bound(n, z) for n in range(nmax + 1)]
+    def pm_sequence(self, nmax: int, z, start: int = 0):
+        """[(D^n f(z), bound) for n = start..nmax]; variants may batch this."""
+        return [self.pm_with_bound(n, z) for n in range(start, nmax + 1)]
 
-    def pm_bar_sequence(self, nmax: int, z):
-        return [self.pm_bar_with_bound(n, z) for n in range(nmax + 1)]
+    def pm_bar_sequence(self, nmax: int, z, start: int = 0):
+        return [self.pm_bar_with_bound(n, z) for n in range(start, nmax + 1)]
 
     def ambient_eval_jet(self, zjet: Jet, w0) -> Jet:
         """Evaluate the bivariate extension F(Z, W) with a jet in the
@@ -144,10 +142,15 @@ class DiskFunction:
     def ambient_jet(self, z, order: int) -> Jet:
         """Jet of u -> F(T_z(u), conj z); its n-th coefficient times n!
         is D^n f(z) by definition."""
+        # T_z(u) = (u + z)/(zb u + 1) = z + (1 - |z|^2) u / (1 + zb u),
+        # whose coefficients past the constant are (1 - |z|^2)(-zb)^{k-1}
         zb = conj(z)
-        u = Jet.variable(z * 0, order)
-        t_z = (u + z) / (u * zb + 1)
-        return self.ambient_eval_jet(t_z, zb)
+        coeffs = [z]
+        c = 1 - z * zb
+        for _ in range(order):
+            coeffs.append(c)
+            c = c * -zb
+        return self.ambient_eval_jet(Jet(coeffs), zb)
 
     def compose_moebius(self, phi: MoebiusMap) -> "DiskFunction":
         return MoebiusPullback(self, phi)
@@ -293,30 +296,23 @@ class MoebiusPullback(DiskFunction):
 
     def pm_with_bound(self, n, z):
         _check_order(n)
-        _check_disk(z)
-        jet = self.ambient_jet(z, n)
-        return math.factorial(n) * jet.coeffs[n], 0.0
+        return self.pm_sequence(n, z, start=n)[0]
 
     def pm_bar_with_bound(self, n, z):
         _check_order(n)
-        _check_disk(z)
-        jet = self.conj_fn().ambient_jet(z, n)
-        return conj(math.factorial(n) * jet.coeffs[n]), 0.0
+        return self.pm_bar_sequence(n, z, start=n)[0]
 
     def conj_fn(self):
         return MoebiusPullback(self.inner.conj_fn(), self.phi)
 
-    def pm_sequence(self, nmax, z):
+    def pm_sequence(self, nmax, z, start=0):
         # one jet of order nmax yields every D^n at once
         _check_disk(z)
-        jet = self.ambient_jet(z, nmax)
-        return [(math.factorial(n) * jet.coeffs[n], 0.0) for n in range(nmax + 1)]
+        return [(d, 0.0) for d in self.ambient_jet(z, nmax).derivatives(start)]
 
-    def pm_bar_sequence(self, nmax, z):
+    def pm_bar_sequence(self, nmax, z, start=0):
         _check_disk(z)
-        jet = self.conj_fn().ambient_jet(z, nmax)
-        return [(conj(math.factorial(n) * jet.coeffs[n]), 0.0)
-                for n in range(nmax + 1)]
+        return [(conj(d), 0.0) for d in self.conj_fn().ambient_jet(z, nmax).derivatives(start)]
 
     def ambient_eval_jet(self, zjet, w0):
         phi = self.phi
@@ -371,10 +367,8 @@ def pm_definitional(f: DiskFunction, n: int, z, guard: int = 2):
     against indexing mistakes, the coefficient itself is exact at order n."""
     _check_order(n)
     _check_disk(z)
-    jet = f.ambient_jet(z, n + guard)
-    return math.factorial(n) * jet.coeffs[n]
+    return f.ambient_jet(z, n + guard).derivatives(n)[0]
 
 
 def pm_bar_definitional(f: DiskFunction, n: int, z, guard: int = 2):
-    jet = f.conj_fn().ambient_jet(z, n + guard)
-    return conj(math.factorial(n) * jet.coeffs[n])
+    return conj(f.conj_fn().ambient_jet(z, n + guard).derivatives(n)[0])

@@ -226,17 +226,17 @@ def _star_disk_truncated(f, g, hv, z, cfg):
     terms = 0
     converged = False
     # derivative towers are fetched in growing batches so variants that
-    # batch well (one jet per order) are not recomputed per term
+    # batch well (one jet per order) are not recomputed per term; each
+    # batch starts where the last one ended
     f_seq: list = []
     g_seq: list = []
 
     def ensure(n):
-        nonlocal f_seq, g_seq
         if n < len(f_seq):
             return
         target = min(cfg.max_terms, max(8, 2 * n))
-        f_seq = f.pm_bar_sequence(target, zc)
-        g_seq = g.pm_sequence(target, zc)
+        f_seq.extend(f.pm_bar_sequence(target, zc, start=len(f_seq)))
+        g_seq.extend(g.pm_sequence(target, zc, start=len(g_seq)))
 
     for n in range(cfg.max_terms + 1):
         if n > 0:

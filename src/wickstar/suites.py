@@ -410,8 +410,7 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0, tol: float = 1e-12,
-               mode: str = "exact", timing: bool = False,
-               inject_bug: str | None = None) -> dict:
+               timing: bool = False, inject_bug: str | None = None) -> dict:
     """Run the selected suites and assemble the report dictionary."""
     if names is None:
         names = list(SUITES)
@@ -432,6 +431,6 @@ def run_suites(names=None, seed: int = 0, tol: float = 1e-12,
                 r.runtime_ms = elapsed
             checks.append(r)
     return {
-        "metadata": {"seed": seed, "mode": mode, "version": __version__},
+        "metadata": {"seed": seed, "version": __version__},
         "checks": [vars(c) for c in checks],
     }

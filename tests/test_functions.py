@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from wickstar.errors import DomainError, SeriesOrderError
-from wickstar.exact import QC
+from wickstar.exact import QC, to_complex
 from wickstar.functions import (BasisFpq, BiPoly, ExpFn, Jet, PolyFn,
                                 SeriesFn, entire_from_json, entire_to_json,
                                 moebius_jet)
@@ -52,6 +53,48 @@ def test_jet_arithmetic_stays_exact_on_exact_scalars():
     out = (j * j + 1) / QC(2)
     assert out.coeffs[0] == QC(Fraction(10, 18))
     assert all(isinstance(c, QC) for c in out.coeffs)
+
+
+def _exact_jet(rng: random.Random, order: int, a0) -> Jet:
+    """QC jet with constant term a0 and coefficients (p + qi)/8, |p|, |q| <= 8."""
+    return Jet([a0] + [QC(Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8), 8))
+                       for _ in range(order)])
+
+
+def _as_float(jet: Jet) -> Jet:
+    return Jet([to_complex(c) for c in jet.coeffs])
+
+
+def _assert_close(got: Jet, exact: Jet, rel: float):
+    """Normwise: max_k |got_k - exact_k| <= rel * max_k |exact_k|."""
+    want = [to_complex(c) for c in exact.coeffs]
+    scale = max(abs(c) for c in want)
+    assert max(abs(g - w) for g, w in zip(got.coeffs, want)) <= rel * scale
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 8, 33, 64])
+def test_float_jets_match_exact_jets(order):
+    # |b_0| = sqrt(17) against coefficients of modulus <= sqrt(2) keeps the
+    # zeros of b outside |u| = 0.74, so 1/b grows by at most 1.35 per order
+    rng = random.Random(order)
+    a = _exact_jet(rng, order, QC(Fraction(1, 2), Fraction(-3, 4)))
+    b = _exact_jet(rng, order, QC(4, 1))
+    fa, fb = _as_float(a), _as_float(b)
+    assert a.exact and b.exact and not fa.exact and not fb.exact
+    for got, exact in ((fa * fb, a * b), (fb.reciprocal(), b.reciprocal()),
+                       (fa / fb, a / b)):
+        assert not got.exact and got.order == order
+        _assert_close(got, exact, 1e-12)
+
+
+def test_mixed_jets_compute_in_floats():
+    exact = Jet.variable(QC(Fraction(1, 3)), 4)
+    floating = Jet.variable(0.25 + 0.5j, 4)
+    for out in (exact * floating, floating + exact, exact - floating, exact * 0.5,
+                exact + 0.5j, floating * QC(2), floating / Fraction(3)):
+        assert not out.exact
+    assert (exact * floating).coeffs[0] == pytest.approx((0.25 + 0.5j) / 3)
+    assert (floating / Fraction(3)).coeffs[1] == pytest.approx(1 / 3)
 
 
 def test_moebius_jet_matches_pointwise_action():
@@ -146,6 +189,22 @@ def test_bipoly_real_symmetry_detection():
     assert BiPoly({(1, 1): 2, (0, 0): 1}).is_real_symmetric()
     assert BiPoly({(1, 0): 1j, (0, 1): -1j}).is_real_symmetric()
     assert not BiPoly({(1, 0): 1}).is_real_symmetric()
+
+
+def test_bipoly_eval_equals_the_termwise_sum_exactly():
+    rng = random.Random(5)
+
+    def q():
+        return QC(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+    for _ in range(20):
+        f = BiPoly({(rng.randint(0, 4), rng.randint(0, 4)): q()
+                    for _ in range(rng.randint(1, 12))})
+        z, w = q(), q()
+        termwise = sum((a * z ** i * w ** j for (i, j), a in f.coeffs.items()), QC(0))
+        assert f.eval(z, w) == termwise
+        assert f.eval_diag(z) == f.eval(z, z.conjugate())
 
 
 def test_bipoly_jet_evaluation_freezes_second_slot():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickstar.functions as functions
 import wickstar.peschl_minda as peschl_minda
 import wickstar.star as star
 from wickstar.errors import DomainError, NonRepresentableError
 from wickstar.exact import QC, conj
-from wickstar.functions import BiPoly, ExpFn, PolyFn
+from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
                                    PolyDisk, p_aux, pm_bar_bipoly,
                                    pm_bar_definitional, pm_bar_derivative,
@@ -242,3 +243,28 @@ def test_definitional_oracle_guard_order():
         pm_definitional(f, 2, z, guard=4))
     jet = f.ambient_jet(z, 3)
     assert math.factorial(2) * jet.coeffs[2] == pytest.approx(f.pm(2, z))
+
+
+def test_closed_form_t_z_jet_equals_the_quotient_exactly():
+    # F(z, w) = z makes ambient_jet the jet of T_z(u) itself
+    z = QC(Fraction(1, 4), Fraction(-1, 5))
+    jet = PolyDisk(BiPoly.z(exact=True)).ambient_jet(z, 12)
+    u = Jet.variable(QC(0), 12)
+    assert jet.exact
+    assert jet.coeffs == ((u + z) / (u * conj(z) + 1)).coeffs
+
+
+def test_float_pullback_towers_never_enter_the_exact_loops(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("float jet arithmetic entered an exact loop")
+
+    monkeypatch.setattr(functions, "_mul_exact", refuse)
+    monkeypatch.setattr(functions, "_reciprocal_exact", refuse)
+    phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+    f = MoebiusPullback(PolyDisk(BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j})), phi)
+    z = 0.9j
+    seq, bar = f.pm_sequence(64, z), f.pm_bar_sequence(64, z)
+    assert len(seq) == len(bar) == 65
+    assert f.pm_sequence(64, z, start=60) == seq[60:]
+    assert seq[0][0] == pytest.approx(f.value(z))
+    assert bar[0][0] == pytest.approx(f.value(z))

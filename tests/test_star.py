@@ -238,3 +238,20 @@ def test_profile_collects_domain_errors_per_sample():
     assert len(out) == 3
     assert isinstance(out[1], WickstarError)
     assert out[0].value is not None and out[2].value is not None
+
+
+def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
+    # terms 0..64 need 65 values from each tower; batches that restart at
+    # order 0 would evaluate 264
+    calls = []
+    eval_diag = BiPoly.eval_diag
+
+    def counting(self, z):
+        calls.append(z)
+        return eval_diag(self, z)
+
+    monkeypatch.setattr(BiPoly, "eval_diag", counting)
+    res = star_disk(PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z()), 0.5, 0.95,
+                    StarConfig(max_terms=64, tol=0))
+    assert res.terms_used == 65
+    assert len(calls) == 130
