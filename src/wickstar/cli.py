@@ -69,19 +69,6 @@ def disk_function_from_json(obj: dict):
     raise DomainError(f"unknown disk function type {kind!r}")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("WICKSTAR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"WICKSTAR_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError("WICKSTAR_THREADS must be >= 1")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -117,11 +104,9 @@ def cmd_star_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _threads_from_env()
     names = args.suite if args.suite else None
     report = run_suites(names=names, seed=args.seed, tol=args.tol,
                         timing=args.timing, inject_bug=args.inject_bug)
-    report["metadata"]["threads"] = threads
     print(json.dumps(report, indent=2))
     if all(c["status"] == "pass" for c in report["checks"]):
         return EXIT_OK

@@ -1,15 +1,32 @@
 """The coefficient family c_n(hbar) and the three Wick-type star products.
 
-Products implemented:
+Every product is the series sum_n c_n/n! w_n D^n g Dbar^n f of the paper,
+summed in the normalized form
 
-* :func:`star_disk`      -- (f * g)(z) = sum_n c_n/n! D^n g(z) Dbar^n f(z)
-  on the unit disk; note the operand order: the FIRST factor takes Dbar,
-  the SECOND takes D.
-* :func:`star_annulus`   -- sum_n c_n/n! (w^2-1)^n g^(n)(w) gt^(n)(w).
-* :func:`star_punctured` -- sum_n c_n/n! w^{2n}   g^(n)(w) gt^(n)(w).
+    sum_n kappa_n t_n,   kappa_n = c_n n! = n!/(1/hbar)_n,
+    kappa_{n+1} = kappa_n (n + 1) hbar / (1 + n hbar),
+
+by one kernel (:func:`_sum_series`).  kappa_n grows or decays only
+polynomially in n (it is 1/(n+1) at hbar = 1/2), where c_n/n! underflows
+near n = 100.  The normalized terms are
+
+* :func:`star_disk`      -- t_n = (Dbar^n f(z)/n!) (D^n g(z)/n!) on the unit
+  disk; note the operand order: the FIRST factor takes Dbar, the SECOND
+  takes D.
+* :func:`star_annulus`   -- t_n = (w^2-1)^n (g^(n)(w)/n!) (gt^(n)(w)/n!).
+* :func:`star_punctured` -- t_n = w^{2n}    (g^(n)(w)/n!) (gt^(n)(w)/n!).
   The historically circulated display carries a fixed w^2 factor instead
   of w^{2n}; that variant is kept behind ``weight_variant="printed"`` so
   the lift-coherence check can discriminate the two.
+
+Termination is read from structure.  A disk product of polynomials
+terminates iff f is holomorphic or g is antiholomorphic, and then
+f * g = f g.  Otherwise both towers live at every order: a step of Dbar
+sends a z^i w^j to a j z^i w^{j-1} - a (j + n) z^{i+1} w^j, so the
+monomial of Dbar^n f with j >= 1 and the largest z-exponent leaves a
+coefficient -a (j + n) != 0 that no other monomial reaches, again with
+j >= 1; the same holds for D^n g with the slots swapped.  A surface
+product of polynomials ends after min(deg g, deg gt) + 1 terms.
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
 :class:`Hbar` guards the poles (exactly for rational-complex values,
@@ -18,8 +35,8 @@ with a distance threshold for floats).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, NonTerminatingError, WickstarError
@@ -153,6 +170,9 @@ def c_n_direct(h, n: int):
 
 @dataclass(frozen=True)
 class StarConfig:
+    """max_terms bounds the truncated sum to terms 0..max_terms; it stops
+    earlier once three successive terms fall below tol * max(1, |sum|),
+    so tol = 0 sums to the budget."""
     max_terms: int = 64
     tol: float = 1e-12
     mode: str = "truncated"  # "exact-finite" | "truncated"
@@ -169,18 +189,78 @@ class StarResult:
     value: object
     terms_used: int
     tail_estimate: float
-    converged: bool
+    stop_reason: str  # "terminated" | "tol" | "budget"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "budget"
 
 
-def _scaled(cn, v, n):
-    """c_n * v / n!, coercing the coefficient to float when v is float."""
-    scale = cn if is_exact(v) else to_complex(cn)
-    return scale * v / math.factorial(n)
+# ---------------------------------------------------------------------------
+# the summation kernel
+# ---------------------------------------------------------------------------
+
+
+def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = None):
+    """sum_n kappa_n s_n t_n over the triples (t_n, s_n, err_n) that
+    ``terms`` yields for n = 0, 1, ...
+
+    t_n is a number, QC, BiPoly or PolyFn; s_n is a scalar folded into
+    kappa_n before the one multiplication of t_n (1/n!^2 for polynomial
+    terms, 1 for float terms already normalized); err_n bounds the error
+    of t_n.  The divisor 1 + (n-1) hbar of kappa_n is formed only when
+    term n arrives, so a pole beyond the last term is never hit.  The sum
+    stops when ``terms`` ends ("terminated"), when three successive terms
+    fall below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
+    ("budget")."""
+    one = _one_like(hv)
+    kappa = one
+    total, err, recent = None, 0.0, []
+    stop, used = "terminated", 0
+    for n, (t, s, t_err) in enumerate(terms):
+        if n:
+            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1)
+        scale = kappa * s
+        term = t * scale
+        total = term if total is None else total + term
+        used = n + 1
+        if t_err:
+            err += abs(scale) * t_err
+        if tol is not None:
+            recent.append(abs(term))
+            if len(recent) > 3:
+                del recent[0]
+            if len(recent) == 3 and max(recent) < tol * max(1.0, abs(total)):
+                stop = "tol"
+                break
+        if n == max_terms:
+            stop = "budget"
+            break
+    return StarResult(total, used, sum(recent) + err, stop)
+
+
+def _float_term(u, u_err, v, v_err, fact, weight=1.0):
+    """(weight (u/n!) (v/n!), 1, error bound) for the kernel, from float
+    values u, v with error bounds; fact is n! as a float."""
+    a, b = to_complex(u) / fact, to_complex(v) / fact
+    if not (u_err or v_err):
+        return weight * a * b, 1.0, 0.0
+    ea, eb = u_err / fact, v_err / fact
+    return weight * a * b, 1.0, abs(weight) * (abs(a) * eb + abs(b) * ea + ea * eb)
 
 
 # ---------------------------------------------------------------------------
 # the disk product
 # ---------------------------------------------------------------------------
+
+
+def _require_termination(f: BiPoly, g: BiPoly):
+    """Raise unless f * g terminates: f holomorphic or g antiholomorphic."""
+    if f.wdeg > 0 and g.zdeg > 0:
+        raise NonTerminatingError(
+            "the star series does not terminate for these operands: the "
+            "first is not holomorphic and the second not antiholomorphic; "
+            "use truncated mode")
 
 
 def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = None):
@@ -189,73 +269,31 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
     hv = _lenient_value(h)
     _check_disk(z)
     if cfg.mode == "exact-finite":
-        return _star_disk_exact(f, g, hv, z, cfg)
-    return _star_disk_truncated(f, g, hv, z, cfg)
-
-
-def _star_disk_exact(f, g, hv, z, cfg):
-    if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
-        raise NonTerminatingError(
-            "exact-finite mode requires polynomial disk functions")
-    one = _one_like(hv)
-    c = one
-    total = None
-    terms = 0
-    for n in range(cfg.max_terms + 1):
-        f_bar = f.pm_bar_poly(n)
-        g_d = g.pm_poly(n)
-        if n >= 1 and (f_bar.is_zero or g_d.is_zero):
-            return StarResult(total, terms, 0.0, True)
-        if n > 0:
-            c = c * hv / _c_divisor(one, hv, n - 1)
-        term = _scaled(c, f_bar.eval_diag(z) * g_d.eval_diag(z), n)
-        total = term if total is None else total + term
-        terms = n + 1
-    raise NonTerminatingError(
-        "the star series does not terminate for these operands; "
-        "use truncated mode")
-
-
-def _star_disk_truncated(f, g, hv, z, cfg):
-    hv = to_complex(hv)
+        if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
+            raise NonTerminatingError(
+                "exact-finite mode requires polynomial disk functions")
+        _require_termination(f.f, g.f)
+        return StarResult(f.value(z) * g.value(z), 1, 0.0, "terminated")
     zc = to_complex(z)
-    c = 1.0 + 0j
-    total = 0j
-    bound_acc = 0.0
-    recent = []
-    terms = 0
-    converged = False
-    # derivative towers are fetched in growing batches so variants that
-    # batch well (one jet per order) are not recomputed per term; each
-    # batch starts where the last one ended
+    return _sum_series(to_complex(hv), _disk_terms(f, g, zc, cfg.max_terms),
+                       cfg.max_terms, cfg.tol)
+
+
+def _disk_terms(f, g, z, max_terms):
+    # the towers are fetched in growing batches, each starting where the
+    # last one ended, so variants that batch well (one jet per batch) are
+    # not recomputed per term
     f_seq: list = []
     g_seq: list = []
-
-    def ensure(n):
-        if n < len(f_seq):
-            return
-        target = min(cfg.max_terms, max(8, 2 * n))
-        f_seq.extend(f.pm_bar_sequence(target, zc, start=len(f_seq)))
-        g_seq.extend(g.pm_sequence(target, zc, start=len(g_seq)))
-
-    for n in range(cfg.max_terms + 1):
-        if n > 0:
-            c = c * hv / _c_divisor(1.0 + 0j, hv, n - 1)
-        ensure(n)
-        fv, f_err = f_seq[n]
-        gv, g_err = g_seq[n]
-        fv, gv = to_complex(fv), to_complex(gv)
-        scale = c / math.factorial(n)
-        total += scale * fv * gv
-        bound_acc += abs(scale) * (abs(fv) * g_err + abs(gv) * f_err + f_err * g_err)
-        terms = n + 1
-        recent.append(abs(scale * fv * gv))
-        if len(recent) > 3:
-            recent.pop(0)
-        if len(recent) == 3 and all(m <= cfg.tol * max(1.0, abs(total)) for m in recent):
-            converged = True
-            break
-    return StarResult(total, terms, sum(recent) + bound_acc, converged)
+    fact = 1.0
+    for n in itertools.count():
+        if n == len(f_seq):
+            target = min(max_terms, max(8, 2 * n))
+            f_seq.extend(f.pm_bar_sequence(target, z, start=n))
+            g_seq.extend(g.pm_sequence(target, z, start=n))
+        if n:
+            fact *= n
+        yield _float_term(*f_seq[n], *g_seq[n], fact)
 
 
 # ---------------------------------------------------------------------------
@@ -263,106 +301,81 @@ def _star_disk_truncated(f, g, hv, z, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _weight_annulus(w, n):
-    return (w * w - 1) ** n
+def _weights(x, variant: str):
+    """w_0, w_1, ... at x (a number, or the variable PolyFn([0, 1])):
+    (x^2-1)^n on the annulus, x^{2n} on the punctured disk, and 1, x^2,
+    x^2, ... for its printed variant, which is wrong from n = 2 on and is
+    kept only so the coherence checks can show it."""
+    step = x * x - 1 if variant == "annulus" else x * x
+    wn = step * 0 + 1
+    while True:
+        yield wn
+        wn = step if variant == "printed" else wn * step
 
 
-def _weight_punctured(w, n):
-    return w ** (2 * n)
+def _surface_poly(g: PolyFn, gt: PolyFn, hv, variant: str) -> StarResult:
+    """The surface product of two polynomials as an exact PolyFn in w."""
+    def terms():
+        dg, dgt, fact = g, gt, 1
+        for n, wn in enumerate(_weights(PolyFn([0, 1]), variant)):
+            if n:
+                dg, dgt, fact = dg.derivative(), dgt.derivative(), fact * n
+                if dg.is_zero or dgt.is_zero:
+                    return
+            yield wn * dg * dgt, Fraction(1, fact * fact), 0.0
+    return _sum_series(hv, terms())
 
 
-def _weight_punctured_printed(w, n):
-    # the fixed-exponent variant of the circulated display; kept only so
-    # the coherence checks can demonstrate that it is wrong for n >= 2
-    return w ** 0 if n == 0 else w ** 2
+def _entire_terms(g, gt, w, weights):
+    fact = 1.0
+    for n, wn in enumerate(weights):
+        if n:
+            g, gt, fact = g.derivative(), gt.derivative(), fact * n
+        yield _float_term(*g.eval(w), *gt.eval(w), fact, wn)
 
 
-def _star_entire(g, gt, hv, w, cfg, weight):
+def _star_entire(g, gt, h, w, cfg, variant):
+    cfg = cfg if cfg is not None else StarConfig()
+    hv = _lenient_value(h)
     if cfg.mode == "exact-finite":
         if not (isinstance(g, PolyFn) and isinstance(gt, PolyFn)):
             raise NonTerminatingError(
                 "exact-finite mode requires polynomial operands")
-        nmax = min(g.degree, gt.degree)
-        cs = _c_stream(hv, nmax)
-        total = None
-        for n in range(nmax + 1):
-            v = weight(w, n) * g.derivative(n).eval(w)[0] * gt.derivative(n).eval(w)[0]
-            term = _scaled(cs[n], v, n)
-            total = term if total is None else total + term
-        return StarResult(total, nmax + 1, 0.0, True)
-
-    hv = to_complex(hv)
+        res = _surface_poly(g, gt, hv, variant)
+        return replace(res, value=res.value.eval(w)[0])
     wc = to_complex(w)
-    c = 1.0 + 0j
-    total = 0j
-    bound_acc = 0.0
-    recent = []
-    terms = 0
-    converged = False
-    for n in range(cfg.max_terms + 1):
-        if n > 0:
-            c = c * hv / _c_divisor(1.0 + 0j, hv, n - 1)
-        gv, g_err = g.derivative(n).eval(wc)
-        gtv, gt_err = gt.derivative(n).eval(wc)
-        gv, gtv = complex(gv), complex(gtv)
-        scale = c * complex(weight(wc, n)) / math.factorial(n)
-        total += scale * gv * gtv
-        bound_acc += abs(scale) * (abs(gv) * gt_err + abs(gtv) * g_err + g_err * gt_err)
-        terms = n + 1
-        recent.append(abs(scale * gv * gtv))
-        if len(recent) > 3:
-            recent.pop(0)
-        if len(recent) == 3 and all(m <= cfg.tol * max(1.0, abs(total)) for m in recent):
-            converged = True
-            break
-    return StarResult(total, terms, sum(recent) + bound_acc, converged)
+    return _sum_series(to_complex(hv), _entire_terms(g, gt, wc, _weights(wc, variant)),
+                       cfg.max_terms, cfg.tol)
 
 
 def star_annulus(g, gt, h, w, cfg: StarConfig | None = None):
     """(g o f_R) * (gt o f_R) evaluated in the chart variable w = f_R."""
-    cfg = cfg if cfg is not None else StarConfig()
-    return _star_entire(g, gt, _lenient_value(h), w, cfg, _weight_annulus)
+    return _star_entire(g, gt, h, w, cfg, "annulus")
 
 
 def star_punctured(g, gt, h, w, cfg: StarConfig | None = None,
                    weight_variant: str = "derived"):
     """(g o f_0) * (gt o f_0) in the chart variable w = f_0."""
-    cfg = cfg if cfg is not None else StarConfig()
-    if weight_variant == "derived":
-        weight = _weight_punctured
-    elif weight_variant == "printed":
-        weight = _weight_punctured_printed
-    else:
+    if weight_variant not in ("derived", "printed"):
         raise ValueError(f"unknown weight variant {weight_variant!r}")
-    return _star_entire(g, gt, _lenient_value(h), w, cfg, weight)
+    return _star_entire(g, gt, h, w, cfg, weight_variant)
 
 
 # symbolic (coefficientwise) products on polynomials --------------------------
 
 
-def star_disk_poly_exact(f: BiPoly, g: BiPoly, h, max_terms: int = 64) -> BiPoly:
+def star_disk_poly_exact(f: BiPoly, g: BiPoly, h) -> BiPoly:
     """The disk product of two polynomial functions as an exact BiPoly.
 
     Only possible when a derivative tower dies: the first operand f is
     holomorphic or the second operand g is antiholomorphic (so z * z**2
     and conj z * conj z terminate, conj z * z does not), and then the
     product is f g.  Otherwise the series has infinitely many nonzero
-    polynomial terms and NonTerminatingError is raised."""
-    hv = _lenient_value(h)
-    one = _one_like(hv)
-    c = one
-    total = BiPoly()
-    f_bar, g_d = f, g
-    for n in range(max_terms + 1):
-        if n > 0:
-            f_bar = pm_step(f_bar, n - 1, "w")
-            g_d = pm_step(g_d, n - 1, "z")
-            if f_bar.is_zero or g_d.is_zero:
-                return total
-            c = c * hv / _c_divisor(one, hv, n - 1)
-        total = total + f_bar * g_d * (c * Fraction(1, math.factorial(n)))
-    raise NonTerminatingError(
-        "the star series does not terminate for these operands")
+    polynomial terms and NonTerminatingError is raised; the decision
+    reads the exponents and builds no tower."""
+    _lenient_value(h)
+    _require_termination(f, g)
+    return f * g
 
 
 def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
@@ -370,34 +383,22 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
 
     Each term of the series is again a polynomial in (z, conj z); the
     truncation error at |z| <= r decays like r^{2 n_terms}."""
-    hv = _lenient_value(h)
-    one = _one_like(hv)
-    c = one
-    total = BiPoly()
-    f_bar, g_d = f, g
-    for n in range(n_terms + 1):
-        if n > 0:
-            f_bar = pm_step(f_bar, n - 1, "w")
-            g_d = pm_step(g_d, n - 1, "z")
-            if f_bar.is_zero or g_d.is_zero:
-                break
-            c = c * hv / _c_divisor(one, hv, n - 1)
-        total = total + f_bar * g_d * (c * Fraction(1, math.factorial(n)))
-    return total
+    def terms():
+        f_bar, g_d, fact = f, g, 1
+        for n in itertools.count():
+            if n:
+                f_bar = pm_step(f_bar, n - 1, "w")
+                g_d = pm_step(g_d, n - 1, "z")
+                if f_bar.is_zero or g_d.is_zero:
+                    return
+                fact *= n
+            yield f_bar * g_d, Fraction(1, fact * fact), 0.0
+    return _sum_series(_lenient_value(h), terms(), n_terms).value
 
 
 def star_annulus_poly(g: PolyFn, gt: PolyFn, h) -> PolyFn:
     """The annulus product of two polynomials as an exact polynomial in w."""
-    nmax = min(g.degree, gt.degree)
-    cs = _c_stream(_lenient_value(h), nmax)
-    w2m1 = PolyFn([-1, 0, 1])
-    weight = PolyFn([1])
-    total = PolyFn([0])
-    for n in range(nmax + 1):
-        total = total + weight * g.derivative(n) * gt.derivative(n) * (
-            cs[n] * Fraction(1, math.factorial(n)))
-        weight = weight * w2m1
-    return total
+    return _surface_poly(g, gt, _lenient_value(h), "annulus").value
 
 
 def star_punctured_poly(g: PolyFn, gt: PolyFn, h,
@@ -405,22 +406,7 @@ def star_punctured_poly(g: PolyFn, gt: PolyFn, h,
     """The punctured-disk product of two polynomials, exact in w."""
     if weight_variant not in ("derived", "printed"):
         raise ValueError(f"unknown weight variant {weight_variant!r}")
-    nmax = min(g.degree, gt.degree)
-    cs = _c_stream(_lenient_value(h), nmax)
-    w2 = PolyFn([0, 0, 1])
-    total = PolyFn([0])
-    for n in range(nmax + 1):
-        if n == 0:
-            weight = PolyFn([1])
-        elif weight_variant == "printed":
-            weight = w2
-        else:
-            weight = PolyFn([1])
-            for _ in range(n):
-                weight = weight * w2
-        total = total + weight * g.derivative(n) * gt.derivative(n) * (
-            cs[n] * Fraction(1, math.factorial(n)))
-    return total
+    return _surface_poly(g, gt, _lenient_value(h), weight_variant).value
 
 
 # batch evaluation over deformation samples ----------------------------------

@@ -158,7 +158,7 @@ def test_03_disk_associativity_exact_on_monomials():
     # of such a pair are alive past order 1, where the others all die
     for f, g in infinite.values():
         with pytest.raises(NonTerminatingError):
-            star_disk_poly_exact(f, g, h, max_terms=4)
+            star_disk_poly_exact(f, g, h)
 
     # the remaining triples agree through the truncated products.  At
     # |z| = r the dropped terms fall like r^{2N}: the Dbar^n of conj(z)^j

@@ -87,16 +87,6 @@ def test_injected_weight_bug_is_caught():
     assert statuses["annulus-lift-coherence"] == "pass"
 
 
-def test_thread_env_is_validated(monkeypatch):
-    monkeypatch.setenv("WICKSTAR_THREADS", "2")
-    code, out = run_cli("verify", "--suite", "cn")
-    assert code == EXIT_OK
-    assert json.loads(out)["metadata"]["threads"] == 2
-    monkeypatch.setenv("WICKSTAR_THREADS", "zero")
-    code, _ = run_cli("verify", "--suite", "cn")
-    assert code == EXIT_DOMAIN
-
-
 def test_rigidity_bundled_specs():
     code, out = run_cli("rigidity", "--spec", "elliptic-N2-d2")
     assert code == EXIT_OK

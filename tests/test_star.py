@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wickstar import peschl_minda, star
 from wickstar.errors import DomainError, NonTerminatingError, WickstarError
 from wickstar.exact import QC
 from wickstar.functions import BiPoly, PolyFn
-from wickstar.peschl_minda import PolyDisk
+from wickstar.peschl_minda import PolyDisk, pm_bar_bipoly, pm_bipoly
 from wickstar.star import (Hbar, StarConfig, c_n, c_n_direct, c_sequence,
                            star_annulus, star_annulus_poly, star_disk,
                            star_disk_poly_exact, star_disk_poly_truncated,
@@ -137,7 +138,7 @@ def test_symbolic_disk_product_terminates_on_split_operands():
     out = star_disk_poly_exact(z, w, h)
     assert out == BiPoly({(1, 1): QC(1)})
     with pytest.raises(NonTerminatingError):
-        star_disk_poly_exact(w, z, h, max_terms=10)
+        star_disk_poly_exact(w, z, h)
 
 
 def test_symbolic_truncation_agrees_with_numeric_path():
@@ -255,3 +256,112 @@ def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
                     StarConfig(max_terms=64, tol=0))
     assert res.terms_used == 65
     assert len(calls) == 130
+
+
+# the summation kernel ----------------------------------------------------------
+
+
+def test_long_sums_do_not_underflow_into_false_convergence():
+    # conj(z) * z = |z|^2 + h (1-|z|^2)^2 2F1(1, 2; 1 + 1/h; |z|^2); at
+    # h = 1/2 term n is (1-x)^2 x^{n-1}/(n+1) with x = |z|^2, so the terms
+    # past n = 128 sum to at most (1-x) x^128/130.  c_n/n! underflows near
+    # n = 103, and a sum scaled by it stopped there, converged, tail 0.
+    h, z = 0.5, 0.95
+    x = z * z
+    term = series = 1.0
+    m = 0
+    while term > 1e-17 * series:
+        term *= (m + 2) / (m + 1 + 1 / h) * x
+        series += term
+        m += 1
+    oracle = x + h * (1 - x) ** 2 * series
+    remainder = (1 - x) * x ** 128 / 130
+    zbar, zpoly = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    for tol in (1e-12, 0):
+        res = star_disk(zbar, zpoly, h, z, StarConfig(max_terms=128, tol=tol))
+        assert res.terms_used == 129
+        assert not res.converged and res.stop_reason == "budget"
+        assert 0 < oracle.real - res.value.real <= remainder * (1 + 1e-9)
+
+
+def test_zero_tolerance_sums_to_the_budget():
+    from wickstar.functions import ExpFn
+    g = ExpFn(0.5)
+    res = star_annulus(g, g, 0.25, 0.3, StarConfig(max_terms=128, tol=0))
+    assert res.terms_used == 129 and res.stop_reason == "budget"
+    early = star_annulus(g, g, 0.25, 0.3, StarConfig(max_terms=128, tol=1e-13))
+    assert early.stop_reason == "tol" and early.terms_used < 129
+    assert res.value == pytest.approx(early.value, rel=1e-13)
+
+
+def test_stop_reason_names_how_the_sum_ended():
+    z, zbar = BiPoly.z(exact=True), BiPoly({(0, 1): QC(1)})
+    point = QC(Fraction(1, 3), Fraction(-1, 4))
+    res = star_disk(PolyDisk(z), PolyDisk(zbar), Fraction(1, 2), point, EXACT)
+    assert res.stop_reason == "terminated" and res.terms_used == 1
+    t2 = PolyFn([Fraction(0), Fraction(0), Fraction(1)])
+    res = star_annulus(t2, t2, Fraction(1, 2), Fraction(1, 3), EXACT)
+    assert res.stop_reason == "terminated" and res.terms_used == 3
+    assert res.value == star_annulus_poly(t2, t2, Fraction(1, 2)).eval(Fraction(1, 3))[0]
+    zbar_f, z_f = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    res = star_disk(zbar_f, z_f, 0.5, 0.3, StarConfig(max_terms=64, tol=1e-12))
+    assert res.stop_reason == "tol" and res.converged
+    res = star_disk(zbar_f, z_f, 0.5, 0.9, StarConfig(max_terms=8))
+    assert res.stop_reason == "budget" and res.terms_used == 9
+
+
+# structural termination of the disk product -------------------------------------
+
+
+def _towers_die(f, g, order=30):
+    # a dead tower stays dead: the step maps 0 to 0
+    return pm_bar_bipoly(f, order).is_zero or pm_bipoly(g, order).is_zero
+
+
+def _assert_rule_matches_towers(f, g):
+    h = Fraction(1, 2)
+    if _towers_die(f, g):
+        out = star_disk_poly_exact(f, g, h)
+        assert out == f * g == star_disk_poly_truncated(f, g, h, 30)
+    else:
+        with pytest.raises(NonTerminatingError):
+            star_disk_poly_exact(f, g, h)
+
+
+def test_termination_rule_agrees_with_the_towers_on_monomials():
+    monomials = [BiPoly.monomial(i, j, QC(1)) for i in range(3) for j in range(3)]
+    for f in monomials:
+        for g in monomials:
+            _assert_rule_matches_towers(f, g)
+
+
+def test_termination_rule_agrees_with_the_towers_on_random_polynomials(rng):
+    def random_bipoly(shape):
+        rows = range(1) if shape == "anti" else range(4)
+        cols = range(1) if shape == "holo" else range(4)
+        return BiPoly({(i, j): QC(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+                       for i in rows for j in cols if rng.random() < 0.6})
+
+    shapes = ("holo", "anti", "full", "full")
+    for _ in range(20):
+        f = random_bipoly(shapes[int(rng.integers(4))])
+        g = random_bipoly(shapes[int(rng.integers(4))])
+        _assert_rule_matches_towers(f, g)
+
+
+def test_non_termination_is_decided_without_towers(monkeypatch):
+    steps = []
+    step = peschl_minda.pm_step
+
+    def counting_step(*args):
+        steps.append(args[1:])
+        return step(*args)
+
+    monkeypatch.setattr(peschl_minda, "pm_step", counting_step)
+    monkeypatch.setattr(star, "pm_step", counting_step)
+    zbar, z = BiPoly({(0, 1): QC(1)}), BiPoly.z(exact=True)
+    with pytest.raises(NonTerminatingError):
+        star_disk_poly_exact(zbar, z, Fraction(1, 2))
+    with pytest.raises(NonTerminatingError):
+        star_disk(PolyDisk(zbar), PolyDisk(z), Fraction(1, 2), QC(Fraction(1, 4)), EXACT)
+    assert steps == []
