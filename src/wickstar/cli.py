@@ -96,7 +96,8 @@ def cmd_star_eval(args) -> int:
     body = {"surface": args.surface, "results": [
         {"point": _cpair(p), "value": _cpair(r.value),
          "terms_used": r.terms_used, "tail_estimate": float(r.tail_estimate),
-         "converged": bool(r.converged)} for p, r in results]}
+         "converged": bool(r.converged), "stop_reason": r.stop_reason}
+        for p, r in results]}
     print(json.dumps(body, indent=2))
     if any(not r.converged for _, r in results):
         return EXIT_NONCONVERGED

@@ -42,14 +42,6 @@ class QC:
 
     # -- conversions -------------------------------------------------
 
-    @staticmethod
-    def from_any(x) -> "QC":
-        if isinstance(x, QC):
-            return x
-        if isinstance(x, complex):
-            return QC(_to_fraction(x.real), _to_fraction(x.imag))
-        return QC(_to_fraction(x))
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
@@ -101,6 +93,9 @@ class QC:
         return QC(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a real rational scales both parts
+            return QC(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return self.to_complex() * other

@@ -14,7 +14,7 @@ jets (QC, Fraction, int coefficients) on truncated Python loops.
 from __future__ import annotations
 
 import cmath
-import math
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +27,6 @@ from .exact import QC, conj, is_exact, to_complex
 # truncated Taylor jets (used by the Peschl-Minda definitional oracle
 # and the Moebius-pullback evaluation path)
 # ---------------------------------------------------------------------------
-
-# n! as doubles up to n = 170, the largest n! below the double range
-_FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])
-
 
 def _float_coeffs(coeffs) -> np.ndarray:
     if isinstance(coeffs, np.ndarray):
@@ -191,13 +187,10 @@ class Jet:
             out.append(acc / n)
         return Jet(out)
 
-    def derivatives(self, start: int = 0) -> list:
-        """[n! c_n for n = start..order]: the derivatives at u = 0."""
-        if self.exact:
-            return [math.factorial(n) * self.coeffs[n] for n in range(start, self.order + 1)]
-        if self.order >= len(_FACTORIALS):
-            raise OverflowError(f"{self.order}! exceeds the double range")
-        return (self.coeffs[start:] * _FACTORIALS[start:self.order + 1]).tolist()
+    def tolist(self, start: int = 0) -> list:
+        """[c_n for n = start..order] as Python scalars."""
+        tail = self.coeffs[start:]
+        return tail if self.exact else tail.tolist()
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
@@ -327,6 +320,9 @@ class ExpFn(EntireFn):
     def eval(self, t):
         return self.amp * cmath.exp(complex(self.scale) * complex(t)), 0.0
 
+    def __mul__(self, c):
+        return ExpFn(self.scale, self.amp * c)
+
     def __repr__(self):
         return f"ExpFn(scale={self.scale!r}, amp={self.amp!r})"
 
@@ -380,8 +376,21 @@ class SeriesFn(EntireFn):
         tail = self.C * r ** (self.max_order + 1) / (1 - r)
         return acc, tail
 
+    def __mul__(self, c):
+        return SeriesFn([a * c for a in self.coeffs], self.rho, self.C * abs(c))
+
     def __repr__(self):
         return f"SeriesFn(order={self.max_order}, rho={self.rho}, C={self.C})"
+
+
+def taylor_tower(g: EntireFn, c=1):
+    """Yield g_n = c^n g^(n)/n!, n = 0, 1, ...: g_n(t) is the n-th Taylor
+    coefficient of u -> g(t + c u).  Each step is g_n = g_{n-1}' (c/n), so
+    neither n! nor c^n is formed; c = Fraction(1) keeps polynomials exact."""
+    for n in itertools.count():
+        if n:
+            g = g.derivative() * (c / n)
+        yield g
 
 
 # JSON mini-language ---------------------------------------------------------

@@ -1,21 +1,23 @@
-"""Peschl-Minda derivatives on the unit disk.
+"""Peschl-Minda derivatives on the unit disk, carried as Taylor coefficients.
 
-Four function variants are supported:
+D^n f(z) = d_u^n F(T_z(u), conj z)|_0, T_z(u) = (z + u)/(1 + conj(z) u),
+grows like n!, so every tower carries a_n = D^n f(z)/n!, the n-th Taylor
+coefficient of u -> F(T_z(u), conj z).  D^n f appears only at the public
+edge (``pm``/``pm_bar``, :func:`pm_bipoly`, :func:`pm_definitional`), which
+multiplies by n!.  Each variant implements ``pm_sequence`` and
+``pm_bar_sequence``, the pairs (a_n, error bound) for n = start..nmax:
 
 * ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F; the
-  derivatives are computed exactly, one order at a time, by the step
-  D^{n+1} f = (1 - zw) d_z D^n f - n w D^n f   (w standing for conj z),
+  polynomials E_n = D^n F/n! are stepped exactly, one order at a time, by
+  E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
-  D^n f(z) = d_u^n F(T_z(u), w)|_0 with T_z(u) = (z + u)/(1 + wu), and
   d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
-  gives the term -n w D^n f.
-* ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2);
-  closed-form derivatives.
-* ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2);
-  closed-form derivatives.
-* ``MoebiusPullback`` -- precomposition with a disk automorphism,
-  evaluated through truncated Taylor jets of the definitional formula
-  D^n f(z) = d^n (f o T_z)(0), T_z(u) = (z+u)/(1+conj(z) u).
+  gives the term -n w E_n.
+* ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
+* ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2): closed
+  forms a_n = c^n g^(n)(chart)/n!, stepped by :func:`taylor_tower`.
+* ``MoebiusPullback`` -- precomposition with a disk automorphism; a_n is
+  read off the truncated Taylor jet of u -> F(T_z(u), conj z).
 
 The jet route doubles as an independent oracle for every variant
 (:func:`pm_definitional`).
@@ -23,9 +25,14 @@ The jet route doubles as an independent oracle for every variant
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 from .errors import DomainError, NonRepresentableError
-from .exact import conj, to_complex
-from .functions import BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn, moebius_jet
+from .exact import conj, is_exact, to_complex
+from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn, moebius_jet,
+                        taylor_tower)
 from .sphere import MoebiusMap
 
 
@@ -56,26 +63,37 @@ def _check_order(n):
 # ---------------------------------------------------------------------------
 
 
-def pm_step(dn: BiPoly, n: int, slot: str) -> BiPoly:
-    """D^{n+1} f from D^n f: (1 - zw) d_z D^n f - n w D^n f.
+def pm_step(en: BiPoly, n: int, slot: str) -> BiPoly:
+    """E_{n+1} from E_n = D^n f/n!: [(1 - zw) d_z E_n - n w E_n]/(n + 1).
 
-    With slot "w" the roles of z and w swap, which steps Dbar^n f.  Per
-    monomial a z^i w^j the step gives a i z^{i-1} w^j - a (i + n) z^i w^{j+1},
+    With slot "w" the roles of z and w swap, which steps Dbar^n f/n!.  Per
+    monomial a z^i w^j the bracket gives a i z^{i-1} w^j - a (i + n) z^i w^{j+1},
     so it is one pass over the terms; the BiPoly constructor merges equal
-    exponents and drops the zero coefficients of terms constant in the slot."""
+    exponents and drops the zero coefficients of terms constant in the slot.
+    Each merged coefficient is then divided by n + 1: exactly, through
+    Fraction(1, n + 1), when the coefficients are exact, else in floating
+    point.  The E_n of a polynomial with integer coefficients are integer."""
     if slot not in ("z", "w"):
         raise ValueError("slot must be 'z' or 'w'")
     terms = []
-    for (i, j), a in dn.coeffs.items():
+    for (i, j), a in en.coeffs.items():
         if slot == "z":
             terms += [((i - 1, j), a * i), ((i, j + 1), a * -(i + n))]
         else:
             terms += [((i, j - 1), a * j), ((i + 1, j), a * -(j + n))]
-    return BiPoly(terms)
+    out = BiPoly(terms)
+    c = out.coeffs
+    if c and is_exact(next(iter(c.values()))):
+        inv = Fraction(1, n + 1)
+        out.coeffs = {k: a * inv for k, a in c.items()}
+    else:
+        m = n + 1
+        out.coeffs = {k: a / m for k, a in c.items()}
+    return out
 
 
 def _tower_to(tower: list, n: int, slot: str) -> BiPoly:
-    """tower[n], first extending tower = [f, D f, ...] one step at a time."""
+    """tower[n], first extending tower = [E_0, E_1, ...] one step at a time."""
     _check_order(n)
     while len(tower) <= n:
         tower.append(pm_step(tower[-1], len(tower) - 1, slot))
@@ -85,18 +103,15 @@ def _tower_to(tower: list, n: int, slot: str) -> BiPoly:
 def pm_bipoly(f: BiPoly, n: int) -> BiPoly:
     """D^n of a polynomial disk function, as an exact BiPoly.
 
-    Built by n steps D^{k+1} f = (1 - zw) d_z D^k f - k w D^k f
-    (:func:`pm_step`), which hold because d_z T_z = (1 + wu)/(1 - zw) d_u T_z
-    for T_z(u) = (z + u)/(1 + wu); Leibniz's rule on the factor (1 + wu)
-    gives the term -k w D^k f.  Equal to the closed form
-    (1 - zw) d_z^n [ (1 - zw)^{n-1} F ] for n >= 1."""
-    return _tower_to([f], n, "z")
+    n! E_n, where E_n comes from n steps of :func:`pm_step`.  Equal to the
+    closed form (1 - zw) d_z^n [ (1 - zw)^{n-1} F ] for n >= 1."""
+    return _tower_to([f], n, "z") * math.factorial(n)
 
 
 def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
     """Dbar^n of a polynomial disk function: the same steps with the
     Wirtinger derivative acting on the antiholomorphic slot."""
-    return _tower_to([f], n, "w")
+    return _tower_to([f], n, "w") * math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -105,34 +120,42 @@ def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
 
 
 class DiskFunction:
-    """Common surface of the disk-function variants."""
+    """Common surface of the disk-function variants.
+
+    A variant implements ``pm_sequence`` and ``pm_bar_sequence``, the towers
+    of Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n!; everything else
+    derives from them."""
 
     def value(self, z):
         raise NotImplementedError
 
+    def pm_sequence(self, nmax: int, z, start: int = 0):
+        """[(D^n f(z)/n!, error bound) for n = start..nmax]."""
+        raise NotImplementedError
+
+    def pm_bar_sequence(self, nmax: int, z, start: int = 0):
+        """[(Dbar^n f(z)/n!, error bound) for n = start..nmax]."""
+        raise NotImplementedError
+
+    def pm_with_bound(self, n, z):
+        """(D^n f(z)/n!, error bound)."""
+        _check_order(n)
+        return self.pm_sequence(n, z, start=n)[0]
+
+    def pm_bar_with_bound(self, n, z):
+        _check_order(n)
+        return self.pm_bar_sequence(n, z, start=n)[0]
+
     def pm(self, n: int, z):
         """D^n f(z)."""
-        return self.pm_with_bound(n, z)[0]
+        return math.factorial(n) * self.pm_with_bound(n, z)[0]
 
     def pm_bar(self, n: int, z):
         """Dbar^n f(z)."""
-        return self.pm_bar_with_bound(n, z)[0]
-
-    def pm_with_bound(self, n, z):
-        raise NotImplementedError
-
-    def pm_bar_with_bound(self, n, z):
-        raise NotImplementedError
+        return math.factorial(n) * self.pm_bar_with_bound(n, z)[0]
 
     def conj_fn(self) -> "DiskFunction":
         raise NotImplementedError
-
-    def pm_sequence(self, nmax: int, z, start: int = 0):
-        """[(D^n f(z), bound) for n = start..nmax]; variants may batch this."""
-        return [self.pm_with_bound(n, z) for n in range(start, nmax + 1)]
-
-    def pm_bar_sequence(self, nmax: int, z, start: int = 0):
-        return [self.pm_bar_with_bound(n, z) for n in range(start, nmax + 1)]
 
     def ambient_eval_jet(self, zjet: Jet, w0) -> Jet:
         """Evaluate the bivariate extension F(Z, W) with a jet in the
@@ -140,8 +163,8 @@ class DiskFunction:
         raise NotImplementedError
 
     def ambient_jet(self, z, order: int) -> Jet:
-        """Jet of u -> F(T_z(u), conj z); its n-th coefficient times n!
-        is D^n f(z) by definition."""
+        """Jet of u -> F(T_z(u), conj z); its n-th coefficient is
+        D^n f(z)/n! by definition."""
         # T_z(u) = (u + z)/(zb u + 1) = z + (1 - |z|^2) u / (1 + zb u),
         # whose coefficients past the constant are (1 - |z|^2)(-zb)^{k-1}
         zb = conj(z)
@@ -152,18 +175,15 @@ class DiskFunction:
             c = c * -zb
         return self.ambient_eval_jet(Jet(coeffs), zb)
 
-    def compose_moebius(self, phi: MoebiusMap) -> "DiskFunction":
-        return MoebiusPullback(self, phi)
-
 
 class PolyDisk(DiskFunction):
-    """z -> F(z, conj z) for a bivariate polynomial F; exact derivatives."""
+    """z -> F(z, conj z) for a bivariate polynomial F; exact towers."""
 
     __slots__ = ("f", "_pm_tower", "_pm_bar_tower")
 
     def __init__(self, f: BiPoly):
         self.f = f
-        # [D^0 f, D^1 f, ...], extended on demand
+        # [E_0, E_1, ...] with E_n = D^n F/n!, extended on demand
         self._pm_tower = [f]
         self._pm_bar_tower = [f]
 
@@ -171,20 +191,19 @@ class PolyDisk(DiskFunction):
         return self.f.eval_diag(z)
 
     def pm_poly(self, n: int) -> BiPoly:
+        """E_n = D^n F/n! as a polynomial in (z, w)."""
         return _tower_to(self._pm_tower, n, "z")
 
     def pm_bar_poly(self, n: int) -> BiPoly:
         return _tower_to(self._pm_bar_tower, n, "w")
 
-    def pm_with_bound(self, n, z):
-        _check_order(n)
+    def pm_sequence(self, nmax, z, start=0):
         _check_disk(z)
-        return self.pm_poly(n).eval_diag(z), 0.0
+        return [(self.pm_poly(n).eval_diag(z), 0.0) for n in range(start, nmax + 1)]
 
-    def pm_bar_with_bound(self, n, z):
-        _check_order(n)
+    def pm_bar_sequence(self, nmax, z, start=0):
         _check_disk(z)
-        return self.pm_bar_poly(n).eval_diag(z), 0.0
+        return [(self.pm_bar_poly(n).eval_diag(z), 0.0) for n in range(start, nmax + 1)]
 
     def conj_fn(self):
         return PolyDisk(self.f.swap_conj())
@@ -207,8 +226,10 @@ def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
     raise NonRepresentableError(f"cannot build jets of {type(g).__name__}")
 
 
-class ComposedP(DiskFunction):
-    """g o p, the disk lift of an annulus-algebra element."""
+class _Composed(DiskFunction):
+    """g o chart for an entire g.  Its towers are c^n g^(n)(chart z)/n!:
+    the n-th Taylor coefficient of u -> g(chart z + c u), where c is the
+    factor the chart contributes per order of D (or of Dbar)."""
 
     __slots__ = ("g",)
 
@@ -216,68 +237,54 @@ class ComposedP(DiskFunction):
         self.g = g
 
     def value(self, z):
-        return self.g.eval(p_aux(z))[0]
+        return self.g.eval(self.chart(z))[0]
 
-    def pm_with_bound(self, n, z):
-        _check_order(n)
-        _check_disk(z)
-        zb = conj(z)
-        factor = ((1 - zb * zb) / (1 - z * zb)) ** n
-        val, bound = self.g.derivative(n).eval(p_aux(z))
-        return factor * val, abs(factor) * bound
+    def pm_sequence(self, nmax, z, start=0):
+        return self._sequence(nmax, z, start, bar=False)
 
-    def pm_bar_with_bound(self, n, z):
-        _check_order(n)
+    def pm_bar_sequence(self, nmax, z, start=0):
+        return self._sequence(nmax, z, start, bar=True)
+
+    def _sequence(self, nmax, z, start, bar):
         _check_disk(z)
-        factor = (-1) ** n * ((1 - z * z) / (1 - z * conj(z))) ** n
-        val, bound = self.g.derivative(n).eval(p_aux(z))
-        return factor * val, abs(factor) * bound
+        t, towers = self.chart(z), taylor_tower(self.g, self.factor(z, bar))
+        return [gn.eval(t) for gn in itertools.islice(towers, start, nmax + 1)]
 
     def conj_fn(self):
         # conj(g o p) would need the entire function t -> conj(g(conj -t));
-        # the closed forms above make this unnecessary for derivatives.
-        raise NonRepresentableError("conjugate of a composed-p function is "
+        # the closed-form towers make this unnecessary for derivatives.
+        raise NonRepresentableError(f"conjugate of {type(self).__name__} is "
                                     "not representable; use pm_bar directly")
 
+
+class ComposedP(_Composed):
+    """g o p, the disk lift of an annulus-algebra element."""
+
+    __slots__ = ()
+    chart = staticmethod(p_aux)
+
+    @staticmethod
+    def factor(z, bar):
+        zb = conj(z)
+        return -(1 - z * z) / (1 - z * zb) if bar else (1 - zb * zb) / (1 - z * zb)
+
     def ambient_eval_jet(self, zjet, w0):
-        t = (zjet - w0) / (1 - zjet * w0)
-        return _entire_eval_jet(self.g, t)
+        return _entire_eval_jet(self.g, (zjet - w0) / (1 - zjet * w0))
 
 
-class ComposedQ(DiskFunction):
+class ComposedQ(_Composed):
     """g o q, the disk lift of a punctured-disk-algebra element."""
 
-    __slots__ = ("g",)
+    __slots__ = ()
+    chart = staticmethod(q_aux)
 
-    def __init__(self, g: EntireFn):
-        self.g = g
-
-    def value(self, z):
-        return self.g.eval(q_aux(z))[0]
-
-    def pm_with_bound(self, n, z):
-        _check_order(n)
-        _check_disk(z)
+    @staticmethod
+    def factor(z, bar):
         zb = conj(z)
-        factor = (-1) ** n * (1 - zb) ** (2 * n) / (1 - z * zb) ** n
-        val, bound = self.g.derivative(n).eval(q_aux(z))
-        return factor * val, abs(factor) * bound
-
-    def pm_bar_with_bound(self, n, z):
-        _check_order(n)
-        _check_disk(z)
-        zb = conj(z)
-        factor = (-1) ** n * (1 - z) ** (2 * n) / (1 - z * zb) ** n
-        val, bound = self.g.derivative(n).eval(q_aux(z))
-        return factor * val, abs(factor) * bound
-
-    def conj_fn(self):
-        raise NonRepresentableError("conjugate of a composed-q function is "
-                                    "not representable; use pm_bar directly")
+        return -(1 - (z if bar else zb)) ** 2 / (1 - z * zb)
 
     def ambient_eval_jet(self, zjet, w0):
-        t = (1 - zjet) * (1 - w0) / (1 - zjet * w0)
-        return _entire_eval_jet(self.g, t)
+        return _entire_eval_jet(self.g, (1 - zjet) * (1 - w0) / (1 - zjet * w0))
 
 
 class MoebiusPullback(DiskFunction):
@@ -294,25 +301,17 @@ class MoebiusPullback(DiskFunction):
     def value(self, z):
         return self.inner.value(self.phi.apply(z))
 
-    def pm_with_bound(self, n, z):
-        _check_order(n)
-        return self.pm_sequence(n, z, start=n)[0]
-
-    def pm_bar_with_bound(self, n, z):
-        _check_order(n)
-        return self.pm_bar_sequence(n, z, start=n)[0]
-
     def conj_fn(self):
         return MoebiusPullback(self.inner.conj_fn(), self.phi)
 
     def pm_sequence(self, nmax, z, start=0):
-        # one jet of order nmax yields every D^n at once
+        # one jet of order nmax yields every coefficient at once
         _check_disk(z)
-        return [(d, 0.0) for d in self.ambient_jet(z, nmax).derivatives(start)]
+        return [(a, 0.0) for a in self.ambient_jet(z, nmax).tolist(start)]
 
     def pm_bar_sequence(self, nmax, z, start=0):
         _check_disk(z)
-        return [(conj(d), 0.0) for d in self.conj_fn().ambient_jet(z, nmax).derivatives(start)]
+        return [(conj(a), 0.0) for a in self.conj_fn().ambient_jet(z, nmax).tolist(start)]
 
     def ambient_eval_jet(self, zjet, w0):
         phi = self.phi
@@ -334,18 +333,14 @@ def pm_derivative(f: DiskFunction, n: int, z):
     """D^n f(z); n = 0 returns the value."""
     _check_order(n)
     _check_disk(z)
-    if n == 0:
-        return f.value(z)
-    return f.pm(n, z)
+    return f.value(z) if n == 0 else f.pm(n, z)
 
 
 def pm_bar_derivative(f: DiskFunction, n: int, z):
     """Dbar^n f(z) = conj(D^n (conj f)(z))."""
     _check_order(n)
     _check_disk(z)
-    if n == 0:
-        return f.value(z)
-    return f.pm_bar(n, z)
+    return f.value(z) if n == 0 else f.pm_bar(n, z)
 
 
 def pm_closed_form_p(g: EntireFn, n: int, z):
@@ -367,8 +362,8 @@ def pm_definitional(f: DiskFunction, n: int, z, guard: int = 2):
     against indexing mistakes, the coefficient itself is exact at order n."""
     _check_order(n)
     _check_disk(z)
-    return f.ambient_jet(z, n + guard).derivatives(n)[0]
+    return math.factorial(n) * f.ambient_jet(z, n + guard).tolist(n)[0]
 
 
 def pm_bar_definitional(f: DiskFunction, n: int, z, guard: int = 2):
-    return conj(f.conj_fn().ambient_jet(z, n + guard).derivatives(n)[0])
+    return conj(math.factorial(n) * f.conj_fn().ambient_jet(z, n + guard).tolist(n)[0])

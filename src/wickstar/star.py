@@ -8,7 +8,8 @@ summed in the normalized form
 
 by one kernel (:func:`_sum_series`).  kappa_n grows or decays only
 polynomially in n (it is 1/(n+1) at hbar = 1/2), where c_n/n! underflows
-near n = 100.  The normalized terms are
+near n = 100.  The terms t_n are products of the Taylor coefficients that
+the towers carry, so no n! is formed anywhere:
 
 * :func:`star_disk`      -- t_n = (Dbar^n f(z)/n!) (D^n g(z)/n!) on the unit
   disk; note the operand order: the FIRST factor takes Dbar, the SECOND
@@ -35,13 +36,14 @@ with a distance threshold for floats).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, is_exact, to_complex
-from .functions import BiPoly, PolyFn
+from .functions import BiPoly, PolyFn, taylor_tower
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
@@ -202,30 +204,28 @@ class StarResult:
 
 
 def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = None):
-    """sum_n kappa_n s_n t_n over the triples (t_n, s_n, err_n) that
-    ``terms`` yields for n = 0, 1, ...
+    """sum_n kappa_n t_n over the pairs (t_n, err_n) that ``terms`` yields
+    for n = 0, 1, ...
 
-    t_n is a number, QC, BiPoly or PolyFn; s_n is a scalar folded into
-    kappa_n before the one multiplication of t_n (1/n!^2 for polynomial
-    terms, 1 for float terms already normalized); err_n bounds the error
-    of t_n.  The divisor 1 + (n-1) hbar of kappa_n is formed only when
-    term n arrives, so a pole beyond the last term is never hit.  The sum
-    stops when ``terms`` ends ("terminated"), when three successive terms
-    fall below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
+    t_n is a number, QC, BiPoly or PolyFn, a product of Taylor coefficients
+    and so of the size of the term itself; err_n bounds the error of t_n.
+    The divisor 1 + (n-1) hbar of kappa_n is formed only when term n
+    arrives, so a pole beyond the last term is never hit.  The sum stops
+    when ``terms`` ends ("terminated"), when three successive terms fall
+    below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
     ("budget")."""
     one = _one_like(hv)
     kappa = one
     total, err, recent = None, 0.0, []
     stop, used = "terminated", 0
-    for n, (t, s, t_err) in enumerate(terms):
+    for n, (t, t_err) in enumerate(terms):
         if n:
             kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1)
-        scale = kappa * s
-        term = t * scale
+        term = t * kappa
         total = term if total is None else total + term
         used = n + 1
         if t_err:
-            err += abs(scale) * t_err
+            err += abs(kappa) * t_err
         if tol is not None:
             recent.append(abs(term))
             if len(recent) > 3:
@@ -239,14 +239,13 @@ def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = Non
     return StarResult(total, used, sum(recent) + err, stop)
 
 
-def _float_term(u, u_err, v, v_err, fact, weight=1.0):
-    """(weight (u/n!) (v/n!), 1, error bound) for the kernel, from float
-    values u, v with error bounds; fact is n! as a float."""
-    a, b = to_complex(u) / fact, to_complex(v) / fact
-    if not (u_err or v_err):
-        return weight * a * b, 1.0, 0.0
-    ea, eb = u_err / fact, v_err / fact
-    return weight * a * b, 1.0, abs(weight) * (abs(a) * eb + abs(b) * ea + ea * eb)
+def _float_term(a, a_err, b, b_err, weight=1.0):
+    """(weight a b, error bound) for the kernel, from float Taylor
+    coefficients a, b with error bounds."""
+    a, b = to_complex(a), to_complex(b)
+    if not (a_err or b_err):
+        return weight * a * b, 0.0
+    return weight * a * b, abs(weight) * (abs(a) * b_err + abs(b) * a_err + a_err * b_err)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +284,12 @@ def _disk_terms(f, g, z, max_terms):
     # not recomputed per term
     f_seq: list = []
     g_seq: list = []
-    fact = 1.0
     for n in itertools.count():
         if n == len(f_seq):
             target = min(max_terms, max(8, 2 * n))
             f_seq.extend(f.pm_bar_sequence(target, z, start=n))
             g_seq.extend(g.pm_sequence(target, z, start=n))
-        if n:
-            fact *= n
-        yield _float_term(*f_seq[n], *g_seq[n], fact)
+        yield _float_term(*f_seq[n], *g_seq[n])
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +312,26 @@ def _weights(x, variant: str):
 def _surface_poly(g: PolyFn, gt: PolyFn, hv, variant: str) -> StarResult:
     """The surface product of two polynomials as an exact PolyFn in w."""
     def terms():
-        dg, dgt, fact = g, gt, 1
-        for n, wn in enumerate(_weights(PolyFn([0, 1]), variant)):
-            if n:
-                dg, dgt, fact = dg.derivative(), dgt.derivative(), fact * n
-                if dg.is_zero or dgt.is_zero:
-                    return
-            yield wn * dg * dgt, Fraction(1, fact * fact), 0.0
+        towers = zip(_weights(PolyFn([0, 1]), variant),
+                     taylor_tower(g, Fraction(1)), taylor_tower(gt, Fraction(1)))
+        for n, (wn, dg, dgt) in enumerate(towers):
+            if n and (dg.is_zero or dgt.is_zero):
+                return
+            yield wn * dg * dgt, 0.0
     return _sum_series(hv, terms())
 
 
-def _entire_terms(g, gt, w, weights):
-    fact = 1.0
-    for n, wn in enumerate(weights):
-        if n:
-            g, gt, fact = g.derivative(), gt.derivative(), fact * n
-        yield _float_term(*g.eval(w), *gt.eval(w), fact, wn)
+def _entire_terms(g, gt, w, variant):
+    # a geometric weight rho^n is split as r^n r^n with r^2 = rho, and r
+    # rides in both towers (Taylor coefficients of u -> g(w + r u)), so no
+    # power of rho is formed alone, to overflow while the towers underflow
+    if variant == "printed":
+        r, weights = 1.0, _weights(w, variant)
+    else:
+        r = cmath.sqrt(w * w - 1) if variant == "annulus" else w
+        weights = itertools.repeat(1.0)
+    for wn, gn, gtn in zip(weights, taylor_tower(g, r), taylor_tower(gt, r)):
+        yield _float_term(*gn.eval(w), *gtn.eval(w), wn)
 
 
 def _star_entire(g, gt, h, w, cfg, variant):
@@ -344,7 +344,7 @@ def _star_entire(g, gt, h, w, cfg, variant):
         res = _surface_poly(g, gt, hv, variant)
         return replace(res, value=res.value.eval(w)[0])
     wc = to_complex(w)
-    return _sum_series(to_complex(hv), _entire_terms(g, gt, wc, _weights(wc, variant)),
+    return _sum_series(to_complex(hv), _entire_terms(g, gt, wc, variant),
                        cfg.max_terms, cfg.tol)
 
 
@@ -384,15 +384,14 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     Each term of the series is again a polynomial in (z, conj z); the
     truncation error at |z| <= r decays like r^{2 n_terms}."""
     def terms():
-        f_bar, g_d, fact = f, g, 1
+        f_bar, g_d = f, g
         for n in itertools.count():
             if n:
                 f_bar = pm_step(f_bar, n - 1, "w")
                 g_d = pm_step(g_d, n - 1, "z")
                 if f_bar.is_zero or g_d.is_zero:
                     return
-                fact *= n
-            yield f_bar * g_d, Fraction(1, fact * fact), 0.0
+            yield f_bar * g_d, 0.0
     return _sum_series(_lenient_value(h), terms(), n_terms).value
 
 

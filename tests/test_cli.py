@@ -4,8 +4,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from wickstar.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK,
-                          disk_function_from_json, main)
+from wickstar.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_NONCONVERGED,
+                          EXIT_OK, disk_function_from_json, main)
 
 
 def run_cli(*argv):
@@ -28,6 +28,21 @@ def test_star_eval_on_the_disk():
     want = z * z.conjugate()
     assert complex(*res["value"]) == pytest.approx(want)
     assert res["converged"]
+
+
+def test_star_eval_reports_how_each_sum_stopped():
+    zbar = json.dumps({"type": "bipoly", "coeffs": [[0, 1, [1, 0]]]})
+    z = json.dumps({"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]})
+    args = ("star", "eval", "--surface", "disk", "--f", zbar, "--g", z, "--hbar", "0.5")
+    code, out = run_cli(*args, "--point", "0.3")
+    assert code == EXIT_OK
+    [res] = json.loads(out)["results"]
+    assert res["stop_reason"] == "tol" and res["converged"]
+    code, out = run_cli(*args, "--point", "0.9", "--max-terms", "8")
+    assert code == EXIT_NONCONVERGED
+    [res] = json.loads(out)["results"]
+    assert res["stop_reason"] == "budget" and not res["converged"]
+    assert res["terms_used"] == 9
 
 
 def test_star_eval_on_the_annulus():

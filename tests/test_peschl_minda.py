@@ -124,7 +124,7 @@ def test_pullback_towers_match_oracle_and_chain_rule():
     # batched towers agree with the one-at-a-time path
     seq = f.pm_sequence(3, z)
     for n in range(4):
-        assert seq[n][0] == pytest.approx(f.pm(n, z))
+        assert math.factorial(n) * seq[n][0] == pytest.approx(f.pm(n, z))
 
 
 def test_first_pullback_derivative_is_conformally_covariant():
@@ -192,8 +192,31 @@ def test_stepped_towers_equal_the_closed_form_exactly():
             d, dbar = _closed_form_tower(f, n, "z"), _closed_form_tower(f, n, "w")
             assert pm_bipoly(f, n) == d
             assert pm_bar_bipoly(f, n) == dbar
-            assert disk.pm_poly(n) == d
-            assert disk.pm_bar_poly(n) == dbar
+            assert disk.pm_poly(n) * math.factorial(n) == d
+            assert disk.pm_bar_poly(n) * math.factorial(n) == dbar
+
+
+exact_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(QC, st.fractions(-6, 6, max_denominator=5), st.fractions(-6, 6, max_denominator=5)),
+    min_size=1, max_size=6).map(BiPoly)
+
+
+@settings(max_examples=15, deadline=None)
+@given(f=exact_bipolys, n=st.integers(0, 24), slot=st.sampled_from(["z", "w"]))
+def test_normalized_exact_towers_times_n_factorial_are_the_closed_form(f, n, slot):
+    disk = PolyDisk(f)
+    e_n = disk.pm_poly(n) if slot == "z" else disk.pm_bar_poly(n)
+    assert e_n * math.factorial(n) == _closed_form_tower(f, n, slot)
+
+
+def test_normalized_towers_of_integer_polynomials_are_integer():
+    # E_n = D^n f/n! are the Taylor coefficients of u -> F(T_z(u), w), a
+    # power series in u over Z[z, w] when F has integer coefficients
+    disk = PolyDisk(BiPoly({(2, 1): QC(3, -1), (0, 2): QC(-2), (1, 0): QC(0, 5)}))
+    for n in range(31):
+        for e_n in (disk.pm_poly(n), disk.pm_bar_poly(n)):
+            assert all(a.re.denominator == a.im.denominator == 1 for a in e_n.coeffs.values())
 
 
 def test_float_towers_match_the_definitional_oracle_to_high_order():
