@@ -27,7 +27,7 @@ from .surfaces import (AnnulusElement, FpqCombo, PuncturedElement, chart_f_0,
                        chart_f_R, gamma_hat_invariant, iso_psi, lift_to_disk,
                        scaling_kernel, transport_T, translation_kernel,
                        z2_involution)
-from .rigidity import (InvarianceExperiment, ObstructionReport,
+from .rigidity import (InvariantDimension, ObstructionReport,
                        elliptic_invariant_indices, fpq_on_g,
                        hyperbolic_fixed_point_demo, invariant_dimension,
                        obstruction_check)

@@ -24,9 +24,9 @@ from importlib import resources
 from .errors import DomainError, WickstarError
 from .functions import BiPoly, entire_from_json
 from .peschl_minda import ComposedP, ComposedQ, PolyDisk
-from .rigidity import (InvarianceExperiment, elliptic_invariant_indices,
-                       fpq_on_g, invariant_dimension, obstruction_check)
-from .sampling import rng_for, sample_gpoints, sample_omega_points
+from .rigidity import (elliptic_invariant_indices, invariant_dimension,
+                       obstruction_check)
+from .sampling import rng_for, sample_omega_points
 from .sphere import MoebiusMap
 from .star import StarConfig, star_annulus, star_disk, star_punctured
 from .suites import SUITES, run_suites
@@ -127,31 +127,8 @@ def _load_experiment_spec(name_or_path: str) -> dict:
 
 
 def _two_hyperbolic_generators():
-    g1 = MoebiusMap.scaling(2.0)
-    shift = MoebiusMap.translation(1.0)
-    g2 = shift.compose(g1).compose(shift.inverse())
-    return [g1, g2]
-
-
-def _well_conditioned_gpoints(rng, n, basis, generators, cap=1e3):
-    """Sample GPoints on which every basis function (and its moves) stays
-    moderate, so rank deficits reflect invariance rather than blow-ups."""
-    from .sphere import gamma_hat
-    out = []
-    while len(out) < n:
-        for p in sample_gpoints(rng, 8, spread=1.5, min_sep=0.4):
-            try:
-                vals = [abs(f(p)) for f in basis]
-                for gen in generators:
-                    moved = gamma_hat(gen, p)
-                    vals += [abs(f(moved)) for f in basis]
-            except (DomainError, ZeroDivisionError):
-                continue
-            if max(vals) <= cap:
-                out.append(p)
-            if len(out) >= n:
-                break
-    return out
+    """z -> 2z and its conjugate by z -> z + 1, z -> 2z - 1, on H."""
+    return [MoebiusMap(2, 0, 0, 1, domain="H"), MoebiusMap(2, -1, 0, 1, domain="H")]
 
 
 def cmd_rigidity(args) -> int:
@@ -161,23 +138,11 @@ def cmd_rigidity(args) -> int:
         if spec.get("generators") != "two-hyperbolic":
             raise DomainError("only the 'two-hyperbolic' generator set is "
                               "bundled in this version")
-        generators = _two_hyperbolic_generators()
-        d = int(spec.get("degree", 3))
-        basis = [fpq_on_g(p, q) for p in range(d + 1) for q in range(d + 1)]
-        rng = rng_for(int(spec.get("seed", 0)))
-        samples = _well_conditioned_gpoints(
-            rng, int(spec.get("samples", 240)), basis, generators)
-        exp = InvarianceExperiment(generators, basis, samples,
-                                   svd_tol=float(spec.get("svd_tol", 1e-8)))
-        dim, svals = invariant_dimension(exp)
-        body = {"experiment": kind, "dimension": dim,
-                "basis_size": len(basis), "samples": len(samples),
-                "singular_values": svals}
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("index,singular_value\n")
-                for i, s in enumerate(svals):
-                    fh.write(f"{i},{s!r}\n")
+        cert = invariant_dimension(_two_hyperbolic_generators(),
+                                   int(spec.get("degree", 3)), int(spec.get("seed", 0)))
+        body = {"experiment": kind, "dimension": cert.dimension,
+                "dimension_bounds": list(cert.bounds), "rank": cert.rank,
+                "prime": cert.prime, "basis_size": cert.basis_size}
     elif kind == "elliptic-indices":
         rng = rng_for(int(spec.get("seed", 0)))
         pts = sample_omega_points(rng, int(spec.get("samples", 40)))
@@ -247,10 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rig = sub.add_parser("rigidity", help="run a rigidity experiment")
     p_rig.add_argument("--spec", required=True,
                        help="experiment spec file, or a bundled name: "
-                            "two-hyperbolic-d3, elliptic-N2-d2, "
-                            "annulus-punctured-obstruction")
-    p_rig.add_argument("--csv", default=None,
-                       help="write the singular-value spectrum as CSV")
+                            "two-hyperbolic-d3 (invariant dimension, certified "
+                            "by the rank of the difference system mod a prime), "
+                            "elliptic-N2-d2, annulus-punctured-obstruction")
     p_rig.set_defaults(func=cmd_rigidity)
     return parser
 

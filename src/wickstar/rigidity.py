@@ -1,10 +1,15 @@
-"""Desk-scale numeric experiments behind the rigidity statements.
+"""Desk-scale experiments behind the rigidity statements.
 
-Three experiments:
+Four experiments:
 
-* :func:`invariant_dimension` -- numeric dimension of the subspace of a
-  finite function basis on the configuration space that is invariant
-  under a set of Moebius generators (acting componentwise).
+* :func:`invariant_dimension` -- certified dimension of the subspace of
+  the transported f_{p,q} basis on the configuration space that is
+  invariant under a set of exact Moebius generators (acting
+  componentwise).  The rank of the difference system mod a prime
+  p = 1 (mod 4) is at most its rank over Q(i), which bounds the
+  dimension from above; the constants bound it from below by 1.
+* :func:`elliptic_invariant_indices` -- the f_{p,q} invariant under an
+  n-fold elliptic rotation of the bivariate disk model.
 * :func:`hyperbolic_fixed_point_demo` -- for an invariant function and a
   hyperbolic map, the derivatives of z -> F(z, w0) at the second fixed
   point all vanish; measured by circle-fit differentiation.
@@ -16,12 +21,14 @@ Three experiments:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .exact import to_complex
+from .exact import QC, to_complex
 from .functions import PolyFn
 from .sphere import (GPoint, MoebiusMap, SpherePoint, gamma_hat,
                      moebius_fixed_points, moebius_multiplier_at, t_gamma_omega)
@@ -61,48 +68,146 @@ def fpq_on_g(p: int, q: int, cayley: MoebiusMap | None = None):
 
 
 # ---------------------------------------------------------------------------
-# invariant dimension
+# invariant dimension: an exact certificate from the rank mod p
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class InvarianceExperiment:
-    generators: list          # MoebiusMap, acting componentwise on GPoints
-    basis: list               # callables GPoint -> complex
-    samples: list             # GPoints
-    svd_tol: float = 1e-8
-
-    def __post_init__(self):
-        if len(self.samples) < 3 * len(self.basis):
-            raise DomainError("need at least 3x as many samples as basis elements")
+# p = 1 (mod 4), so -1 has a square root mod p and Q(i) reduces to F_p
+PRIME = 1_000_000_009
 
 
-def invariant_dimension(e: InvarianceExperiment):
-    """Numeric dimension of {sum a_k F_k : invariant under all generators}.
+def _sqrt_minus_one(p: int) -> int:
+    g = 2
+    while pow(g, (p - 1) // 2, p) != p - 1:     # a quadratic non-residue
+        g += 1
+    return pow(g, (p - 1) // 4, p)
 
-    Returns (dim, singular_values) of the difference system
-    [F_k(gamma_hat P) - F_k(P)].  Rank deficiency of the plain evaluation
-    matrix (a bad sample set) is reported as an error, distinct from
-    genuine invariance."""
-    n_b = len(e.basis)
-    eval_rows = np.array([[complex(f(p)) for f in e.basis] for p in e.samples])
-    s_eval = np.linalg.svd(eval_rows, compute_uv=False)
-    if s_eval[-1] <= e.svd_tol * max(1.0, s_eval[0]):
-        raise DomainError(
-            "sample set is ill-conditioned for this basis "
-            f"(evaluation spectrum {s_eval[0]:.3e} .. {s_eval[-1]:.3e}); "
-            "the rank deficit would masquerade as invariance")
 
+SQRT_MINUS_ONE = _sqrt_minus_one(PRIME)
+
+
+def _mod_p(x) -> int:
+    """Image in F_p of an exact Gaussian rational, i -> SQRT_MINUS_ONE."""
+    if isinstance(x, QC):
+        return (_mod_p(x.re) + SQRT_MINUS_ONE * _mod_p(x.im)) % PRIME
+    if isinstance(x, int):
+        return x % PRIME
+    if isinstance(x, Fraction):
+        if x.denominator % PRIME == 0:
+            raise DomainError(f"{x} has no image mod {PRIME}")
+        return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+    raise DomainError(f"cannot reduce a {type(x).__name__} matrix entry mod p; "
+                      "the certificate needs exact (int, Fraction, QC) entries")
+
+
+def _matrix_mod_p(m: MoebiusMap) -> tuple:
+    a, b, c, d = (_mod_p(x) for x in (m.a, m.b, m.c, m.d))
+    if (a * d - b * c) % PRIME == 0:
+        # every moved point would leave the projective line mod p
+        raise DomainError(f"Moebius matrix is singular mod {PRIME}")
+    return a, b, c, d
+
+
+def _powers(x: int, n: int) -> list:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x % PRIME)
+    return out
+
+
+def _act(m, pt) -> tuple:
+    """A 2x2 matrix mod p acting on a projective pair over F_p."""
+    a, b, c, d = m
+    return (a * pt[0] + b * pt[1]) % PRIME, (c * pt[0] + d * pt[1]) % PRIME
+
+
+def _basis_values_mod_p(degree: int, t_inv, z, w):
+    """f_{p,q}(T^{-1} z, 1/T^{-1} w) mod p for p, q <= degree, row-major,
+    at the projective pairs z, w over F_p; None on the hypersurface."""
+    u1, v1 = _act(t_inv, z)
+    v2, u2 = _act(t_inv, w)          # the reciprocal swaps the pair
+    den = (v1 * v2 - u1 * u2) % PRIME
+    if den == 0:
+        return None
+    pu1, pv1, pu2, pv2 = (_powers(x, degree) for x in (u1, v1, u2, v2))
+    pinv = _powers(pow(den, -1, PRIME), degree)
+    row = []
+    for p in range(degree + 1):
+        for q in range(degree + 1):
+            m = max(p, q)
+            row.append(pu1[p] * pu2[q] % PRIME * pv1[m - p] % PRIME
+                       * pv2[m - q] % PRIME * pinv[m] % PRIME)
+    return row
+
+
+def _rank_mod_p(rows: list) -> int:
+    """Rank over F_p by Gaussian elimination; the rows are consumed."""
+    rank = 0
+    n_cols = len(rows[0]) if rows else 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, PRIME)
+        prow = [x * inv % PRIME for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % PRIME for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+@dataclass(frozen=True)
+class InvariantDimension:
+    """Certified bounds on the dimension of the invariant span.
+
+    ``rank`` is the rank mod PRIME of the difference system; it is at most
+    the rank over Q(i), so ``basis_size - rank`` bounds the dimension from
+    above, and the invariant constant bounds it from below by 1."""
+    rank: int
+    basis_size: int
+
+    @property
+    def prime(self) -> int:
+        return PRIME
+
+    @property
+    def bounds(self) -> tuple:
+        return (1, self.basis_size - self.rank)
+
+    @property
+    def dimension(self):
+        """The dimension when the bounds meet, else None (inconclusive)."""
+        lower, upper = self.bounds
+        return lower if lower == upper else None
+
+
+def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimension:
+    """Certify the dimension of {sum a_{p,q} F_{p,q} : p, q <= degree,
+    invariant under every generator acting componentwise}, where
+    F_{p,q}(z, w) = f_{p,q}(T^{-1} z, 1/(T^{-1} w)) with the exact Cayley map T.
+
+    The difference system [F_k(gamma P) - F_k(P)] is evaluated mod PRIME at
+    |basis| + 4 random projective points per generator, drawn from ``seed``;
+    points where a denominator vanishes mod p are skipped.  Generator
+    entries must be exact; a float entry raises DomainError."""
+    n_basis = (degree + 1) ** 2
+    t_inv = _matrix_mod_p(MoebiusMap.cayley(exact=True).inverse())
+    gens = [_matrix_mod_p(g) for g in generators]
+    rng = random.Random(seed)
     rows = []
-    for gen in e.generators:
-        for p in e.samples:
-            moved = gamma_hat(gen, p)
-            rows.append([complex(f(moved) - f(p)) for f in e.basis])
-    diff = np.array(rows)
-    s = np.linalg.svd(diff, compute_uv=False)
-    thr = e.svd_tol * max(1.0, float(s[0]))
-    dim = int(np.sum(s <= thr)) + max(0, n_b - len(s))
-    return dim, [float(x) for x in s]
+    points = 0
+    while points < n_basis + 4:
+        z, w = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(2)]
+        base = _basis_values_mod_p(degree, t_inv, z, w)
+        moved = [_basis_values_mod_p(degree, t_inv, _act(g, z), _act(g, w))
+                 for g in gens]
+        if base is None or None in moved:
+            continue
+        rows.extend([(x - y) % PRIME for x, y in zip(row, base)] for row in moved)
+        points += 1
+    return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
 
 
 def elliptic_invariant_indices(n_fold: int, dmax: int, samples, tol: float = 1e-9):
@@ -112,8 +217,8 @@ def elliptic_invariant_indices(n_fold: int, dmax: int, samples, tol: float = 1e-
     ``samples`` are OmegaPoints; the expected answer is the congruence
     filter {(p, q) : p - q divisible by n_fold}."""
     if n_fold == 2:
-        from .exact import QC
-        gen = MoebiusMap.rotation_exact(QC(-1))
+        # negating a float is exact, so invariant indices give residual 0.0
+        gen = MoebiusMap(-1, 0, 0, 1, domain="D")
     else:
         import math
         gen = MoebiusMap.rotation(2 * math.pi / n_fold)

@@ -140,8 +140,10 @@ class MoebiusMap:
         return MoebiusMap(one, zero, zero, one, domain=domain)
 
     @staticmethod
-    def cayley() -> "MoebiusMap":
+    def cayley(exact: bool = False) -> "MoebiusMap":
         """The fixed Cayley map T : D -> H, T(z) = i(1+z)/(1-z), T(0) = i."""
+        if exact:
+            return MoebiusMap(QC(0, 1), QC(0, 1), QC(-1), QC(1))
         return MoebiusMap(1j, 1j, -1, 1)
 
     @staticmethod

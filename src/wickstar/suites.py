@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -39,6 +39,8 @@ class CheckResult:
     max_residual: float
     samples: int
     runtime_ms: int = 0
+    # perf_counter() when the check was decided; not part of the report
+    done_at: float = field(default_factory=time.perf_counter, repr=False)
 
 
 def _check(name, statement, residual, tol, samples, status=None):
@@ -420,17 +422,19 @@ def run_suites(names=None, seed: int = 0, tol: float = 1e-12,
             raise DomainError(f"unknown suite {name!r}; "
                               f"available: {', '.join(sorted(SUITES))}")
         rng = rng_for([seed, *name.encode()])
-        t0 = time.perf_counter()
+        prev = time.perf_counter()
         if name == "lift" and inject_bug == "printed-weight":
             results = suite_lift(rng, tol, punctured_weight="printed")
         else:
             results = SUITES[name](rng, tol)
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        for r in results:
-            if timing:
-                r.runtime_ms = elapsed
-            checks.append(r)
+        if timing:
+            # each check's own time: since the previous check of its suite
+            for r in sorted(results, key=lambda r: r.done_at):
+                r.runtime_ms = int((r.done_at - prev) * 1000)
+                prev = r.done_at
+        checks.extend(results)
     return {
         "metadata": {"seed": seed, "version": __version__},
-        "checks": [vars(c) for c in checks],
+        "checks": [{k: v for k, v in vars(c).items() if k != "done_at"}
+                   for c in checks],
     }

@@ -1,11 +1,13 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
 from wickstar.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_NONCONVERGED,
                           EXIT_OK, disk_function_from_json, main)
+from wickstar.suites import run_suites
 
 
 def run_cli(*argv):
@@ -86,6 +88,16 @@ def test_verify_passes_and_is_byte_deterministic():
     assert all(c["runtime_ms"] == 0 for c in report["checks"])
 
 
+def test_verify_timing_is_per_check():
+    t0 = time.perf_counter()
+    report = run_suites(names=["unit", "associativity"], seed=42, timing=True)
+    total_ms = (time.perf_counter() - t0) * 1000
+    times = [c["runtime_ms"] for c in report["checks"]]
+    assert all(t >= 0 for t in times)
+    assert sum(times) <= total_ms
+    assert all("done_at" not in c for c in report["checks"])
+
+
 def test_verify_single_suite_selection():
     code, out = run_cli("verify", "--suite", "cn", "--seed", "7")
     assert code == EXIT_OK
@@ -120,13 +132,17 @@ def test_rigidity_unknown_spec_is_a_domain_error():
     assert code == EXIT_DOMAIN
 
 
-def test_rigidity_csv_spectrum(tmp_path):
-    csv_path = tmp_path / "spectrum.csv"
-    code, out = run_cli("rigidity", "--spec", "two-hyperbolic-d3",
-                        "--csv", str(csv_path))
+def test_rigidity_invariant_dimension_report():
+    code, out = run_cli("rigidity", "--spec", "two-hyperbolic-d3")
     assert code == EXIT_OK
+    assert run_cli("rigidity", "--spec", "two-hyperbolic-d3") == (code, out)
     body = json.loads(out)
-    assert body["dimension"] == 1
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "index,singular_value"
-    assert len(lines) == len(body["singular_values"]) + 1
+    assert set(body) == {"experiment", "dimension", "dimension_bounds", "rank",
+                         "prime", "basis_size"}
+    assert body["prime"] == 1_000_000_009
+    assert body["basis_size"] - body["rank"] == body["dimension_bounds"][1]
+
+
+def test_rigidity_csv_option_is_gone():
+    with pytest.raises(SystemExit):
+        run_cli("rigidity", "--spec", "two-hyperbolic-d3", "--csv", "out.csv")

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from wickstar.errors import DomainError
+from wickstar.exact import QC
 from wickstar.functions import BasisFpq, PolyFn
-from wickstar.rigidity import (InvarianceExperiment, elliptic_invariant_indices,
+from wickstar.rigidity import (PRIME, SQRT_MINUS_ONE, elliptic_invariant_indices,
                                fpq_on_g, fpq_proj, hyperbolic_fixed_point_demo,
                                invariant_dimension, obstruction_check)
 from wickstar.sampling import rng_for, sample_gpoints, sample_omega_points
@@ -10,6 +13,8 @@ from wickstar.sphere import MoebiusMap, SpherePoint
 from wickstar.surfaces import scaling_kernel
 
 OBSTRUCTION_GRID = [0.05, -0.05, 0.08j, -0.08j]
+SCALING = MoebiusMap(2, 0, 0, 1, domain="H")
+TWO_HYPERBOLIC = [SCALING, MoebiusMap(2, -1, 0, 1, domain="H")]
 
 
 def test_projective_basis_matches_affine_values():
@@ -47,25 +52,91 @@ def test_transported_basis_is_invariant_exactly_when_expected():
     assert max(diffs) > 1e-3
 
 
-def test_invariant_dimension_needs_enough_samples():
-    basis = [fpq_on_g(p, q) for p in range(2) for q in range(2)]
+def test_invariant_dimension_refuses_float_generators():
+    assert PRIME % 4 == 1 and SQRT_MINUS_ONE ** 2 % PRIME == PRIME - 1
     with pytest.raises(DomainError):
-        InvarianceExperiment([MoebiusMap.scaling(2.0)], basis,
-                             sample_gpoints(rng_for(1), 5))
+        invariant_dimension([MoebiusMap.scaling(2.0)], 1, seed=0)
+    with pytest.raises(DomainError):
+        invariant_dimension([MoebiusMap(2, 0.5, 0, 1)], 1, seed=0)
+    # nor is a map that is singular mod p
+    with pytest.raises(DomainError):
+        invariant_dimension([MoebiusMap(PRIME, 0, 0, PRIME)], 1, seed=0)
 
 
 def test_invariant_dimension_small_case():
-    generators = [MoebiusMap.scaling(2.0)]
-    shift = MoebiusMap.translation(1.0)
-    generators.append(shift.compose(generators[0]).compose(shift.inverse()))
-    basis = [fpq_on_g(p, q) for p in range(2) for q in range(2)]
-    samples = [pt for pt in sample_gpoints(rng_for(11), 60, spread=1.5,
-                                           min_sep=0.4)
-               if all(abs(f(pt)) < 50 for f in basis)]
-    exp = InvarianceExperiment(generators, basis, samples[:20])
-    dim, svals = invariant_dimension(exp)
-    assert dim == 1
-    assert svals[-1] <= 1e-8 * max(1.0, svals[0])
+    cert = invariant_dimension(TWO_HYPERBOLIC, 1, seed=11)
+    assert (cert.dimension, cert.rank, cert.basis_size) == (1, 3, 4)
+    assert cert.bounds == (1, 1)
+
+
+def _transported_basis_exact(degree, z, w):
+    """f_{p,q}(T^-1 z, 1/T^-1 w) in exact QC arithmetic, or None on the
+    hypersurface."""
+    t_inv = MoebiusMap.cayley(exact=True).inverse()
+    a = t_inv.apply_point(z)
+    b = t_inv.apply_point(w).reciprocal()
+    den = a.v * b.v - a.u * b.u
+    if den == 0:
+        return None
+    return [a.u ** p * b.u ** q * a.v ** (max(p, q) - p) * b.v ** (max(p, q) - q)
+            / den ** max(p, q)
+            for p in range(degree + 1) for q in range(degree + 1)]
+
+
+def _rank_exact(rows):
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("generators", [TWO_HYPERBOLIC, [SCALING]],
+                         ids=["two-hyperbolic", "scaling"])
+def test_modular_rank_equals_the_rank_over_gaussian_rationals(generators, degree):
+    # oracle: the difference system at Gaussian-integer projective points,
+    # eliminated in exact QC arithmetic
+    rng = random.Random(degree)
+    rows = []
+    while len(rows) < len(generators) * ((degree + 1) ** 2 + 4):
+        z, w = [SpherePoint(QC(rng.randint(-4, 4), rng.randint(-4, 4)),
+                            QC(rng.randint(-4, 4), rng.randint(1, 4)))
+                for _ in range(2)]
+        base = _transported_basis_exact(degree, z, w)
+        moved = [_transported_basis_exact(degree, g.apply_point(z), g.apply_point(w))
+                 for g in generators]
+        if base is None or None in moved:
+            continue
+        rows += [[x - y for x, y in zip(m, base)] for m in moved]
+    cert = invariant_dimension(generators, degree, seed=5)
+    assert cert.rank == _rank_exact(rows)
+    if len(generators) == 2:
+        assert cert.dimension == 1
+
+
+@pytest.mark.parametrize("degree,count", [(1, 2), (2, 5), (3, 8)])
+def test_rotation_upper_bound_is_the_congruence_count(degree, count):
+    # the disk rotation z -> -z moved to the configuration space by the
+    # Cayley map keeps exactly the f_{p,q} with p - q even
+    cayley = MoebiusMap.cayley(exact=True)
+    rotation = cayley.compose(MoebiusMap(QC(-1), QC(0), QC(0), QC(1))).compose(
+        cayley.inverse())
+    cert = invariant_dimension([rotation], degree, seed=0)
+    assert cert.bounds == (1, count)
+    assert cert.dimension is None
+
+
+def test_identity_generator_is_inconclusive():
+    cert = invariant_dimension([MoebiusMap.identity(exact=True)], 2, seed=0)
+    assert cert.rank == 0 and cert.bounds == (1, 9)
+    assert cert.dimension is None
 
 
 def test_elliptic_congruence_filter():
