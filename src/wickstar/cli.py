@@ -131,9 +131,26 @@ def _two_hyperbolic_generators():
     return [MoebiusMap(2, 0, 0, 1, domain="H"), MoebiusMap(2, -1, 0, 1, domain="H")]
 
 
+# the keys each experiment kind reads, besides "experiment"
+_SPEC_KEYS = {
+    "invariant-dimension": ("generators", "degree", "seed"),
+    "elliptic-indices": ("n_fold", "degree", "samples", "seed", "tol"),
+    "obstruction": ("R", "hbar_grid", "degree"),
+}
+
+
 def cmd_rigidity(args) -> int:
     spec = _load_experiment_spec(args.spec)
+    if not isinstance(spec, dict):
+        raise DomainError("an experiment spec is a JSON object")
     kind = spec.get("experiment")
+    if kind not in _SPEC_KEYS:
+        raise DomainError(f"unknown experiment kind {kind!r}")
+    unknown = sorted(set(spec) - {"experiment", *_SPEC_KEYS[kind]})
+    if unknown:
+        raise DomainError(f"unknown spec key(s) {', '.join(map(repr, unknown))} for "
+                          f"experiment {kind!r}, which reads "
+                          f"{', '.join(_SPEC_KEYS[kind])}")
     if kind == "invariant-dimension":
         if spec.get("generators") != "two-hyperbolic":
             raise DomainError("only the 'two-hyperbolic' generator set is "
@@ -151,14 +168,12 @@ def cmd_rigidity(args) -> int:
                                           tol=float(spec.get("tol", 1e-9)))
         body = {"experiment": kind, "n_fold": int(spec["n_fold"]),
                 "invariant_indices": [list(k) for k in kept]}
-    elif kind == "obstruction":
+    else:
         hs = [complex(a, b) for a, b in spec["hbar_grid"]]
         rep = obstruction_check(float(spec["R"]), hs, int(spec["degree"]))
         body = {"experiment": kind, "alpha": _cpair(rep.alpha),
                 "beta": _cpair(rep.beta), "residuals": rep.residuals,
                 "verdict": rep.verdict}
-    else:
-        raise DomainError(f"unknown experiment kind {kind!r}")
     print(json.dumps(body, indent=2))
     return EXIT_OK
 

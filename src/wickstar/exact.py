@@ -1,15 +1,21 @@
 """Exact complex-rational arithmetic.
 
-The exact backend represents a complex number as a pair of
-``fractions.Fraction`` values.  It is used wherever a test or an
-operation promises exact results (coefficient identities, polynomial
-algebra, Moebius maps with rational entries).  Transcendental charts
-(exp, log, tan) are float-only by design.
+The exact backend represents a complex number as a Gaussian-integer
+numerator over one positive denominator, ``(a + b i) / d`` on Python
+ints, kept in lowest terms: ``d > 0``, ``gcd(a, b, d) = 1``, and zero is
+``(0, 0, 1)``.  An operation is a few int products and one three-way
+gcd; the parts are handed out as ``fractions.Fraction`` values.  It is
+used wherever a test or an operation promises exact results
+(coefficient identities, polynomial algebra, Moebius maps with rational
+entries).  Transcendental charts (exp, log, tan) are float-only by
+design.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 
@@ -28,14 +34,29 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-class QC:
-    """Complex number with exact rational real and imaginary parts."""
+def _complex_hash(hr: int, hi: int) -> int:
+    """The hash of a complex from the hashes of its parts (the recipe of
+    the Python reference, "Hashing of numeric types"), so that a QC
+    hashes like the complex it equals."""
+    h = hr + sys.hash_info.imag * hi
+    m = 1 << (sys.hash_info.width - 1)
+    h = (h & (m - 1)) - (h & m)
+    return -2 if h == -1 else h
 
-    __slots__ = ("re", "im")
+
+class QC:
+    """Complex number with exact rational real and imaginary parts,
+    stored as (a + b i)/d on ints in lowest terms."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        re, im = _to_fraction(re), _to_fraction(im)
+        # with both parts in lowest terms, (a, b, lcm) has no common factor
+        d = lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
@@ -43,91 +64,96 @@ class QC:
     # -- conversions -------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        d = self._d
+        return complex(self._a / d, self._b / d)
 
     @property
-    def real(self):
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self):
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    real = re
+    imag = im
 
     # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other):
-        """QC for exact operands, None for float/complex (demote to float),
-        NotImplemented otherwise."""
-        if isinstance(other, QC):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QC(other)
-        if isinstance(other, (float, complex)):
-            return None
-        return NotImplemented
+    #
+    # An exact operand enters as (c + e i)/f (see _parts); float and
+    # complex operands demote to complex.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            if f == d:
+                return _make(a + c, b + e, d)
+            return _make(a * f + c * d, b * f + e * d, d * f)
+        if isinstance(other, (float, complex)):
             return self.to_complex() + other
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re + o.re, self.im + o.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            if f == d:
+                return _make(a - c, b - e, d)
+            return _make(a * f - c * d, b * f - e * d, d * f)
+        if isinstance(other, (float, complex)):
             return self.to_complex() - other
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re - o.re, self.im - o.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            return _make(c * d - a * f, e * d - b * f, d * f)
+        if isinstance(other, (float, complex)):
             return other - self.to_complex()
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(o.re - self.re, o.im - self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a real rational scales both parts
-            return QC(self.re * other, self.im * other)
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            return _make(a * c - b * e, a * e + b * c, d * f)
+        if isinstance(other, (float, complex)):
             return self.to_complex() * other
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            n = c * c + e * e
+            if n == 0:
+                raise ZeroDivisionError("division by exact zero")
+            return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+        if isinstance(other, (float, complex)):
             return self.to_complex() / other
-        if o is NotImplemented:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return QC((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _EXACT):
+            a, b, d = self._a, self._b, self._d
+            c, e, f = _parts(other)
+            n = a * a + b * b
+            if n == 0:
+                raise ZeroDivisionError("division by exact zero")
+            return _make((c * a + e * b) * d, (e * a - c * b) * d, f * n)
+        if isinstance(other, (float, complex)):
             return other / self.to_complex()
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        return NotImplemented
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -135,18 +161,19 @@ class QC:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QC(1)
-        base = self
+        # (a + bi)^n by squaring on ints; one reduction at the end
+        ra, rb = 1, 0
+        a, b = self._a, self._b
         k = n
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+            a, b = a * a - b * b, 2 * a * b
             k >>= 1
-        return out
+        return _make(ra, rb, self._d ** n)
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -154,24 +181,52 @@ class QC:
     # -- comparison --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+        if isinstance(other, _EXACT):
+            # both sides in lowest terms
+            return _parts(other) == (self._a, self._b, self._d)
         if isinstance(other, complex):
             return self.to_complex() == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        hr = hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        if self._b == 0:
+            return hr
+        return _complex_hash(hr, hash(Fraction(self._b, self._d)))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
+
+
+_set_a, _set_b, _set_d = QC._a.__set__, QC._b.__set__, QC._d.__set__
+
+
+def _new(a: int, b: int, d: int) -> QC:
+    """QC from a numerator and denominator already in lowest terms."""
+    out = object.__new__(QC)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
+
+
+def _make(a: int, b: int, d: int) -> QC:
+    """QC (a + b i)/d for d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
+def _parts(x) -> tuple:
+    """(a, b, d) with x = (a + b i)/d in lowest terms, d > 0, for an int,
+    Fraction or QC."""
+    if isinstance(x, QC):
+        return x._a, x._b, x._d
+    return x.numerator, 0, x.denominator
 
 
 def conj(x):
@@ -179,8 +234,11 @@ def conj(x):
     return x.conjugate()
 
 
+_EXACT = (QC, int, Fraction)
+
+
 def is_exact(x) -> bool:
-    return isinstance(x, (QC, int, Fraction))
+    return isinstance(x, _EXACT)
 
 
 def to_complex(x) -> complex:

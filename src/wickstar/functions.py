@@ -7,8 +7,11 @@ A truncated series never silently drops its truncation error: every
 evaluation returns (value, bound).
 
 Truncated Taylor jets compute in their scalar type: float jets run on
-numpy (products by np.convolve, reciprocals by Newton doubling), exact
-jets (QC, Fraction, int coefficients) on truncated Python loops.
+numpy (products by np.convolve, reciprocals by Newton doubling).  Exact
+jets (QC, Fraction, int coefficients) and exact polynomials multiply by
+one kernel, :func:`_mul_exact`, that convolves integer (or
+Gaussian-integer) numerators over a common denominator; exact
+reciprocals run the truncated recurrence in QC.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 import cmath
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import DomainError, SeriesOrderError
-from .exact import QC, conj, is_exact, to_complex
+from .exact import QC, _make, _parts, conj, is_exact, to_complex
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +38,79 @@ def _float_coeffs(coeffs) -> np.ndarray:
     return np.array([to_complex(c) for c in coeffs], dtype=complex)
 
 
-def _mul_exact(a: list, b: list) -> list:
-    """Truncated Cauchy product of two exact coefficient lists."""
-    n = len(a) - 1
-    out = [a[0] * 0] * (n + 1)
-    for i, x in enumerate(a):
-        for j in range(0, n + 1 - i):
-            out[i + j] = out[i + j] + x * b[j]
+def _kind(x) -> int:
+    """0 for int, 1 for Fraction, 2 for QC: the wider kind wins a product."""
+    return 2 if isinstance(x, QC) else 0 if isinstance(x, int) else 1
+
+
+def _reach(kinds: list, width: int, size: int) -> list:
+    """For each k < size, the widest of kinds[k - width + 1 .. k]: the kind
+    of the products that one factor sends to output k."""
+    out, last1, last2 = [], -width, -width
+    for k in range(size):
+        t = kinds[k] if k < len(kinds) else 0
+        if t:
+            last1 = k
+            if t == 2:
+                last2 = k
+        out.append(2 if k - last2 < width else 1 if k - last1 < width else 0)
+    return out
+
+
+def _numerators(coeffs: list):
+    """The exact coefficients as Gaussian-integer numerators (re, im) over
+    their least common denominator."""
+    parts = [_parts(c) for c in coeffs]
+    den = 1
+    for _, _, d in parts:
+        # pairwise: lcm(*generator) grew the heap without bound on CPython 3.11
+        den = lcm(den, d)
+    return ([a * (den // d) for a, _, d in parts],
+            [b * (den // d) for _, b, d in parts], den)
+
+
+def _mul_exact(a: list, b: list, size: int | None = None) -> list:
+    """Cauchy product of two exact coefficient lists, truncated to its
+    first ``size`` coefficients when ``size`` is given.
+
+    The denominators are cleared once, the integer (or Gaussian-integer)
+    numerators are convolved on ints, and each output coefficient is
+    rebuilt once.  Its scalar type is the one the schoolbook sum of
+    products gives: the widest kind (int < Fraction < QC) among the
+    products that reach it.  (A jet's sum starts from a[0] * 0, but with
+    len(b) >= size the product a[0] b[k] reaches every output k anyway.)"""
+    full = len(a) + len(b) - 1
+    size = full if size is None else min(size, full)
+    ka, kb = [_kind(x) for x in a], [_kind(x) for x in b]
+    top = max(max(ka), max(kb))
+    if top == max(min(ka), min(kb)):
+        # every output meets a product of the widest kind
+        kinds = itertools.repeat(top)
+    else:
+        kinds = [max(x, y) for x, y in zip(_reach(ka, len(b), size),
+                                           _reach(kb, len(a), size))]
+    ar, ai, da = _numerators(a)
+    br, bi, db = _numerators(b)
+    re = [0] * size
+    if any(ai) or any(bi):
+        im = [0] * size
+        for i in range(min(len(a), size)):
+            x, y = ar[i], ai[i]
+            for j in range(min(len(b), size - i)):
+                u, v = br[j], bi[j]
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+    else:
+        im = itertools.repeat(0)
+        for i in range(min(len(a), size)):
+            x = ar[i]
+            if x:
+                for j in range(min(len(b), size - i)):
+                    re[i + j] += x * br[j]
+    den = da * db
+    out = []
+    for k, r, m in zip(kinds, re, im):
+        out.append(_make(r, m, den) if k == 2 else Fraction(r, den) if k else r // den)
     return out
 
 
@@ -73,11 +143,12 @@ class Jet:
     """Truncated Taylor expansion sum_k c_k u^k, exact in the scalar type.
 
     The scalar type alone picks the arithmetic.  When every coefficient is
-    exact (QC, Fraction, int) they stay in a list and products and
-    reciprocals run the truncated Python loops.  Otherwise the jet is a
-    float jet: its coefficients are a complex128 numpy array, products are
-    truncated np.convolve calls and reciprocals Newton doubling over
-    convolutions.  An operation that mixes the two kinds gives a float jet."""
+    exact (QC, Fraction, int) they stay in a list; products run the
+    truncated integer convolution and reciprocals the Python recurrence.
+    Otherwise the jet is a float jet: its coefficients are a complex128
+    numpy array, products are truncated np.convolve calls and reciprocals
+    Newton doubling over convolutions.  An operation that mixes the two
+    kinds gives a float jet."""
 
     __slots__ = ("coeffs",)
 
@@ -156,7 +227,7 @@ class Jet:
         a, b = self._operands(other)
         if isinstance(a, np.ndarray):
             return Jet(np.convolve(a, b)[:len(a)])
-        return Jet(_mul_exact(a, b))
+        return Jet(_mul_exact(a, b, len(a)))
 
     __rmul__ = __mul__
 
@@ -287,6 +358,8 @@ class PolyFn(EntireFn):
         if not isinstance(other, PolyFn):
             return PolyFn([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
+        if all(map(is_exact, a)) and all(map(is_exact, b)):
+            return PolyFn(_mul_exact(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .exact import QC, to_complex
+from .exact import _parts, is_exact, to_complex
 from .functions import PolyFn
 from .sphere import (GPoint, MoebiusMap, SpherePoint, gamma_hat,
                      moebius_fixed_points, moebius_multiplier_at, t_gamma_omega)
@@ -86,17 +85,15 @@ SQRT_MINUS_ONE = _sqrt_minus_one(PRIME)
 
 
 def _mod_p(x) -> int:
-    """Image in F_p of an exact Gaussian rational, i -> SQRT_MINUS_ONE."""
-    if isinstance(x, QC):
-        return (_mod_p(x.re) + SQRT_MINUS_ONE * _mod_p(x.im)) % PRIME
-    if isinstance(x, int):
-        return x % PRIME
-    if isinstance(x, Fraction):
-        if x.denominator % PRIME == 0:
-            raise DomainError(f"{x} has no image mod {PRIME}")
-        return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
-    raise DomainError(f"cannot reduce a {type(x).__name__} matrix entry mod p; "
-                      "the certificate needs exact (int, Fraction, QC) entries")
+    """Image in F_p of an exact Gaussian rational (a + b i)/d,
+    i -> SQRT_MINUS_ONE."""
+    if not is_exact(x):
+        raise DomainError(f"cannot reduce a {type(x).__name__} matrix entry mod p; "
+                          "the certificate needs exact (int, Fraction, QC) entries")
+    a, b, d = _parts(x)
+    if d % PRIME == 0:
+        raise DomainError(f"{x!r} has no image mod {PRIME}")
+    return (a + SQRT_MINUS_ONE * b) * pow(d, -1, PRIME) % PRIME
 
 
 def _matrix_mod_p(m: MoebiusMap) -> tuple:

@@ -132,6 +132,26 @@ def test_rigidity_unknown_spec_is_a_domain_error():
     assert code == EXIT_DOMAIN
 
 
+def test_rigidity_rejects_unknown_spec_keys(tmp_path):
+    spec = tmp_path / "typo.json"
+    spec.write_text(json.dumps({"experiment": "invariant-dimension",
+                                "generators": "two-hyperbolic", "degre": 5,
+                                "svd_tol": 1e-3, "samples": 10}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN
+    error = json.loads(out)["error"]
+    for key in ("'degre'", "'svd_tol'", "'samples'"):
+        assert key in error
+    # a key that one kind reads is still unknown to another
+    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 3,
+                                "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
+    for body in ({"experiment": "no-such-kind"}, [1, 2]):
+        spec.write_text(json.dumps(body), encoding="utf-8")
+        assert run_cli("rigidity", "--spec", str(spec))[0] == EXIT_DOMAIN
+
+
 def test_rigidity_invariant_dimension_report():
     code, out = run_cli("rigidity", "--spec", "two-hyperbolic-d3")
     assert code == EXIT_OK

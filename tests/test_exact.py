@@ -1,6 +1,10 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickstar.exact import QC, conj, is_exact, to_complex
 
@@ -84,3 +88,103 @@ def test_bool_and_to_complex():
 def test_is_exact_classification():
     assert is_exact(QC(1)) and is_exact(3) and is_exact(Fraction(1, 2))
     assert not is_exact(0.5) and not is_exact(1 + 0j)
+
+
+# property tests against a reference model: a pair of Fractions -------------
+
+fractions = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+qcs = st.builds(QC, fractions, fractions) | st.builds(QC, small_fractions, small_fractions)
+scalars = st.integers(-10**6, 10**6) | fractions
+
+
+def model(x):
+    """(re, im) as Fractions; int and Fraction operands are real."""
+    return (x.re, x.im) if isinstance(x, QC) else (Fraction(x), Fraction(0))
+
+
+def model_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+MODEL_OPS = {
+    operator.add: lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    operator.sub: lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    operator.mul: lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    operator.truediv: model_div,
+}
+
+
+def assert_normal(x):
+    """d > 0, gcd(a, b, d) = 1, and zero is (0, 0, 1)."""
+    a, b, d = x._a, x._b, x._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not x:
+        assert (a, b, d) == (0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=qcs, y=qcs | scalars, op=st.sampled_from(sorted(MODEL_OPS, key=repr)),
+       swap=st.booleans())
+def test_qc_field_operations_match_the_fraction_pair_model(x, y, op, swap):
+    left, right = (y, x) if swap else (x, y)
+    if op is operator.truediv and model(right) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            op(left, right)
+        return
+    out = op(left, right)
+    assert isinstance(out, QC)
+    assert model(out) == MODEL_OPS[op](model(left), model(right))
+    assert_normal(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=qcs, n=st.integers(0, 7))
+def test_qc_negation_power_and_conjugate_match_the_model(x, n):
+    re, im = model(x)
+    assert model(-x) == (-re, -im)
+    assert model(conj(x)) == model(x.conjugate()) == (re, -im)
+    want = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        want = MODEL_OPS[operator.mul](want, (re, im))
+    assert model(x ** n) == want
+    for y in (-x, conj(x), x ** n):
+        assert_normal(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=fractions, im=fractions)
+def test_qc_is_normal_from_the_constructor_and_keeps_its_repr(re, im):
+    x = QC(re, im)
+    assert_normal(x)
+    assert (x.re, x.im) == (x.real, x.imag) == (re, im)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert repr(x) == f"QC({re!r}, {im!r})"
+    assert bool(x) == (re != 0 or im != 0)
+    assert_normal(x - x)
+    assert x - x == QC() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=scalars)
+def test_qc_equality_and_hash_agree_with_rationals(r):
+    x = QC(r)
+    assert x == r and r == x and x == Fraction(r)
+    assert hash(x) == hash(r) == hash(Fraction(r))
+    assert x != r + 1 and QC(r, 1) != r
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-2**40, 2**40), b=st.integers(-2**40, 2**40), k=st.integers(0, 60))
+def test_qc_equality_and_hash_agree_with_complex(a, b, k):
+    # dyadic parts are exact in binary floating point
+    re, im = Fraction(a, 2**k), Fraction(b, 2**k)
+    z = complex(float(re), float(im))
+    x = QC(re, im)
+    assert x == z and z == x
+    assert hash(x) == hash(z)
+    assert x.to_complex() == z
+    assert len({x, z, x + 0}) == 1

@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
@@ -105,6 +108,87 @@ def test_moebius_jet_matches_pointwise_action():
     eps = 1e-6
     fd = (m.apply(x0 + eps) - m.apply(x0 - eps)) / (2 * eps)
     assert jet.coeffs[1] == pytest.approx(fd, rel=1e-5)
+
+
+# the exact convolution kernel ------------------------------------------------
+
+_fracs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+exact_scalars = {
+    "int": st.integers(-5, 5),
+    "Fraction": _fracs,
+    "QC": st.builds(QC, _fracs, _fracs),
+}
+# uniform lists of each kind, and lists that mix the kinds (a PolyFn sum pads
+# with int 0, so mixed lists occur); zeros at the ends test the stripping
+exact_lists = st.one_of(
+    *(st.lists(s, min_size=1, max_size=9) for s in exact_scalars.values()),
+    st.lists(st.one_of(*exact_scalars.values()), min_size=1, max_size=9),
+    st.lists(st.sampled_from([0, Fraction(0), QC(0), 1, Fraction(1), QC(0, 1)]),
+             min_size=1, max_size=6))
+
+
+def _schoolbook(a, b, size=None):
+    """The Cauchy product as sums of scalar products: from int 0 for a
+    polynomial, from a[0] * 0 and truncated to ``size`` for a jet."""
+    if size is None:
+        out = [0] * (len(a) + len(b) - 1)
+    else:
+        out = [a[0] * 0] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(out):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _same_scalars(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=exact_lists, b=exact_lists)
+def test_exact_polyfn_product_is_the_schoolbook_product(a, b):
+    got = (PolyFn(a) * PolyFn(b)).coeffs
+    want = PolyFn(_schoolbook(PolyFn(a).coeffs, PolyFn(b).coeffs)).coeffs
+    _same_scalars(got, want)
+    assert len(got) == 1 or got[-1] != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=exact_lists, b=exact_lists)
+def test_exact_jet_product_is_the_truncated_schoolbook_product(a, b):
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    got = Jet(a) * Jet(b)
+    assert got.exact
+    _same_scalars(got.coeffs, _schoolbook(a, b, n))
+
+
+def test_exact_kernel_keeps_the_scalar_type():
+    ints = PolyFn([1, -2, 3]) * PolyFn([2, 0, 1])
+    assert ints.coeffs == [2, -4, 7, -2, 3]
+    assert all(type(c) is int for c in ints.coeffs)
+    fr = PolyFn([Fraction(1, 2), 1]) * PolyFn([2, Fraction(-1, 3)])
+    assert fr.coeffs == [1, Fraction(11, 6), Fraction(-1, 3)]
+    assert all(type(c) is Fraction for c in fr.coeffs)
+    qc = PolyFn([QC(1, 1)]) * PolyFn([1, Fraction(1, 2)])
+    assert qc.coeffs == [QC(1, 1), QC(Fraction(1, 2), Fraction(1, 2))]
+    assert all(type(c) is QC for c in qc.coeffs)
+    # (1 + t)(1 - t) = 1 - t^2, and (1 + i t)(1 - i t) = 1 + t^2: trailing
+    # zeros of a product that cancels are stripped
+    assert (PolyFn([1, 1, 0]) * PolyFn([1, -1])).coeffs == [1, 0, -1]
+    assert (PolyFn([Fraction(1, 2), 1]) * PolyFn([0])).coeffs == [Fraction(0)]
+    assert (PolyFn([QC(1), QC(0, 1)]) * PolyFn([QC(1), QC(0, -1)])).coeffs == [1, 0, 1]
+
+
+def test_exact_times_float_takes_the_float_path():
+    p = PolyFn([Fraction(1, 2), QC(1, 1)]) * PolyFn([0.5, 1.0])
+    assert p.coeffs == [0.25, pytest.approx(1.0 + 0.5j), pytest.approx(1.0 + 1.0j)]
+    assert all(isinstance(c, (float, complex)) for c in p.coeffs)
+    jet = Jet([Fraction(1, 2), QC(1, 1)]) * Jet([0.5, 1.0])
+    assert not jet.exact and isinstance(jet.coeffs, np.ndarray)
+    assert jet.coeffs.tolist() == [0.25, 1.0 + 0.5j]
 
 
 # entire functions ------------------------------------------------------------
