@@ -61,6 +61,11 @@ class QC:
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default
+        # slot-state restore would go through __setattr__
+        return QC, (self.re, self.im)
+
     # -- conversions -------------------------------------------------
 
     def to_complex(self) -> complex:

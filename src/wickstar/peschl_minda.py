@@ -4,23 +4,24 @@ D^n f(z) = d_u^n F(T_z(u), conj z)|_0, T_z(u) = (z + u)/(1 + conj(z) u),
 grows like n!, so every tower carries a_n = D^n f(z)/n!, the n-th Taylor
 coefficient of u -> F(T_z(u), conj z).  D^n f appears only at the public
 edge (``pm``/``pm_bar``, :func:`pm_bipoly`, :func:`pm_definitional`), which
-multiplies by n!.  Each variant implements ``pm_sequence`` and
-``pm_bar_sequence``, the pairs (a_n, error bound) for n = start..nmax:
+multiplies by n!.  ``pm_sequence`` and ``pm_bar_sequence`` give the pairs
+(a_n, error bound) for n = start..nmax, by default read off one truncated
+Taylor jet of order nmax of that function (conjugated for Dbar):
 
-* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F; the
-  polynomials E_n = D^n F/n! are stepped exactly, one order at a time, by
+* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F.  Its
+  exact symbolic towers E_n = D^n F/n! are stepped one order at a time by
   E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
   d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
-  gives the term -n w E_n.
+  gives the term -n w E_n.  They serve the symbolic products and are the
+  independent oracle of the jet towers.
+* ``MoebiusPullback`` -- precomposition with a disk automorphism.
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
 * ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2): closed
-  forms a_n = c^n g^(n)(chart)/n!, stepped by :func:`taylor_tower`.
-* ``MoebiusPullback`` -- precomposition with a disk automorphism; a_n is
-  read off the truncated Taylor jet of u -> F(T_z(u), conj z).
-
-The jet route doubles as an independent oracle for every variant
-(:func:`pm_definitional`).
+  forms a_n = c^n g^(n)(chart)/n!, stepped by :func:`taylor_tower` and
+  streamed, so they carry the tail bound of a series g and form no order
+  past the one a sum stops at.  The jet is their independent oracle
+  (:func:`pm_definitional`).
 """
 
 from __future__ import annotations
@@ -122,29 +123,33 @@ def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
 class DiskFunction:
     """Common surface of the disk-function variants.
 
-    A variant implements ``pm_sequence`` and ``pm_bar_sequence``, the towers
-    of Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n!; everything else
-    derives from them."""
+    A variant implements ``value``, ``conj_fn`` and ``ambient_eval_jet``;
+    its towers of Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n! then
+    come from one definitional jet each, and everything else derives from
+    ``pm_sequence`` and ``pm_bar_sequence``."""
 
     def value(self, z):
         raise NotImplementedError
 
     def pm_sequence(self, nmax: int, z, start: int = 0):
-        """[(D^n f(z)/n!, error bound) for n = start..nmax]."""
-        raise NotImplementedError
+        """(D^n f(z)/n!, error bound) for n = start..nmax."""
+        # one jet of order nmax yields every coefficient at once
+        _check_disk(z)
+        return [(a, 0.0) for a in self.ambient_jet(z, nmax).tolist(start)]
 
     def pm_bar_sequence(self, nmax: int, z, start: int = 0):
-        """[(Dbar^n f(z)/n!, error bound) for n = start..nmax]."""
-        raise NotImplementedError
+        """(Dbar^n f(z)/n!, error bound) for n = start..nmax."""
+        _check_disk(z)
+        return [(conj(a), 0.0) for a in self.conj_fn().ambient_jet(z, nmax).tolist(start)]
 
     def pm_with_bound(self, n, z):
         """(D^n f(z)/n!, error bound)."""
         _check_order(n)
-        return self.pm_sequence(n, z, start=n)[0]
+        return next(iter(self.pm_sequence(n, z, start=n)))
 
     def pm_bar_with_bound(self, n, z):
         _check_order(n)
-        return self.pm_bar_sequence(n, z, start=n)[0]
+        return next(iter(self.pm_bar_sequence(n, z, start=n)))
 
     def pm(self, n: int, z):
         """D^n f(z)."""
@@ -177,7 +182,8 @@ class DiskFunction:
 
 
 class PolyDisk(DiskFunction):
-    """z -> F(z, conj z) for a bivariate polynomial F; exact towers."""
+    """z -> F(z, conj z) for a bivariate polynomial F; ``pm_poly`` and
+    ``pm_bar_poly`` are its exact symbolic towers."""
 
     __slots__ = ("f", "_pm_tower", "_pm_bar_tower")
 
@@ -196,14 +202,6 @@ class PolyDisk(DiskFunction):
 
     def pm_bar_poly(self, n: int) -> BiPoly:
         return _tower_to(self._pm_bar_tower, n, "w")
-
-    def pm_sequence(self, nmax, z, start=0):
-        _check_disk(z)
-        return [(self.pm_poly(n).eval_diag(z), 0.0) for n in range(start, nmax + 1)]
-
-    def pm_bar_sequence(self, nmax, z, start=0):
-        _check_disk(z)
-        return [(self.pm_bar_poly(n).eval_diag(z), 0.0) for n in range(start, nmax + 1)]
 
     def conj_fn(self):
         return PolyDisk(self.f.swap_conj())
@@ -246,9 +244,11 @@ class _Composed(DiskFunction):
         return self._sequence(nmax, z, start, bar=True)
 
     def _sequence(self, nmax, z, start, bar):
+        # streamed: a tower term is formed only when the sum asks for it, so
+        # a SeriesFn g is never asked for a derivative the sum does not use
         _check_disk(z)
         t, towers = self.chart(z), taylor_tower(self.g, self.factor(z, bar))
-        return [gn.eval(t) for gn in itertools.islice(towers, start, nmax + 1)]
+        return (gn.eval(t) for gn in itertools.islice(towers, start, nmax + 1))
 
     def conj_fn(self):
         # conj(g o p) would need the entire function t -> conj(g(conj -t));
@@ -288,7 +288,7 @@ class ComposedQ(_Composed):
 
 
 class MoebiusPullback(DiskFunction):
-    """f o phi for phi in Aut(D); derivatives via the definitional jets."""
+    """f o phi for phi in Aut(D)."""
 
     __slots__ = ("inner", "phi")
 
@@ -303,15 +303,6 @@ class MoebiusPullback(DiskFunction):
 
     def conj_fn(self):
         return MoebiusPullback(self.inner.conj_fn(), self.phi)
-
-    def pm_sequence(self, nmax, z, start=0):
-        # one jet of order nmax yields every coefficient at once
-        _check_disk(z)
-        return [(a, 0.0) for a in self.ambient_jet(z, nmax).tolist(start)]
-
-    def pm_bar_sequence(self, nmax, z, start=0):
-        _check_disk(z)
-        return [(conj(a), 0.0) for a in self.conj_fn().ambient_jet(z, nmax).tolist(start)]
 
     def ambient_eval_jet(self, zjet, w0):
         phi = self.phi
@@ -355,15 +346,13 @@ def pm_closed_form_q(g: EntireFn, n: int, z):
     return fn.pm(n, z), fn.pm_bar(n, z)
 
 
-def pm_definitional(f: DiskFunction, n: int, z, guard: int = 2):
-    """Independent oracle: D^n f(z) from the jet of u -> f(T_z(u)) at 0.
-
-    The jet is computed at order n + guard; the extra terms only guard
-    against indexing mistakes, the coefficient itself is exact at order n."""
+def pm_definitional(f: DiskFunction, n: int, z):
+    """Independent oracle for the closed-form towers: D^n f(z) as n! times
+    coefficient n of the order-n jet of u -> f(T_z(u)) at 0."""
     _check_order(n)
     _check_disk(z)
-    return math.factorial(n) * f.ambient_jet(z, n + guard).tolist(n)[0]
+    return math.factorial(n) * f.ambient_jet(z, n).tolist(n)[0]
 
 
-def pm_bar_definitional(f: DiskFunction, n: int, z, guard: int = 2):
-    return conj(math.factorial(n) * f.conj_fn().ambient_jet(z, n + guard).tolist(n)[0])
+def pm_bar_definitional(f: DiskFunction, n: int, z):
+    return conj(math.factorial(n) * f.conj_fn().ambient_jet(z, n).tolist(n)[0])

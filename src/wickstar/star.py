@@ -52,7 +52,11 @@ from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 # ---------------------------------------------------------------------------
 
 
-def _pole_of(value, tol: float):
+# how close a float deformation value may come to a pole
+_POLE_TOL = 1e-12
+
+
+def _pole_of(value):
     """Name of the pole the value hits ("0" or "-1/k"), else None."""
     if is_exact(value):
         if isinstance(value, QC):
@@ -67,10 +71,10 @@ def _pole_of(value, tol: float):
                 return f"-1/{q.numerator}"
         return None
     h = complex(value)
-    if abs(h) <= tol:
+    if abs(h) <= _POLE_TOL:
         return "0"
     k = round((-1 / h).real)
-    if k >= 1 and abs(h + 1 / k) <= tol:
+    if k >= 1 and abs(h + 1 / k) <= _POLE_TOL:
         return f"-1/{k}"
     return None
 
@@ -80,8 +84,8 @@ class Hbar:
 
     __slots__ = ("value", "exact")
 
-    def __init__(self, value, tol: float = 1e-12):
-        pole = _pole_of(value, tol)
+    def __init__(self, value):
+        pole = _pole_of(value)
         if pole is not None:
             raise DomainError(
                 f"deformation parameter {value!r} hits the excluded pole {pole}")
@@ -104,7 +108,7 @@ def _one_like(hv):
     return complex(1)
 
 
-def _lenient_value(h, tol: float = 1e-12):
+def _lenient_value(h):
     """Deformation value for the product loops.
 
     Only the pole at 0 is rejected up front; a pole -1/k is rejected
@@ -113,7 +117,7 @@ def _lenient_value(h, tol: float = 1e-12):
     low degree) is a legitimate evaluation even when the full coefficient
     family has a pole further out."""
     v = h.value if isinstance(h, Hbar) else h
-    if _pole_of(v, tol) == "0":
+    if _pole_of(v) == "0":
         raise DomainError(
             f"deformation parameter {v!r} hits the excluded pole 0")
     return v
@@ -279,17 +283,11 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
 
 
 def _disk_terms(f, g, z, max_terms):
-    # the towers are fetched in growing batches, each starting where the
-    # last one ended, so variants that batch well (one jet per batch) are
-    # not recomputed per term
-    f_seq: list = []
-    g_seq: list = []
-    for n in itertools.count():
-        if n == len(f_seq):
-            target = min(max_terms, max(8, 2 * n))
-            f_seq.extend(f.pm_bar_sequence(target, z, start=n))
-            g_seq.extend(g.pm_sequence(target, z, start=n))
-        yield _float_term(*f_seq[n], *g_seq[n])
+    # one fetch of each tower to max_terms: a single jet for the jet
+    # variants, a lazy stream for the closed forms, which form no term
+    # past the one where the sum stops
+    for a, b in zip(f.pm_bar_sequence(max_terms, z), g.pm_sequence(max_terms, z)):
+        yield _float_term(*a, *b)
 
 
 # ---------------------------------------------------------------------------

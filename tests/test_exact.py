@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,13 @@ def test_immutability():
     x = QC(1)
     with pytest.raises(AttributeError):
         x.re = Fraction(2)
+
+
+def test_copy_deepcopy_and_pickle_round_trips():
+    for x in (QC(Fraction(-7, 3)), QC(Fraction(1, 6), Fraction(-5, 4))):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is QC and y == x
+            assert (y.re, y.im) == (x.re, x.im) and hash(y) == hash(x)
 
 
 def test_field_arithmetic_is_exact():

@@ -46,12 +46,19 @@ def test_first_derivatives_of_the_coordinate_function():
     assert pm_bar_derivative(f, 1, z) == QC(0)
 
 
-def test_polynomial_towers_against_the_definitional_oracle():
+def _stepped(f: PolyDisk, n: int, z, bar: bool = False):
+    """Independent oracle for the jet towers: n! E_n(z, conj z) from the
+    stepped symbolic tower."""
+    e_n = f.pm_bar_poly(n) if bar else f.pm_poly(n)
+    return math.factorial(n) * e_n.eval_diag(z)
+
+
+def test_polynomial_towers_against_the_stepped_oracle():
     f = PolyDisk(BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j}))
     for z in (0.3 - 0.2j, -0.5 + 0.1j):
         for n in range(5):
-            assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z))
-            assert f.pm_bar(n, z) == pytest.approx(pm_bar_definitional(f, n, z))
+            assert f.pm(n, z) == pytest.approx(_stepped(f, n, z))
+            assert f.pm_bar(n, z) == pytest.approx(_stepped(f, n, z, bar=True))
 
 
 @settings(max_examples=30, deadline=None)
@@ -59,14 +66,15 @@ def test_polynomial_towers_against_the_definitional_oracle():
        a=small_ints, n=st.integers(0, 4))
 def test_monomial_towers_match_the_oracle(z, i, j, a, n):
     f = PolyDisk(BiPoly({(i, j): complex(a, 1)}))
-    assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z), abs=1e-9)
+    assert f.pm(n, z) == pytest.approx(_stepped(f, n, z), abs=1e-9)
 
 
 def test_exact_polynomial_towers_on_exact_points():
     f = PolyDisk(BiPoly({(1, 1): QC(1), (2, 0): QC(0, 1)}))
     z = QC(Fraction(1, 3), Fraction(1, 7))
     for n in range(4):
-        assert f.pm(n, z) == pm_definitional(f, n, z)
+        assert f.pm(n, z) == _stepped(f, n, z)
+        assert f.pm_bar(n, z) == _stepped(f, n, z, bar=True)
 
 
 def test_annulus_lift_closed_form_matches_oracle():
@@ -219,13 +227,12 @@ def test_normalized_towers_of_integer_polynomials_are_integer():
             assert all(a.re.denominator == a.im.denominator == 1 for a in e_n.coeffs.values())
 
 
-def test_float_towers_match_the_definitional_oracle_to_high_order():
+def test_float_towers_match_the_stepped_oracle_to_high_order():
     f = PolyDisk(BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j, (2, 2): 0.5}))
     for z in (0.9, -0.6 + 0.6j, 0.3 - 0.8j):
         for n in range(41):
-            assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z), rel=1e-12)
-            assert f.pm_bar(n, z) == pytest.approx(
-                pm_bar_definitional(f, n, z), rel=1e-12)
+            assert f.pm(n, z) == pytest.approx(_stepped(f, n, z), rel=1e-12)
+            assert f.pm_bar(n, z) == pytest.approx(_stepped(f, n, z, bar=True), rel=1e-12)
 
 
 def test_tower_work_grows_linearly_with_the_order(monkeypatch):
@@ -259,11 +266,9 @@ def test_tower_work_grows_linearly_with_the_order(monkeypatch):
 
 
 def test_definitional_oracle_guard_order():
-    # the guarded jet carries extra orders but coefficient n is unchanged
+    # a jet of higher order leaves coefficient n unchanged
     f = PolyDisk(BiPoly({(2, 2): 1}))
     z = 0.3 + 0.1j
-    assert pm_definitional(f, 2, z, guard=0) == pytest.approx(
-        pm_definitional(f, 2, z, guard=4))
     jet = f.ambient_jet(z, 3)
     assert math.factorial(2) * jet.coeffs[2] == pytest.approx(f.pm(2, z))
 

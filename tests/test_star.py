@@ -6,8 +6,10 @@ import pytest
 from wickstar import peschl_minda, star
 from wickstar.errors import DomainError, NonTerminatingError, WickstarError
 from wickstar.exact import QC
-from wickstar.functions import BiPoly, PolyFn
-from wickstar.peschl_minda import PolyDisk, pm_bar_bipoly, pm_bipoly
+from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
+from wickstar.peschl_minda import (ComposedP, MoebiusPullback, PolyDisk,
+                                   pm_bar_bipoly, pm_bipoly)
+from wickstar.sphere import MoebiusMap
 from wickstar.star import (Hbar, StarConfig, c_n, c_n_direct, c_sequence,
                            star_annulus, star_annulus_poly, star_disk,
                            star_disk_poly_exact, star_disk_poly_truncated,
@@ -242,20 +244,37 @@ def test_profile_collects_domain_errors_per_sample():
 
 
 def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
-    # terms 0..64 need 65 values from each tower; batches that restart at
-    # order 0 would evaluate 264
-    calls = []
-    eval_diag = BiPoly.eval_diag
+    # terms 0..64 take coefficients 0..64 of each tower: one jet of order
+    # 64 per operand, and no order is built twice
+    orders = []
+    ambient_jet = peschl_minda.DiskFunction.ambient_jet
 
-    def counting(self, z):
-        calls.append(z)
-        return eval_diag(self, z)
+    def counting(self, z, order):
+        orders.append(order)
+        return ambient_jet(self, z, order)
 
-    monkeypatch.setattr(BiPoly, "eval_diag", counting)
-    res = star_disk(PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z()), 0.5, 0.95,
-                    StarConfig(max_terms=64, tol=0))
-    assert res.terms_used == 65
-    assert len(calls) == 130
+    monkeypatch.setattr(peschl_minda.DiskFunction, "ambient_jet", counting)
+    phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+    zbar, z = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    for f, g in ((zbar, z), (MoebiusPullback(zbar, phi), MoebiusPullback(z, phi))):
+        orders.clear()
+        res = star_disk(f, g, 0.5, 0.9, StarConfig(max_terms=64, tol=0))
+        assert res.terms_used == 65
+        assert orders == [64, 64]
+
+
+def test_closed_form_towers_stop_with_the_sum():
+    # e^{t/2} stored to order 9: the sum stops by tol after term 9, so no
+    # tower may ask for the tenth derivative, which the series cannot give.
+    # 2^-k/k! <= C/64^k holds for every k since 32^k/k! < 5.6e12.
+    s = SeriesFn([Fraction(1, 2 ** k * math.factorial(k)) for k in range(10)],
+                 rho=64.0, C=1e13)
+    cfg = StarConfig(max_terms=64, tol=1e-12)
+    res = star_disk(ComposedP(s), ComposedP(s), 0.5, 0.05j, cfg)
+    ref = star_disk(ComposedP(ExpFn(0.5)), ComposedP(ExpFn(0.5)), 0.5, 0.05j, cfg)
+    assert res.stop_reason == ref.stop_reason == "tol"
+    assert res.terms_used == ref.terms_used == 10
+    assert res.value == pytest.approx(ref.value, rel=1e-14)
 
 
 # the summation kernel ----------------------------------------------------------
