@@ -7,7 +7,8 @@ A truncated series never silently drops its truncation error: every
 evaluation returns (value, bound).
 
 Truncated Taylor jets compute in their scalar type: float jets run on
-numpy (products by np.convolve, reciprocals by Newton doubling).  Exact
+numpy (products by np.convolve, reciprocals by Newton doubling), and the
+jet of a Moebius map comes in closed form (:func:`moebius_matrix_jet`).  Exact
 jets (QC, Fraction, int coefficients) and exact polynomials multiply by
 one kernel, :func:`_mul_exact`, that convolves integer (or
 Gaussian-integer) numerators over a common denominator; exact
@@ -28,8 +29,8 @@ from .exact import QC, _make, _parts, conj, is_exact, to_complex
 
 
 # ---------------------------------------------------------------------------
-# truncated Taylor jets (used by the Peschl-Minda definitional oracle
-# and the Moebius-pullback evaluation path)
+# truncated Taylor jets (the Peschl-Minda towers of polynomials and
+# pullbacks, and the definitional oracle of the closed-form towers)
 # ---------------------------------------------------------------------------
 
 def _float_coeffs(coeffs) -> np.ndarray:
@@ -272,6 +273,32 @@ def moebius_jet(m, zjet: Jet) -> Jet:
     num = zjet * m.a + m.b
     den = zjet * m.c + m.d
     return num / den
+
+
+def moebius_matrix_jet(m, order: int) -> Jet:
+    """Jet of u -> (a u + b)/(c u + d) for the matrix m = (a, b, c, d).
+
+    In closed form, a geometric series: the constant b/d, then coefficient
+    k >= 1 is det/d^2 (-c/d)^{k-1}, det = ad - bc.  Exact entries give a
+    list of QC; otherwise a float jet, its powers by multiply.accumulate."""
+    if m[3] == 0:
+        raise ZeroDivisionError("Moebius jet has a pole at u = 0")
+    if all(map(is_exact, m)):
+        a, b, c, d = (x if isinstance(x, QC) else QC(x) for x in m)
+        r, x = -c / d, (a * d - b * c) / (d * d)
+        out = [b / d]
+        for _ in range(order):
+            out.append(x)
+            x = x * r
+        return Jet(out)
+    a, b, c, d = map(to_complex, m)
+    out = np.empty(order + 1, dtype=complex)
+    out[0] = b / d
+    if order:
+        out[1:] = -c / d
+        out[1] = (a * d - b * c) / (d * d)
+        np.multiply.accumulate(out[1:], out=out[1:])
+    return Jet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +713,11 @@ class BiPoly:
         if not by_i:
             return Jet.constant(zjet.coeffs[0] * 0, zjet.order)
         top = max(by_i)
-        zero = zjet.coeffs[0] * 0
-        acc = Jet.constant(zero + by_i.get(top, 0), zjet.order)
-        for i in range(top - 1, -1, -1):
+        if top == 0:
+            return Jet.constant(zjet.coeffs[0] * 0 + by_i[0], zjet.order)
+        # the first Horner step scales the jet: no product with a constant jet
+        acc = zjet * by_i[top] + by_i.get(top - 1, 0)
+        for i in range(top - 2, -1, -1):
             acc = acc * zjet + by_i.get(i, 0)
         return acc
 

@@ -4,24 +4,34 @@ D^n f(z) = d_u^n F(T_z(u), conj z)|_0, T_z(u) = (z + u)/(1 + conj(z) u),
 grows like n!, so every tower carries a_n = D^n f(z)/n!, the n-th Taylor
 coefficient of u -> F(T_z(u), conj z).  D^n f appears only at the public
 edge (``pm``/``pm_bar``, :func:`pm_bipoly`, :func:`pm_definitional`), which
-multiplies by n!.  ``pm_sequence`` and ``pm_bar_sequence`` give the pairs
-(a_n, error bound) for n = start..nmax, by default read off one truncated
-Taylor jet of order nmax of that function (conjugated for Dbar):
+multiplies by n!.
 
-* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F.  Its
-  exact symbolic towers E_n = D^n F/n! are stepped one order at a time by
+The jet of that function is built from a Moebius jet.  T_z is the Moebius
+map of the matrix (1, z, conj z, 1), and so is every map a variant puts in
+front of it: a pullback's phi, and with the other slot frozen at w0 the
+charts p and q.  A variant multiplies its matrix into the one it is
+handed (``moebius_eval_jet``), and the jet of the product comes in closed
+form (:func:`moebius_matrix_jet`): b/d, then det/d^2 (-c/d)^{k-1}.  No jet
+is divided.  ``pm_sequence`` and ``pm_bar_sequence`` give a_n for n =
+start..nmax, read off one such jet of order nmax (conjugated for Dbar):
+a complex array at a float point, a list at an exact one.
+
+* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F, which is
+  evaluated on the Moebius jet by Horner.  Its exact symbolic towers
+  E_n = D^n F/n! are stepped one order at a time by
   E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
   d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
   gives the term -n w E_n.  They serve the symbolic products and are the
   independent oracle of the jet towers.
-* ``MoebiusPullback`` -- precomposition with a disk automorphism.
+* ``MoebiusPullback`` -- precomposition with a disk automorphism phi: phi
+  joins the matrix, and the frozen slot moves to 1/phi(1/w0).
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
 * ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2): closed
   forms a_n = c^n g^(n)(chart)/n!, stepped by :func:`taylor_tower` and
-  streamed, so they carry the tail bound of a series g and form no order
-  past the one a sum stops at.  The jet is their independent oracle
-  (:func:`pm_definitional`).
+  streamed as (a_n, error bound) pairs, so they carry the tail bound of a
+  series g and form no order past the one a sum stops at.  The jet is
+  their independent oracle (:func:`pm_definitional`).
 """
 
 from __future__ import annotations
@@ -32,8 +42,8 @@ from fractions import Fraction
 
 from .errors import DomainError, NonRepresentableError
 from .exact import conj, is_exact, to_complex
-from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn, moebius_jet,
-                        taylor_tower)
+from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn,
+                        moebius_matrix_jet, taylor_tower)
 from .sphere import MoebiusMap
 
 
@@ -57,6 +67,11 @@ def _check_disk(z):
 def _check_order(n):
     if n < 0:
         raise ValueError("derivative order must be >= 0")
+
+
+def _scalar(a):
+    """A tower entry as a Python scalar (numpy hands out complex128)."""
+    return a if is_exact(a) else complex(a)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +135,17 @@ def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
+def _matmul(m, n):
+    """The 2x2 product m n of matrices (a, b, c, d): the Moebius map m o n."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 class DiskFunction:
     """Common surface of the disk-function variants.
 
-    A variant implements ``value``, ``conj_fn`` and ``ambient_eval_jet``;
+    A variant implements ``value``, ``conj_fn`` and ``moebius_eval_jet``;
     its towers of Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n! then
     come from one definitional jet each, and everything else derives from
     ``pm_sequence`` and ``pm_bar_sequence``."""
@@ -132,24 +154,26 @@ class DiskFunction:
         raise NotImplementedError
 
     def pm_sequence(self, nmax: int, z, start: int = 0):
-        """(D^n f(z)/n!, error bound) for n = start..nmax."""
-        # one jet of order nmax yields every coefficient at once
+        """D^n f(z)/n! for n = start..nmax, read off one jet of order nmax:
+        a complex array for a float z, a list for an exact z.  A jet
+        coefficient carries no truncation error."""
         _check_disk(z)
-        return [(a, 0.0) for a in self.ambient_jet(z, nmax).tolist(start)]
+        return self.ambient_jet(z, nmax).coeffs[start:]
 
     def pm_bar_sequence(self, nmax: int, z, start: int = 0):
-        """(Dbar^n f(z)/n!, error bound) for n = start..nmax."""
+        """Dbar^n f(z)/n! = conj(D^n (conj f)(z)/n!) for n = start..nmax."""
         _check_disk(z)
-        return [(conj(a), 0.0) for a in self.conj_fn().ambient_jet(z, nmax).tolist(start)]
+        tail = self.conj_fn().ambient_jet(z, nmax).coeffs[start:]
+        return [conj(a) for a in tail] if isinstance(tail, list) else tail.conj()
 
     def pm_with_bound(self, n, z):
         """(D^n f(z)/n!, error bound)."""
         _check_order(n)
-        return next(iter(self.pm_sequence(n, z, start=n)))
+        return _scalar(self.pm_sequence(n, z, start=n)[0]), 0.0
 
     def pm_bar_with_bound(self, n, z):
         _check_order(n)
-        return next(iter(self.pm_bar_sequence(n, z, start=n)))
+        return _scalar(self.pm_bar_sequence(n, z, start=n)[0]), 0.0
 
     def pm(self, n: int, z):
         """D^n f(z)."""
@@ -162,23 +186,17 @@ class DiskFunction:
     def conj_fn(self) -> "DiskFunction":
         raise NotImplementedError
 
-    def ambient_eval_jet(self, zjet: Jet, w0) -> Jet:
-        """Evaluate the bivariate extension F(Z, W) with a jet in the
+    def moebius_eval_jet(self, m, w0, order: int) -> Jet:
+        """Jet of u -> F(M(u), w0): the bivariate extension F(Z, W) with
+        the Moebius map M(u) = (au + b)/(cu + d), m = (a, b, c, d), in the
         holomorphic slot and the scalar w0 frozen in the other slot."""
         raise NotImplementedError
 
     def ambient_jet(self, z, order: int) -> Jet:
         """Jet of u -> F(T_z(u), conj z); its n-th coefficient is
-        D^n f(z)/n! by definition."""
-        # T_z(u) = (u + z)/(zb u + 1) = z + (1 - |z|^2) u / (1 + zb u),
-        # whose coefficients past the constant are (1 - |z|^2)(-zb)^{k-1}
+        D^n f(z)/n! by definition.  T_z(u) = (u + z)/(zb u + 1)."""
         zb = conj(z)
-        coeffs = [z]
-        c = 1 - z * zb
-        for _ in range(order):
-            coeffs.append(c)
-            c = c * -zb
-        return self.ambient_eval_jet(Jet(coeffs), zb)
+        return self.moebius_eval_jet((1, z, zb, 1), zb, order)
 
 
 class PolyDisk(DiskFunction):
@@ -206,8 +224,8 @@ class PolyDisk(DiskFunction):
     def conj_fn(self):
         return PolyDisk(self.f.swap_conj())
 
-    def ambient_eval_jet(self, zjet, w0):
-        return self.f.eval_jet(zjet, w0)
+    def moebius_eval_jet(self, m, w0, order):
+        return self.f.eval_jet(moebius_matrix_jet(m, order), w0)
 
 
 def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
@@ -243,6 +261,14 @@ class _Composed(DiskFunction):
     def pm_bar_sequence(self, nmax, z, start=0):
         return self._sequence(nmax, z, start, bar=True)
 
+    def pm_with_bound(self, n, z):
+        _check_order(n)
+        return next(self.pm_sequence(n, z, start=n))
+
+    def pm_bar_with_bound(self, n, z):
+        _check_order(n)
+        return next(self.pm_bar_sequence(n, z, start=n))
+
     def _sequence(self, nmax, z, start, bar):
         # streamed: a tower term is formed only when the sum asks for it, so
         # a SeriesFn g is never asked for a derivative the sum does not use
@@ -256,6 +282,11 @@ class _Composed(DiskFunction):
         raise NonRepresentableError(f"conjugate of {type(self).__name__} is "
                                     "not representable; use pm_bar directly")
 
+    def moebius_eval_jet(self, m, w0, order):
+        # with W = w0 frozen the chart is a Moebius map of Z
+        return _entire_eval_jet(self.g, moebius_matrix_jet(
+            _matmul(self.chart_matrix(w0), m), order))
+
 
 class ComposedP(_Composed):
     """g o p, the disk lift of an annulus-algebra element."""
@@ -268,8 +299,10 @@ class ComposedP(_Composed):
         zb = conj(z)
         return -(1 - z * z) / (1 - z * zb) if bar else (1 - zb * zb) / (1 - z * zb)
 
-    def ambient_eval_jet(self, zjet, w0):
-        return _entire_eval_jet(self.g, (zjet - w0) / (1 - zjet * w0))
+    @staticmethod
+    def chart_matrix(w0):
+        """p(Z, w0) = (Z - w0)/(1 - Z w0)."""
+        return (1, -w0, -w0, 1)
 
 
 class ComposedQ(_Composed):
@@ -283,8 +316,10 @@ class ComposedQ(_Composed):
         zb = conj(z)
         return -(1 - (z if bar else zb)) ** 2 / (1 - z * zb)
 
-    def ambient_eval_jet(self, zjet, w0):
-        return _entire_eval_jet(self.g, (1 - zjet) * (1 - w0) / (1 - zjet * w0))
+    @staticmethod
+    def chart_matrix(w0):
+        """q(Z, w0) = (1 - Z)(1 - w0)/(1 - Z w0)."""
+        return (w0 - 1, 1 - w0, -w0, 1)
 
 
 class MoebiusPullback(DiskFunction):
@@ -304,15 +339,15 @@ class MoebiusPullback(DiskFunction):
     def conj_fn(self):
         return MoebiusPullback(self.inner.conj_fn(), self.phi)
 
-    def ambient_eval_jet(self, zjet, w0):
+    def moebius_eval_jet(self, m, w0, order):
         phi = self.phi
-        zjet2 = moebius_jet(phi, zjet)
         # second slot of the induced Omega map: 1/phi(1/w) = (c + dw)/(a + bw)
         den = phi.a + phi.b * w0
         if den == 0:
             raise DomainError("pullback ambient hits the pole of 1/phi(1/w)")
         w02 = (phi.c + phi.d * w0) / den
-        return self.inner.ambient_eval_jet(zjet2, w02)
+        return self.inner.moebius_eval_jet(_matmul((phi.a, phi.b, phi.c, phi.d), m),
+                                           w02, order)
 
 
 # ---------------------------------------------------------------------------

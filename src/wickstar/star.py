@@ -41,6 +41,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, is_exact, to_complex
 from .functions import BiPoly, PolyFn, taylor_tower
@@ -54,6 +56,8 @@ from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 # how close a float deformation value may come to a pole
 _POLE_TOL = 1e-12
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _pole_of(value):
@@ -123,12 +127,12 @@ def _lenient_value(h):
     return v
 
 
-def _c_divisor(one, hv, n):
+def _c_divisor(one, hv, n, exact):
     """1 + n*hbar, the divisor of the step c_n -> c_{n+1}; raises at the
-    pole hbar = -1/n."""
+    pole hbar = -1/n: exactly at 0 when ``exact`` (hbar is exact), else
+    within a relative distance of 1e-14."""
     den = one + n * hv
-    if den == 0 or (not is_exact(den)
-                    and abs(den) <= 1e-14 * (1.0 + n * abs(hv))):
+    if den == 0 if exact else abs(den) <= 1e-14 * (1.0 + n * abs(hv)):
         raise DomainError(
             f"deformation parameter hits the excluded pole -1/{n}")
     return den
@@ -136,10 +140,10 @@ def _c_divisor(one, hv, n):
 
 def _c_stream(hv, nmax: int):
     """[c_0, ..., c_nmax] with lazy pole checks (see _lenient_value)."""
-    one = _one_like(hv)
+    one, exact = _one_like(hv), is_exact(hv)
     out = [one]
     for n in range(nmax):
-        out.append(out[-1] * hv / _c_divisor(one, hv, n))
+        out.append(out[-1] * hv / _c_divisor(one, hv, n, exact))
     return out
 
 
@@ -214,33 +218,45 @@ def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = Non
     t_n is a number, QC, BiPoly or PolyFn, a product of Taylor coefficients
     and so of the size of the term itself; err_n bounds the error of t_n.
     The divisor 1 + (n-1) hbar of kappa_n is formed only when term n
-    arrives, so a pole beyond the last term is never hit.  The sum stops
-    when ``terms`` ends ("terminated"), when three successive terms fall
-    below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
-    ("budget")."""
-    one = _one_like(hv)
+    arrives, so a pole beyond the last term is never hit; whether the pole
+    test is exact or float is read once, from the type of hbar.  The sum
+    stops when ``terms`` ends ("terminated"), when three successive terms
+    fall below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
+    ("budget").
+
+    A tol is given for number terms.  Their tail estimate is the last
+    three terms plus the bounds err_n and, for a float sum, the rounding
+    bound gamma_m sum_k |kappa_k t_k| of m terms summed in turn, gamma_m =
+    m u/(1 - m u) with u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2).  An exact sum rounds
+    nothing."""
+    one, exact = _one_like(hv), is_exact(hv)
     kappa = one
-    total, err, recent = None, 0.0, []
+    total, err, mass = None, 0.0, 0.0
+    r1 = r2 = r3 = 0.0  # the sizes of the last three terms
     stop, used = "terminated", 0
     for n, (t, t_err) in enumerate(terms):
         if n:
-            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1)
+            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
         term = t * kappa
         total = term if total is None else total + term
         used = n + 1
         if t_err:
             err += abs(kappa) * t_err
         if tol is not None:
-            recent.append(abs(term))
-            if len(recent) > 3:
-                del recent[0]
-            if len(recent) == 3 and max(recent) < tol * max(1.0, abs(total)):
+            r1, r2, r3 = r2, r3, abs(term)
+            mass += r3
+            if n >= 2 and max(r1, r2, r3) < tol * max(1.0, abs(total)):
                 stop = "tol"
                 break
         if n == max_terms:
             stop = "budget"
             break
-    return StarResult(total, used, sum(recent) + err, stop)
+    tail = r1 + r2 + r3 + err
+    if not exact:
+        gamma = used * _UNIT_ROUNDOFF
+        tail += gamma / (1 - gamma) * mass
+    return StarResult(total, used, tail, stop)
 
 
 def _float_term(a, a_err, b, b_err, weight=1.0):
@@ -283,11 +299,20 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
 
 
 def _disk_terms(f, g, z, max_terms):
-    # one fetch of each tower to max_terms: a single jet for the jet
-    # variants, a lazy stream for the closed forms, which form no term
-    # past the one where the sum stops
-    for a, b in zip(f.pm_bar_sequence(max_terms, z), g.pm_sequence(max_terms, z)):
-        yield _float_term(*a, *b)
+    # one fetch of each tower to max_terms: a single jet (an array) for the
+    # jet variants, a lazy stream of pairs for the closed forms, which form
+    # no term past the one where the sum stops
+    a, b = f.pm_bar_sequence(max_terms, z), g.pm_sequence(max_terms, z)
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return _pairs(a * b)
+    return (_float_term(*x, *y) for x, y in zip(_pairs(a), _pairs(b)))
+
+
+def _pairs(tower):
+    """A tower as (value, error bound) pairs; a jet array is exact."""
+    if isinstance(tower, np.ndarray):
+        return zip(tower.tolist(), itertools.repeat(0.0))
+    return tower
 
 
 # ---------------------------------------------------------------------------

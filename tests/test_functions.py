@@ -12,7 +12,8 @@ from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
 from wickstar.functions import (BasisFpq, BiPoly, ExpFn, Jet, PolyFn,
                                 SeriesFn, entire_from_json, entire_to_json,
-                                moebius_jet)
+                                moebius_jet, moebius_matrix_jet)
+from wickstar.peschl_minda import _matmul
 from wickstar.sphere import MoebiusMap
 
 
@@ -108,6 +109,57 @@ def test_moebius_jet_matches_pointwise_action():
     eps = 1e-6
     fd = (m.apply(x0 + eps) - m.apply(x0 - eps)) / (2 * eps)
     assert jet.coeffs[1] == pytest.approx(fd, rel=1e-5)
+
+
+def _matrix(m):
+    return (m.a, m.b, m.c, m.d)
+
+
+def _exact_disk_map(a, unit=QC(1)):
+    """u (z - a)/(1 - conj(a) z) with exact entries."""
+    return MoebiusMap(unit, -unit * a, -a.conjugate(), QC(1), domain="D")
+
+
+def test_closed_form_moebius_jet_is_exact_for_a_pullback_of_a_pullback():
+    # the jet of u -> phi1(phi2(T_z(u))) in closed form equals the jet
+    # divisions of moebius_jet, coefficient for coefficient, in QC
+    z = QC(Fraction(1, 4), Fraction(-1, 5))
+    zb = z.conjugate()
+    phi1 = _exact_disk_map(QC(Fraction(1, 3), Fraction(-1, 4)), QC(Fraction(3, 5), Fraction(4, 5)))
+    phi2 = _exact_disk_map(QC(Fraction(-2, 7), Fraction(1, 2)))
+    order = 12
+    t_z = moebius_jet(MoebiusMap(QC(1), z, zb, QC(1)), Jet.variable(QC(0), order))
+    oracle = moebius_jet(phi1, moebius_jet(phi2, t_z))
+    m = _matmul(_matrix(phi1), _matmul(_matrix(phi2), (1, z, zb, 1)))
+    jet = moebius_matrix_jet(m, order)
+    assert jet.exact and oracle.exact
+    assert all(isinstance(c, QC) for c in jet.coeffs)
+    assert jet.coeffs == oracle.coeffs
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 0.97])
+def test_closed_form_moebius_jet_matches_jet_division_in_float(r):
+    rng = random.Random(int(100 * r))
+    order = 400
+    for _ in range(4):
+        z = r * cmath.exp(2j * math.pi * rng.random())
+        zb = z.conjugate()
+        phi = MoebiusMap.disk_automorphism(
+            0.9 * rng.random() * cmath.exp(2j * math.pi * rng.random()), rng.uniform(0, 6))
+        oracle = moebius_jet(phi, moebius_jet(MoebiusMap(1, z, zb, 1),
+                                              Jet.variable(0j, order))).coeffs
+        jet = moebius_matrix_jet(_matmul(_matrix(phi), (1, z, zb, 1)), order)
+        assert not jet.exact and len(jet.coeffs) == order + 1
+        scale = np.abs(oracle).max()
+        assert np.abs(jet.coeffs - oracle).max() <= 1e-13 * scale
+
+
+def test_closed_form_moebius_jet_edge_cases():
+    # c = 0 is a polynomial map; order 0 keeps the constant; d = 0 is a pole
+    assert moebius_matrix_jet((2.0, 1.0, 0.0, 4.0), 3).coeffs.tolist() == [0.25, 0.5, 0, 0]
+    assert moebius_matrix_jet((1, QC(1, 2), QC(3), 2), 0).coeffs == [QC(Fraction(1, 2), 1)]
+    with pytest.raises(ZeroDivisionError):
+        moebius_matrix_jet((1.0, 1.0, 1.0, 0.0), 3)
 
 
 # the exact convolution kernel ------------------------------------------------

@@ -132,7 +132,7 @@ def test_pullback_towers_match_oracle_and_chain_rule():
     # batched towers agree with the one-at-a-time path
     seq = f.pm_sequence(3, z)
     for n in range(4):
-        assert math.factorial(n) * seq[n][0] == pytest.approx(f.pm(n, z))
+        assert math.factorial(n) * seq[n] == pytest.approx(f.pm(n, z))
 
 
 def test_first_pullback_derivative_is_conformally_covariant():
@@ -293,6 +293,50 @@ def test_float_pullback_towers_never_enter_the_exact_loops(monkeypatch):
     z = 0.9j
     seq, bar = f.pm_sequence(64, z), f.pm_bar_sequence(64, z)
     assert len(seq) == len(bar) == 65
-    assert f.pm_sequence(64, z, start=60) == seq[60:]
-    assert seq[0][0] == pytest.approx(f.value(z))
-    assert bar[0][0] == pytest.approx(f.value(z))
+    assert list(f.pm_sequence(64, z, start=60)) == list(seq[60:])
+    assert seq[0] == pytest.approx(f.value(z))
+    assert bar[0] == pytest.approx(f.value(z))
+
+
+def test_pullback_towers_run_no_jet_division(monkeypatch):
+    # a pullback multiplies its map into the Moebius matrix of T_z, so its
+    # towers come from a closed-form jet with no reciprocal
+    def refuse(*args):
+        raise AssertionError("a pullback tower divided jets")
+
+    monkeypatch.setattr(functions, "_reciprocal_float", refuse)
+    monkeypatch.setattr(functions, "_reciprocal_exact", refuse)
+    phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+    inner = PolyDisk(BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j}))
+    f = MoebiusPullback(MoebiusPullback(inner, phi), phi)
+    z = 0.6 - 0.3j
+    assert f.pm_sequence(64, z)[0] == pytest.approx(f.value(z))
+    assert f.pm_bar_sequence(64, z)[0] == pytest.approx(f.value(z))
+    zq = QC(Fraction(1, 4), Fraction(-1, 5))
+    phi_q = MoebiusMap(QC(1), QC(Fraction(-1, 3)), QC(Fraction(-1, 3)), QC(1), domain="D")
+    fq = MoebiusPullback(PolyDisk(BiPoly({(1, 1): QC(2), (0, 2): QC(0, 1)})), phi_q)
+    assert fq.pm_sequence(8, zq)[0] == fq.value(zq)
+
+
+# values of the mixed pairs (a jet operand with a streamed closed form),
+# pinned from the implementation that built the pullback jets by jet
+# division: (first operand, second operand, [(point, value), ...])
+_MIXED_PHI = MoebiusMap.disk_automorphism(0.3 - 0.4j, 0.9)
+_MIXED = [
+    (PolyDisk(BiPoly({(1, 1): 0.5 - 0.2j, (0, 2): 1j, (2, 0): 0.3})),
+     ComposedP(PolyFn([0.1, -0.4j, 0.25, 0.2 + 0.1j])),
+     [(0.35 - 0.2j, 0.19333600454558098 + 0.09610098572247676j),
+      (-0.6 + 0.5j, -1.7399230809580324 + 2.0688835004791866j)]),
+    (ComposedQ(ExpFn(0.3 - 0.2j)),
+     MoebiusPullback(PolyDisk(BiPoly({(2, 1): 1 - 0.5j, (0, 1): 0.7})), _MIXED_PHI),
+     [(0.35 - 0.2j, -0.16981150119214947 - 0.12380474434374845j),
+      (-0.6 + 0.5j, 2.269169868897138 + 14.311403932310041j)]),
+]
+
+
+@pytest.mark.parametrize("f, g, cases", _MIXED)
+def test_mixed_jet_and_stream_pairs_keep_their_values(f, g, cases):
+    for z, value in cases:
+        res = star.star_disk(f, g, 0.4 + 0.1j, z, star.StarConfig(max_terms=64, tol=0))
+        assert res.terms_used == 65
+        assert res.value == pytest.approx(value, rel=1e-14, abs=0)

@@ -59,6 +59,15 @@ def test_product_paths_check_poles_lazily():
         star_annulus_poly(high, high, Fraction(-1, 20))
     with pytest.raises(DomainError):
         star_annulus_poly(t, t, 0)
+    # the float sums too: kappa_21 divides by 1 + 20 hbar, so a sum to term
+    # 20 is fine and one that reaches term 21 raises
+    zbar, z = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    for max_terms in (10, 20):
+        res = star_disk(zbar, z, -0.05, 0.5, StarConfig(max_terms=max_terms, tol=0))
+        assert res.terms_used == max_terms + 1
+    for max_terms in (21, 64):
+        with pytest.raises(DomainError, match="-1/20"):
+            star_disk(zbar, z, -0.05, 0.5, StarConfig(max_terms=max_terms, tol=0))
 
 
 def test_negative_coefficient_index_rejected():
@@ -321,12 +330,30 @@ def test_stop_reason_names_how_the_sum_ended():
     t2 = PolyFn([Fraction(0), Fraction(0), Fraction(1)])
     res = star_annulus(t2, t2, Fraction(1, 2), Fraction(1, 3), EXACT)
     assert res.stop_reason == "terminated" and res.terms_used == 3
+    assert res.tail_estimate == 0  # an exact sum rounds nothing
     assert res.value == star_annulus_poly(t2, t2, Fraction(1, 2)).eval(Fraction(1, 3))[0]
     zbar_f, z_f = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
     res = star_disk(zbar_f, z_f, 0.5, 0.3, StarConfig(max_terms=64, tol=1e-12))
     assert res.stop_reason == "tol" and res.converged
     res = star_disk(zbar_f, z_f, 0.5, 0.9, StarConfig(max_terms=8))
     assert res.stop_reason == "budget" and res.terms_used == 9
+
+
+def test_float_tail_covers_the_rounding_of_a_cancelling_sum():
+    # e^{sw} * e^{tw} on the punctured disk is e^{(s+t)w} 0F1(; 1/h; s t w^2);
+    # at w = q(-0.97) ~ 65.7 the terms reach about 1e22 times the sum, so
+    # the float sum stops by tol with a value off by a relative 5.7.  Only
+    # the rounding bound gamma_n sum |kappa_k t_k| covers that error.
+    mpmath = pytest.importorskip("mpmath")
+    s, t, h = 0.5, -0.3 + 0.2j, 0.5
+    w = peschl_minda.q_aux(-0.97)
+    res = star_punctured(ExpFn(s), ExpFn(t), h, w, StarConfig(max_terms=400, tol=1e-12))
+    with mpmath.workdps(50):
+        ww = mpmath.mpc(w)
+        ref = complex(mpmath.exp((s + t) * ww) * mpmath.hyp0f1(1 / h, s * t * ww * ww))
+    assert res.stop_reason == "tol"
+    assert abs(res.value - ref) > abs(ref)
+    assert abs(res.value - ref) <= res.tail_estimate
 
 
 # structural termination of the disk product -------------------------------------
