@@ -8,12 +8,10 @@ from .errors import (DomainError, NonRepresentableError, NonTerminatingError,
                      SeriesOrderError, WickstarError)
 from .exact import QC, conj, is_exact, to_complex
 from .functions import (BasisFpq, BiPoly, EntireFn, ExpFn, Jet, PolyFn,
-                        SeriesFn, entire_from_json, entire_to_json)
+                        SeriesFn, entire_from_json)
 from .peschl_minda import (ComposedP, ComposedQ, DiskFunction, MoebiusPullback,
-                           PolyDisk, p_aux, pm_bar_derivative,
-                           pm_bar_definitional, pm_closed_form_p,
-                           pm_closed_form_q, pm_definitional, pm_derivative,
-                           q_aux)
+                           PolyDisk, p_aux, pm_bar_definitional,
+                           pm_definitional, q_aux)
 from .sphere import (DeckGroup, GPoint, MoebiusMap, OmegaPoint, SpherePoint,
                      annulus_deck_multiplier, covering_disk_to_annulus,
                      covering_disk_to_punctured, covering_half_to_annulus,

@@ -514,22 +514,6 @@ def entire_from_json(obj: dict) -> EntireFn:
     raise DomainError(f"unknown function type {kind!r}")
 
 
-def entire_to_json(g: EntireFn) -> dict:
-    def pair(x):
-        x = complex(x)
-        return [x.real, x.imag]
-    if isinstance(g, PolyFn):
-        return {"type": "poly", "coeffs": [pair(a) for a in g.coeffs]}
-    if isinstance(g, ExpFn):
-        if g.amp != 1:
-            raise DomainError("only unit-amplitude exponentials serialize")
-        return {"type": "exp", "scale": pair(g.scale)}
-    if isinstance(g, SeriesFn):
-        return {"type": "series", "coeffs": [pair(a) for a in g.coeffs],
-                "rho": g.rho, "C": g.C}
-    raise DomainError(f"cannot serialize {type(g).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # sparse bivariate polynomials F(z, w)
 # ---------------------------------------------------------------------------

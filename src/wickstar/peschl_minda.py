@@ -355,32 +355,6 @@ class MoebiusPullback(DiskFunction):
 # ---------------------------------------------------------------------------
 
 
-def pm_derivative(f: DiskFunction, n: int, z):
-    """D^n f(z); n = 0 returns the value."""
-    _check_order(n)
-    _check_disk(z)
-    return f.value(z) if n == 0 else f.pm(n, z)
-
-
-def pm_bar_derivative(f: DiskFunction, n: int, z):
-    """Dbar^n f(z) = conj(D^n (conj f)(z))."""
-    _check_order(n)
-    _check_disk(z)
-    return f.value(z) if n == 0 else f.pm_bar(n, z)
-
-
-def pm_closed_form_p(g: EntireFn, n: int, z):
-    """Closed-form pair (D^n (g o p)(z), Dbar^n (g o p)(z))."""
-    fn = ComposedP(g)
-    return fn.pm(n, z), fn.pm_bar(n, z)
-
-
-def pm_closed_form_q(g: EntireFn, n: int, z):
-    """Closed-form pair (D^n (g o q)(z), Dbar^n (g o q)(z))."""
-    fn = ComposedQ(g)
-    return fn.pm(n, z), fn.pm_bar(n, z)
-
-
 def pm_definitional(f: DiskFunction, n: int, z):
     """Independent oracle for the closed-form towers: D^n f(z) as n! times
     coefficient n of the order-n jet of u -> f(T_z(u)) at 0."""

@@ -16,22 +16,24 @@ Four experiments:
 * :func:`obstruction_check` -- the annulus and punctured-disk algebras
   admit no uniform-in-hbar isomorphism: matching powers of hbar in
   Psi(f * f) = Psi(f) * Psi(f) forces the transported chart function to
-  be constant.
+  be constant.  The identity is tested exactly, on polynomial candidates
+  at the sampled hbar.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .exact import _parts, is_exact, to_complex
+from .exact import QC, _parts, is_exact, to_complex
 from .functions import PolyFn
 from .sphere import (GPoint, MoebiusMap, SpherePoint, gamma_hat,
                      moebius_fixed_points, moebius_multiplier_at, t_gamma_omega)
-from .star import StarConfig, star_punctured
+from .star import Hbar, star_punctured_poly
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +296,24 @@ class ObstructionReport:
     verdict: str = "inconclusive"
 
 
-def _hpow_fit(g: PolyFn, hs, w: float, kmax: int = 3):
-    """Least-squares hbar-power coefficients of h -> (g * g)(w) on the
-    punctured-disk product, fitted over the sample grid."""
-    hs_c = [complex(to_complex(h)) for h in hs]
-    vals = []
-    cfg = StarConfig(max_terms=48, tol=1e-14)
-    for h in hs_c:
-        vals.append(complex(star_punctured(g, g, h, w, cfg).value))
-    a = np.array([[h ** k for k in range(kmax + 1)] for h in hs_c])
-    coeffs, *_ = np.linalg.lstsq(a, np.array(vals), rcond=None)
-    return coeffs
+def _exact_hbar(h):
+    """The sampled hbar as an exact value (a float converts exactly),
+    checked against the poles before any sum runs at it."""
+    if not is_exact(h):
+        h = complex(h)
+        h = QC(Fraction(h.real), Fraction(h.imag))
+    return Hbar.of(h).value
 
 
-def obstruction_check(radius: float, hs, degree: int,
-                      n_points: int = 8, tol: float = 1e-8) -> ObstructionReport:
+def _defect(g: PolyFn, h) -> PolyFn:
+    """(g*g) - g^2 - hbar (g^2 - 1) on the punctured disk, exact in w at an
+    exact hbar; the annulus identity f*f = f^2 + hbar (f^2 - 1) carried
+    over to g o f_0 needs it to vanish."""
+    g2 = g * g
+    return star_punctured_poly(g, g, h) - g2 - h * (g2 - 1)
+
+
+def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
     """Reproduce the power-matching argument that no single linear map can
     intertwine the annulus and punctured-disk products for every hbar.
 
@@ -321,65 +326,44 @@ def obstruction_check(radius: float, hs, degree: int,
       hbar^1:  w^2 alpha^2 = (g^2 - 1)(w)     -> 2 alpha beta w + beta^2 - 1 = 0
                                               -> alpha = 0, beta = +/- 1.
 
-    Only constants survive, hence the verdict "obstructed" for any
-    nonconstant candidate degree."""
+    For a polynomial g the punctured product g*g has deg g + 1 terms, so
+    the defect (g*g) - g^2 - hbar (g^2 - 1) is an exact polynomial at each
+    sampled hbar (a float sample converts exactly).  The candidates t^m,
+    2 <= m <= degree, and alpha t + beta must leave a nonzero defect at
+    some sample, and the constant 1 none; then the verdict is
+    "obstructed".  The residuals are, per family, the smallest over the
+    candidates of the largest defect coefficient over the samples."""
     if radius <= 1:
         raise DomainError("annulus modulus must satisfy R > 1")
-    hs = list(hs)
-    if len({complex(to_complex(h)) for h in hs}) < 4:
-        raise DomainError("need at least 4 distinct deformation samples")
-    ws = [0.3 + 0.9 * k / (n_points - 1) for k in range(n_points)]
+    hs = [_exact_hbar(h) for h in hs]
+    if not hs:
+        raise DomainError("need at least one deformation sample")
+
+    def defects(g: PolyFn) -> list:
+        return [_defect(g, h) for h in hs]
+
+    def size(ds) -> float:
+        return max(float(abs(c)) for d in ds for c in d.coeffs)
+
+    # as a series in hbar the defect of t^m has the hbar^2 part
+    # w^4 g''^2 / 2, which is not zero
+    monomial = [defects(PolyFn([0] * m + [1])) for m in range(2, degree + 1)]
+    # the affine defect is -hbar (2 alpha beta w + beta^2 - 1)
+    affine = [defects(PolyFn([beta, alpha]))
+              for alpha, beta in [(1, 0), (1, 1), (1, -1), (2, Fraction(1, 2))]]
+    # the constant solutions beta = +/- 1 satisfy the identity exactly
+    constant = defects(PolyFn([1]))
 
     residuals = {}
-
-    # (I): the hbar^2 coefficient w^4 g''^2 / 2 cannot vanish for any
-    # candidate with a nonzero degree >= 2 component; record the margin.
-    margin = None
-    agreement = 0.0
-    for m in range(2, degree + 1):
-        g = PolyFn([0] * m + [1])
-        worst = 0.0
-        for w in ws:
-            c2 = _hpow_fit(g, hs, w)[2]
-            expected = w ** 4 * complex(g.derivative(2).eval(w)[0]) ** 2 / 2
-            worst = max(worst, abs(c2))
-            # the fit aliases hbar^4 tails into c2; track the agreement with
-            # the closed form as a diagnostic, the verdict only needs a
-            # strictly positive margin
-            agreement = max(agreement,
-                            abs(c2 - expected) / max(1.0, abs(expected)))
-        margin = worst if margin is None else min(margin, worst)
-    if margin is not None:
-        residuals["h2_margin"] = float(margin)
-        residuals["h2_fit_agreement"] = float(agreement)
-
-    # (II)+(III) for the surviving affine candidates g = alpha t + beta:
-    # the consistency defect 2 alpha beta w + beta^2 - 1 must vanish for
-    # all w; measure it for representative nonconstant candidates.
-    nonconstant_defect = None
-    for alpha, beta in [(1, 0), (1, 1), (1, -1), (2, 0.5)]:
-        g = PolyFn([beta, alpha])
-        worst = 0.0
-        for w in ws:
-            c = _hpow_fit(g, hs, w)
-            # c[1] is the measured hbar^1 coefficient; the morphism needs
-            # it to equal (g^2 - 1)(w) = c[0] - 1
-            worst = max(worst, abs(c[1] - (c[0] - 1)))
-        nonconstant_defect = (worst if nonconstant_defect is None
-                              else min(nonconstant_defect, worst))
-    residuals["h1_defect_nonconstant"] = float(nonconstant_defect)
-
-    # the constant solutions beta = +/- 1 do satisfy everything
-    g = PolyFn([1])
-    worst = 0.0
-    for w in ws:
-        c = _hpow_fit(g, hs, w)
-        worst = max(worst, abs(c[0] - 1), abs(c[1]), abs(c[2]))
-    residuals["h_constant_solution"] = float(worst)
+    if monomial:
+        residuals["nonlinear_defect"] = min(map(size, monomial))
+    residuals["affine_defect"] = min(map(size, affine))
+    residuals["constant_defect"] = size(constant)
 
     if degree == 0:
         verdict = "constant-only"
-    elif nonconstant_defect > tol and (margin is None or margin > tol):
+    elif (all(d.is_zero for d in constant)
+          and all(any(not d.is_zero for d in ds) for ds in monomial + affine)):
         verdict = "obstructed"
     else:
         verdict = "inconclusive"

@@ -18,7 +18,7 @@ import math
 
 from .errors import DomainError, NonRepresentableError
 from .exact import to_complex
-from .functions import BasisFpq, EntireFn, entire_from_json, entire_to_json
+from .functions import BasisFpq, EntireFn
 from .peschl_minda import ComposedP, ComposedQ, DiskFunction
 from .sphere import GPoint, MoebiusMap, gamma_hat
 
@@ -108,27 +108,6 @@ def lift_to_disk(e) -> DiskFunction:
     if isinstance(e, PuncturedElement):
         return ComposedQ(e.g)
     raise DomainError(f"cannot lift {type(e).__name__}")
-
-
-# serialization (CLI schema) ---------------------------------------------------
-
-
-def element_from_json(obj: dict):
-    surface = obj.get("surface")
-    g = entire_from_json(obj["g"])
-    if surface == "annulus":
-        return AnnulusElement(float(obj["R"]), g)
-    if surface == "punctured":
-        return PuncturedElement(g)
-    raise DomainError(f"unknown surface {surface!r}")
-
-
-def element_to_json(e) -> dict:
-    if isinstance(e, AnnulusElement):
-        return {"surface": "annulus", "R": e.radius, "g": entire_to_json(e.g)}
-    if isinstance(e, PuncturedElement):
-        return {"surface": "punctured", "g": entire_to_json(e.g)}
-    raise DomainError(f"cannot serialize {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ def test_rigidity_bundled_specs():
     assert json.loads(out)["verdict"] == "obstructed"
 
 
+def test_rigidity_obstruction_rejects_a_pole_in_the_grid(tmp_path):
+    spec = tmp_path / "pole.json"
+    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 1,
+                                "hbar_grid": [[-0.5, 0]]}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN and "pole -1/2" in json.loads(out)["error"]
+
+
 def test_rigidity_unknown_spec_is_a_domain_error():
     code, out = run_cli("rigidity", "--spec", "no-such-experiment")
     assert code == EXIT_DOMAIN

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
 from wickstar.functions import (BasisFpq, BiPoly, ExpFn, Jet, PolyFn,
-                                SeriesFn, entire_from_json, entire_to_json,
+                                SeriesFn, entire_from_json,
                                 moebius_jet, moebius_matrix_jet)
 from wickstar.peschl_minda import _matmul
 from wickstar.sphere import MoebiusMap
@@ -284,11 +284,16 @@ def test_series_tail_certificate():
 
 
 def test_entire_json_roundtrip():
-    for g in (PolyFn([1 + 0j, 2 - 1j]), ExpFn(0.5 + 0.25j),
-              SeriesFn([1, 0.5], rho=3.0, C=2.0)):
-        back = entire_from_json(entire_to_json(g))
-        assert type(back) is type(g)
-        assert back.eval(0.2)[0] == pytest.approx(g.eval(0.2)[0])
+    # the three types the CLI reads, parsed from literal specs
+    poly = entire_from_json({"type": "poly", "coeffs": [[1, 0], [2, -1]]})
+    assert type(poly) is PolyFn and poly.coeffs == [1 + 0j, 2 - 1j]
+    exp = entire_from_json({"type": "exp", "scale": [0.5, 0.25]})
+    assert type(exp) is ExpFn and exp.scale == 0.5 + 0.25j and exp.amp == 1
+    series = entire_from_json({"type": "series", "coeffs": [[1, 0], [0.5, 0]],
+                               "rho": 3, "C": 2})
+    assert type(series) is SeriesFn and series.coeffs == [1 + 0j, 0.5 + 0j]
+    assert (series.rho, series.C) == (3.0, 2.0)
+    assert series.eval(0.2)[0] == pytest.approx(1.1)
     with pytest.raises(DomainError):
         entire_from_json({"type": "mystery"})
 

@@ -14,10 +14,8 @@ from wickstar.exact import QC, conj
 from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
                                    PolyDisk, p_aux, pm_bar_bipoly,
-                                   pm_bar_definitional, pm_bar_derivative,
-                                   pm_bipoly, pm_closed_form_p,
-                                   pm_closed_form_q, pm_definitional,
-                                   pm_derivative, q_aux)
+                                   pm_bar_definitional, pm_bipoly,
+                                   pm_definitional, q_aux)
 from wickstar.sphere import MoebiusMap
 
 disk_points = st.tuples(
@@ -41,9 +39,9 @@ def test_first_derivatives_of_the_coordinate_function():
     f = PolyDisk(BiPoly.z(exact=True))
     z = QC(Fraction(1, 4), Fraction(-1, 5))
     r2 = z * conj(z)
-    assert pm_derivative(f, 1, z) == QC(1) - r2
-    assert pm_derivative(f, 2, z) == -2 * conj(z) * (QC(1) - r2)
-    assert pm_bar_derivative(f, 1, z) == QC(0)
+    assert f.pm(1, z) == QC(1) - r2
+    assert f.pm(2, z) == -2 * conj(z) * (QC(1) - r2)
+    assert f.pm_bar(1, z) == QC(0)
 
 
 def _stepped(f: PolyDisk, n: int, z, bar: bool = False):
@@ -87,7 +85,7 @@ def test_annulus_lift_closed_form_matches_oracle():
     f_conj = ComposedP(g_neg)
     for z in (0.2 + 0.3j, -0.4 - 0.1j):
         for n in range(4):
-            d, dbar = pm_closed_form_p(g, n, z)
+            d, dbar = f.pm(n, z), f.pm_bar(n, z)
             assert d == pytest.approx(pm_definitional(f, n, z))
             assert dbar == pytest.approx(
                 conj(pm_definitional(f_conj, n, z)))
@@ -100,7 +98,7 @@ def test_punctured_lift_closed_form_matches_oracle():
     f = ComposedQ(g)
     for z in (0.2 + 0.3j, -0.4 - 0.1j):
         for n in range(4):
-            d, dbar = pm_closed_form_q(g, n, z)
+            d, dbar = f.pm(n, z), f.pm_bar(n, z)
             assert d == pytest.approx(pm_definitional(f, n, z))
             assert dbar == pytest.approx(conj(pm_definitional(f, n, z)))
 

@@ -1,15 +1,20 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import wickstar.rigidity as rigidity
+import wickstar.star as star
 from wickstar.errors import DomainError
 from wickstar.exact import QC
 from wickstar.functions import BasisFpq, PolyFn
 from wickstar.rigidity import (PRIME, SQRT_MINUS_ONE, elliptic_invariant_indices,
                                fpq_on_g, fpq_proj, hyperbolic_fixed_point_demo,
-                               invariant_dimension, obstruction_check)
+                               _defect, invariant_dimension, obstruction_check)
 from wickstar.sampling import rng_for, sample_gpoints, sample_omega_points
 from wickstar.sphere import MoebiusMap, SpherePoint
+from wickstar.star import star_punctured_poly
 from wickstar.surfaces import scaling_kernel
 
 OBSTRUCTION_GRID = [0.05, -0.05, 0.08j, -0.08j]
@@ -176,9 +181,14 @@ def test_obstruction_verdicts():
     rep = obstruction_check(2.0, OBSTRUCTION_GRID, degree=3)
     assert rep.verdict == "obstructed"
     assert rep.alpha == 0j and rep.beta in (1 + 0j, -1 + 0j)
-    assert rep.residuals["h2_margin"] > 1e-3
-    assert rep.residuals["h1_defect_nonconstant"] > 1e-3
-    assert rep.residuals["h_constant_solution"] < 1e-10
+    assert set(rep.residuals) == {"nonlinear_defect", "affine_defect",
+                                  "constant_defect"}
+    assert rep.residuals["nonlinear_defect"] > 1e-3
+    assert rep.residuals["affine_defect"] > 1e-3
+    assert rep.residuals["constant_defect"] == 0.0
+    # one sample decides, an exact one included
+    assert obstruction_check(2.0, [0.05], degree=3).verdict == "obstructed"
+    assert obstruction_check(2.0, [Fraction(1, 3)], degree=2).verdict == "obstructed"
 
     const = obstruction_check(2.0, OBSTRUCTION_GRID, degree=0)
     assert const.verdict == "constant-only"
@@ -186,4 +196,45 @@ def test_obstruction_verdicts():
     with pytest.raises(DomainError):
         obstruction_check(0.9, OBSTRUCTION_GRID, degree=2)
     with pytest.raises(DomainError):
-        obstruction_check(2.0, [0.05, 0.05, 0.05, 0.05], degree=2)
+        obstruction_check(2.0, [], degree=2)
+
+
+def test_obstruction_rejects_a_pole_before_any_sum():
+    # at degree 1 the exact sums stop before the divisor 1 + 2 hbar, so
+    # only an up-front check keeps hbar = -1/2 out
+    with pytest.raises(DomainError, match="pole -1/2"):
+        obstruction_check(2.0, [-0.5], degree=1)
+    with pytest.raises(DomainError, match="pole -1/3"):
+        obstruction_check(2.0, [0.05, -0.05, Fraction(-1, 3), 0.08j], degree=3)
+
+
+def test_obstruction_runs_no_float_sum_and_no_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the obstruction must not take a float sum or fit")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(star, "star_punctured", refuse)
+    monkeypatch.setattr(star, "_star_entire", refuse)
+    monkeypatch.setattr(rigidity, "star_punctured", refuse, raising=False)
+    assert obstruction_check(2.0, OBSTRUCTION_GRID, 3).verdict == "obstructed"
+
+
+@pytest.mark.parametrize("h", [Fraction(1, 3), QC(Fraction(1, 4), Fraction(-2, 5))])
+def test_finite_punctured_products_in_closed_form(h):
+    def mono(k, c=1):
+        return PolyFn([0] * k + [c])
+    # the hbar^2 coefficients 2 and 18 are the w^4 g''^2 / 2 of power matching
+    t2t2 = mono(4, 1 + 4 * h + 2 * h ** 2 / (1 + h))
+    t3t3 = mono(6, 1 + 9 * h + 18 * h ** 2 / (1 + h)
+                + 6 * h ** 3 / ((1 + h) * (1 + 2 * h)))
+    assert star_punctured_poly(mono(2), mono(2), h) == t2t2
+    assert star_punctured_poly(mono(3), mono(3), h) == t3t3
+    assert _defect(mono(2), h) == t2t2 - mono(4) - h * (mono(4) - 1)
+    assert _defect(mono(3), h) == t3t3 - mono(6) - h * (mono(6) - 1)
+
+
+@pytest.mark.parametrize("h", [Fraction(1, 3), QC(Fraction(1, 4), Fraction(-2, 5))])
+def test_affine_defect_is_exact(h):
+    for alpha, beta in [(1, 0), (1, 1), (1, -1), (2, Fraction(1, 2)), (0, 1), (0, -1)]:
+        g = PolyFn([beta, alpha])
+        assert _defect(g, h) == PolyFn([-h * (beta * beta - 1), -h * 2 * alpha * beta])
+    assert _defect(PolyFn([1]), h) == PolyFn([0])

@@ -9,8 +9,7 @@ from wickstar.sampling import sample_disk, sample_gpoints
 from wickstar.sphere import (MoebiusMap, covering_disk_to_annulus,
                              covering_disk_to_punctured)
 from wickstar.surfaces import (AnnulusElement, FpqCombo, PuncturedElement,
-                               chart_f_0, chart_f_R, element_from_json,
-                               element_to_json, gamma_hat_invariant, iso_psi,
+                               chart_f_0, chart_f_R, gamma_hat_invariant, iso_psi,
                                lift_to_disk, scaling_kernel, transport_T,
                                translation_kernel, z2_involution)
 
@@ -89,17 +88,6 @@ def test_lift_values_match_the_covering(rng):
     for z in sample_disk(rng, 20, rmax=0.85):
         assert lift.value(z) == pytest.approx(
             e.value(covering_disk_to_annulus(2.0, z)), abs=1e-10)
-
-
-def test_element_json_roundtrip():
-    e = AnnulusElement(2.5, PolyFn([1 + 0j, 2 + 1j]))
-    back = element_from_json(element_to_json(e))
-    assert isinstance(back, AnnulusElement) and back.radius == 2.5
-    assert back.g.eval(0.3)[0] == pytest.approx(e.g.eval(0.3)[0])
-    p = PuncturedElement(PolyFn([0j, 1 + 0j]))
-    assert isinstance(element_from_json(element_to_json(p)), PuncturedElement)
-    with pytest.raises(DomainError):
-        element_from_json({"surface": "plane", "g": {"type": "poly", "coeffs": []}})
 
 
 # the index-swap involution -------------------------------------------------------
