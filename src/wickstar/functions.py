@@ -361,8 +361,13 @@ class PolyFn(EntireFn):
         return acc, 0.0
 
     def eval_jet(self, j: Jet) -> Jet:
-        acc = Jet.constant(j.coeffs[0] * 0 + self.coeffs[-1], j.order)
-        for a in reversed(self.coeffs[:-1]):
+        """Horner in the jet j."""
+        c = self.coeffs
+        if len(c) == 1:
+            return Jet.constant(j.coeffs[0] * 0 + c[0], j.order)
+        # the first Horner step scales the jet: no product with a constant jet
+        acc = j * c[-1] + c[-2]
+        for a in reversed(c[:-2]):
             acc = acc * j + a
         return acc
 
@@ -687,23 +692,18 @@ class BiPoly:
         """Value of the disk function: F(z, conj z)."""
         return self.eval(z, conj(z))
 
-    def eval_jet(self, zjet: Jet, w0) -> Jet:
-        """Evaluate with a jet in the holomorphic slot and the scalar w0
-        frozen in the antiholomorphic slot."""
-        # collect by z-power, Horner in the jet
-        by_i = {}
+    def eval_jet(self, jet: Jet, frozen, slot: str = "z") -> Jet:
+        """Evaluate with a jet in the slot ("z" or "w", as in pm_step) and
+        the scalar ``frozen`` in the other slot: F collapses to a
+        polynomial in the jet's slot, evaluated by Horner."""
+        if slot not in ("z", "w"):
+            raise ValueError("slot must be 'z' or 'w'")
+        coeffs = {}
         for (i, j), a in self.coeffs.items():
-            by_i[i] = by_i.get(i, 0) + a * w0 ** j
-        if not by_i:
-            return Jet.constant(zjet.coeffs[0] * 0, zjet.order)
-        top = max(by_i)
-        if top == 0:
-            return Jet.constant(zjet.coeffs[0] * 0 + by_i[0], zjet.order)
-        # the first Horner step scales the jet: no product with a constant jet
-        acc = zjet * by_i[top] + by_i.get(top - 1, 0)
-        for i in range(top - 2, -1, -1):
-            acc = acc * zjet + by_i.get(i, 0)
-        return acc
+            k, e = (i, j) if slot == "z" else (j, i)
+            coeffs[k] = coeffs.get(k, 0) + a * frozen ** e
+        top = max(coeffs, default=0)
+        return PolyFn([coeffs.get(k, 0) for k in range(top + 1)]).eval_jet(jet)
 
     def swap_conj(self) -> "BiPoly":
         """BiPoly of the conjugate disk function:

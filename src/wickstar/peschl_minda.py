@@ -2,36 +2,44 @@
 
 D^n f(z) = d_u^n F(T_z(u), conj z)|_0, T_z(u) = (z + u)/(1 + conj(z) u),
 grows like n!, so every tower carries a_n = D^n f(z)/n!, the n-th Taylor
-coefficient of u -> F(T_z(u), conj z).  D^n f appears only at the public
-edge (``pm``/``pm_bar``, :func:`pm_bipoly`, :func:`pm_definitional`), which
-multiplies by n!.
+coefficient of u -> F(T_z(u), conj z).  Dbar^n f(z)/n! is the n-th
+coefficient of u -> F(z, T_{conj z}(u)): the same jet in the
+antiholomorphic slot, with z frozen in the holomorphic one.  D^n f
+appears only at the public edge (``pm``/``pm_bar``, :func:`pm_bipoly`,
+:func:`pm_definitional`), which multiplies by n!.
 
-The jet of that function is built from a Moebius jet.  T_z is the Moebius
-map of the matrix (1, z, conj z, 1), and so is every map a variant puts in
-front of it: a pullback's phi, and with the other slot frozen at w0 the
-charts p and q.  A variant multiplies its matrix into the one it is
-handed (``moebius_eval_jet``), and the jet of the product comes in closed
-form (:func:`moebius_matrix_jet`): b/d, then det/d^2 (-c/d)^{k-1}.  No jet
-is divided.  ``pm_sequence`` and ``pm_bar_sequence`` give a_n for n =
-start..nmax, read off one such jet of order nmax (conjugated for Dbar):
-a complex array at a float point, a list at an exact one.
+A variant describes its towers once, by ``moebius_eval_jet``: the jet of
+u -> F(M(u), w0), or with ``bar`` of u -> F(w0, M(u)), for the Moebius
+map M of a matrix (a, b, c, d).  T_z is (1, z, conj z, 1) and T_{conj z}
+is (1, conj z, z, 1).  A variant multiplies the matrix of the map it puts
+in front into the one it is handed, and the jet of the product comes in
+closed form (:func:`moebius_matrix_jet`): no jet is divided and no
+operand is conjugated.  ``pm_sequence`` and ``pm_bar_sequence`` read
+a_n, n = start..nmax, off one such jet of order nmax: a complex array
+at a float point, a list at an exact one.
 
-* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F, which is
-  evaluated on the Moebius jet by Horner.  Its exact symbolic towers
-  E_n = D^n F/n! are stepped one order at a time by
+* ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F, which
+  collapses to a polynomial in the jet's slot, evaluated on the Moebius
+  jet by Horner.  Its exact symbolic towers E_n = D^n F/n! are stepped
+  one order at a time by
   E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
   d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
   gives the term -n w E_n.  They serve the symbolic products and are the
   independent oracle of the jet towers.
-* ``MoebiusPullback`` -- precomposition with a disk automorphism phi: phi
-  joins the matrix, and the frozen slot moves to 1/phi(1/w0).
+* ``MoebiusPullback`` -- precomposition with a disk automorphism phi,
+  which acts on (Z, W) as (phi(Z), psi(W)) with psi = 1/phi(1/.): the
+  map of the jet's slot joins the matrix, and the frozen value moves by
+  the other.
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
-* ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2): closed
-  forms a_n = c^n g^(n)(chart)/n!, stepped by :func:`taylor_tower` and
-  streamed as (a_n, error bound) pairs, so they carry the tail bound of a
-  series g and form no order past the one a sum stops at.  The jet is
-  their independent oracle (:func:`pm_definitional`).
+* ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2).  With
+  one slot frozen the chart is a Moebius map (``chart_matrix``), and its
+  product with T_z (or T_{conj z}) has c = 0: the chart's jet is t + c u.
+  So a_n = c^n g^(n)(t)/n!, stepped by :func:`taylor_tower` and streamed
+  as (a_n, error bound) pairs; they carry the tail bound of a series g
+  and form no order past the one a sum stops at.  The jet is their
+  independent oracle (:func:`pm_definitional`).  A certified series
+  enters no jet, which would drop its tail bound.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from fractions import Fraction
 
 from .errors import DomainError, NonRepresentableError
 from .exact import conj, is_exact, to_complex
-from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, SeriesFn,
-                        moebius_matrix_jet, taylor_tower)
+from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, moebius_matrix_jet,
+                        taylor_tower)
 from .sphere import MoebiusMap
 
 
@@ -142,38 +150,67 @@ def _matmul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _ambient(z, bar):
+    """The matrix of T_z, or of T_{conj z} with ``bar``, and the value
+    frozen in the other slot."""
+    zb = conj(z)
+    return ((1, zb, z, 1), z) if bar else ((1, z, zb, 1), zb)
+
+
 class DiskFunction:
     """Common surface of the disk-function variants.
 
-    A variant implements ``value``, ``conj_fn`` and ``moebius_eval_jet``;
-    its towers of Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n! then
-    come from one definitional jet each, and everything else derives from
-    ``pm_sequence`` and ``pm_bar_sequence``."""
+    A variant implements ``value`` and ``moebius_eval_jet``, the one
+    description of its towers.  The towers of Taylor coefficients
+    D^n f(z)/n! and Dbar^n f(z)/n! are then read off one definitional jet
+    each, its Moebius map in the holomorphic or in the antiholomorphic
+    slot, and everything else derives from ``_sequence``."""
 
     def value(self, z):
         raise NotImplementedError
 
-    def pm_sequence(self, nmax: int, z, start: int = 0):
-        """D^n f(z)/n! for n = start..nmax, read off one jet of order nmax:
-        a complex array for a float z, a list for an exact z.  A jet
-        coefficient carries no truncation error."""
+    def moebius_eval_jet(self, m, w0, order: int, bar: bool = False) -> Jet:
+        """Jet of u -> F(M(u), w0), or with ``bar`` of u -> F(w0, M(u)):
+        the bivariate extension F(Z, W) with the Moebius map M(u) =
+        (au + b)/(cu + d), m = (a, b, c, d), in the holomorphic slot (the
+        antiholomorphic one with ``bar``) and the scalar w0 frozen in the
+        other."""
+        raise NotImplementedError
+
+    def ambient_jet(self, z, order: int, bar: bool = False) -> Jet:
+        """Jet of u -> F(T_z(u), conj z), or with ``bar`` of
+        u -> F(z, T_{conj z}(u)); its n-th coefficient is D^n f(z)/n!, or
+        Dbar^n f(z)/n!, by definition.  T_z(u) = (u + z)/(zb u + 1)."""
+        m, w0 = _ambient(z, bar)
+        return self.moebius_eval_jet(m, w0, order, bar)
+
+    def _sequence(self, nmax, z, start, bar):
+        """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = start..nmax,
+        read off one jet of order nmax: a complex array for a float z, a
+        list for an exact z."""
         _check_disk(z)
-        return self.ambient_jet(z, nmax).coeffs[start:]
+        return self.ambient_jet(z, nmax, bar).coeffs[start:]
+
+    def _with_bound(self, n, z, bar):
+        _check_order(n)
+        a = next(iter(self._sequence(n, z, n, bar)))
+        # a jet coefficient carries no truncation error; a stream yields pairs
+        return a if isinstance(a, tuple) else (_scalar(a), 0.0)
+
+    def pm_sequence(self, nmax: int, z, start: int = 0):
+        """D^n f(z)/n! for n = start..nmax."""
+        return self._sequence(nmax, z, start, False)
 
     def pm_bar_sequence(self, nmax: int, z, start: int = 0):
-        """Dbar^n f(z)/n! = conj(D^n (conj f)(z)/n!) for n = start..nmax."""
-        _check_disk(z)
-        tail = self.conj_fn().ambient_jet(z, nmax).coeffs[start:]
-        return [conj(a) for a in tail] if isinstance(tail, list) else tail.conj()
+        """Dbar^n f(z)/n! for n = start..nmax."""
+        return self._sequence(nmax, z, start, True)
 
     def pm_with_bound(self, n, z):
         """(D^n f(z)/n!, error bound)."""
-        _check_order(n)
-        return _scalar(self.pm_sequence(n, z, start=n)[0]), 0.0
+        return self._with_bound(n, z, False)
 
     def pm_bar_with_bound(self, n, z):
-        _check_order(n)
-        return _scalar(self.pm_bar_sequence(n, z, start=n)[0]), 0.0
+        return self._with_bound(n, z, True)
 
     def pm(self, n: int, z):
         """D^n f(z)."""
@@ -182,21 +219,6 @@ class DiskFunction:
     def pm_bar(self, n: int, z):
         """Dbar^n f(z)."""
         return math.factorial(n) * self.pm_bar_with_bound(n, z)[0]
-
-    def conj_fn(self) -> "DiskFunction":
-        raise NotImplementedError
-
-    def moebius_eval_jet(self, m, w0, order: int) -> Jet:
-        """Jet of u -> F(M(u), w0): the bivariate extension F(Z, W) with
-        the Moebius map M(u) = (au + b)/(cu + d), m = (a, b, c, d), in the
-        holomorphic slot and the scalar w0 frozen in the other slot."""
-        raise NotImplementedError
-
-    def ambient_jet(self, z, order: int) -> Jet:
-        """Jet of u -> F(T_z(u), conj z); its n-th coefficient is
-        D^n f(z)/n! by definition.  T_z(u) = (u + z)/(zb u + 1)."""
-        zb = conj(z)
-        return self.moebius_eval_jet((1, z, zb, 1), zb, order)
 
 
 class PolyDisk(DiskFunction):
@@ -221,11 +243,8 @@ class PolyDisk(DiskFunction):
     def pm_bar_poly(self, n: int) -> BiPoly:
         return _tower_to(self._pm_bar_tower, n, "w")
 
-    def conj_fn(self):
-        return PolyDisk(self.f.swap_conj())
-
-    def moebius_eval_jet(self, m, w0, order):
-        return self.f.eval_jet(moebius_matrix_jet(m, order), w0)
+    def moebius_eval_jet(self, m, w0, order, bar=False):
+        return self.f.eval_jet(moebius_matrix_jet(m, order), w0, "w" if bar else "z")
 
 
 def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
@@ -233,92 +252,64 @@ def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
         return g.eval_jet(t)
     if isinstance(g, ExpFn):
         return (t * g.scale).exp() * g.amp
-    if isinstance(g, SeriesFn):
-        # oracle-only path: Horner of the stored part, tail not certified
-        acc = Jet.constant(t.coeffs[0] * 0 + g.coeffs[-1], t.order)
-        for a in reversed(g.coeffs[:-1]):
-            acc = acc * t + a
-        return acc
+    # a SeriesFn too: a jet of its stored part would drop its tail bound
     raise NonRepresentableError(f"cannot build jets of {type(g).__name__}")
 
 
 class _Composed(DiskFunction):
-    """g o chart for an entire g.  Its towers are c^n g^(n)(chart z)/n!:
-    the n-th Taylor coefficient of u -> g(chart z + c u), where c is the
-    factor the chart contributes per order of D (or of Dbar)."""
+    """g o chart for an entire g.  With one slot frozen at w0 the chart is
+    the Moebius map ``chart_matrix(w0, bar)`` of the other; times T_z (or
+    T_{conj z}) its c entry is 0, so u -> chart is t + c u, and the towers
+    are c^n g^(n)(t)/n!, the Taylor coefficients of u -> g(t + c u)."""
 
     __slots__ = ("g",)
 
     def __init__(self, g: EntireFn):
         self.g = g
 
+    def _affine(self, z, bar):
+        """(t, c) with t + c u the chart on T_z(u), or on T_{conj z}(u)."""
+        m, w0 = _ambient(z, bar)
+        a, b, _, d = _matmul(self.chart_matrix(w0, bar), m)
+        return b / d, a / d
+
     def value(self, z):
-        return self.g.eval(self.chart(z))[0]
-
-    def pm_sequence(self, nmax, z, start=0):
-        return self._sequence(nmax, z, start, bar=False)
-
-    def pm_bar_sequence(self, nmax, z, start=0):
-        return self._sequence(nmax, z, start, bar=True)
-
-    def pm_with_bound(self, n, z):
-        _check_order(n)
-        return next(self.pm_sequence(n, z, start=n))
-
-    def pm_bar_with_bound(self, n, z):
-        _check_order(n)
-        return next(self.pm_bar_sequence(n, z, start=n))
+        return self.g.eval(self._affine(z, False)[0])[0]
 
     def _sequence(self, nmax, z, start, bar):
         # streamed: a tower term is formed only when the sum asks for it, so
         # a SeriesFn g is never asked for a derivative the sum does not use
         _check_disk(z)
-        t, towers = self.chart(z), taylor_tower(self.g, self.factor(z, bar))
-        return (gn.eval(t) for gn in itertools.islice(towers, start, nmax + 1))
+        t, c = self._affine(z, bar)
+        towers = itertools.islice(taylor_tower(self.g, c), start, nmax + 1)
+        return (gn.eval(t) for gn in towers)
 
-    def conj_fn(self):
-        # conj(g o p) would need the entire function t -> conj(g(conj -t));
-        # the closed-form towers make this unnecessary for derivatives.
-        raise NonRepresentableError(f"conjugate of {type(self).__name__} is "
-                                    "not representable; use pm_bar directly")
-
-    def moebius_eval_jet(self, m, w0, order):
-        # with W = w0 frozen the chart is a Moebius map of Z
+    def moebius_eval_jet(self, m, w0, order, bar=False):
         return _entire_eval_jet(self.g, moebius_matrix_jet(
-            _matmul(self.chart_matrix(w0), m), order))
+            _matmul(self.chart_matrix(w0, bar), m), order))
 
 
 class ComposedP(_Composed):
     """g o p, the disk lift of an annulus-algebra element."""
 
     __slots__ = ()
-    chart = staticmethod(p_aux)
 
     @staticmethod
-    def factor(z, bar):
-        zb = conj(z)
-        return -(1 - z * z) / (1 - z * zb) if bar else (1 - zb * zb) / (1 - z * zb)
-
-    @staticmethod
-    def chart_matrix(w0):
-        """p(Z, w0) = (Z - w0)/(1 - Z w0)."""
-        return (1, -w0, -w0, 1)
+    def chart_matrix(w0, bar=False):
+        """p(Z, w0) = (Z - w0)/(1 - Z w0); p is antisymmetric, so with
+        ``bar`` p(w0, W) = (-W + w0)/(-w0 W + 1)."""
+        return (-1, w0, -w0, 1) if bar else (1, -w0, -w0, 1)
 
 
 class ComposedQ(_Composed):
     """g o q, the disk lift of a punctured-disk-algebra element."""
 
     __slots__ = ()
-    chart = staticmethod(q_aux)
 
     @staticmethod
-    def factor(z, bar):
-        zb = conj(z)
-        return -(1 - (z if bar else zb)) ** 2 / (1 - z * zb)
-
-    @staticmethod
-    def chart_matrix(w0):
-        """q(Z, w0) = (1 - Z)(1 - w0)/(1 - Z w0)."""
+    def chart_matrix(w0, bar=False):
+        """q(Z, w0) = (1 - Z)(1 - w0)/(1 - Z w0); q is symmetric, so both
+        slots have this matrix."""
         return (w0 - 1, 1 - w0, -w0, 1)
 
 
@@ -336,18 +327,17 @@ class MoebiusPullback(DiskFunction):
     def value(self, z):
         return self.inner.value(self.phi.apply(z))
 
-    def conj_fn(self):
-        return MoebiusPullback(self.inner.conj_fn(), self.phi)
-
-    def moebius_eval_jet(self, m, w0, order):
-        phi = self.phi
-        # second slot of the induced Omega map: 1/phi(1/w) = (c + dw)/(a + bw)
-        den = phi.a + phi.b * w0
+    def moebius_eval_jet(self, m, w0, order, bar=False):
+        # the induced map of (Z, W) is (phi(Z), psi(W)), where
+        # psi(w) = 1/phi(1/w) = (dw + c)/(bw + a)
+        p = self.phi
+        phi, psi = (p.a, p.b, p.c, p.d), (p.d, p.c, p.b, p.a)
+        outer, (a, b, c, d) = (psi, phi) if bar else (phi, psi)
+        den = c * w0 + d
         if den == 0:
-            raise DomainError("pullback ambient hits the pole of 1/phi(1/w)")
-        w02 = (phi.c + phi.d * w0) / den
-        return self.inner.moebius_eval_jet(_matmul((phi.a, phi.b, phi.c, phi.d), m),
-                                           w02, order)
+            raise DomainError("pullback ambient hits a pole of the induced map")
+        return self.inner.moebius_eval_jet(_matmul(outer, m), (a * w0 + b) / den,
+                                           order, bar)
 
 
 # ---------------------------------------------------------------------------
@@ -364,4 +354,7 @@ def pm_definitional(f: DiskFunction, n: int, z):
 
 
 def pm_bar_definitional(f: DiskFunction, n: int, z):
-    return conj(math.factorial(n) * f.conj_fn().ambient_jet(z, n).tolist(n)[0])
+    """Dbar^n f(z) the same way, the jet in the antiholomorphic slot."""
+    _check_order(n)
+    _check_disk(z)
+    return math.factorial(n) * f.ambient_jet(z, n, bar=True).tolist(n)[0]

@@ -30,8 +30,9 @@ j >= 1; the same holds for D^n g with the slots swapped.  A surface
 product of polynomials ends after min(deg g, deg gt) + 1 terms.
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
-:class:`Hbar` guards the poles (exactly for rational-complex values,
-with a distance threshold for floats).
+:class:`Hbar` guards the poles: exactly for rational-complex values, and
+for floats by the relative test that the sums apply to each divisor
+1 + k hbar (:func:`_c_divisor`); a non-finite float is refused too.
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 # ---------------------------------------------------------------------------
 
 
-# how close a float deformation value may come to a pole
-_POLE_TOL = 1e-12
 # unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _pole_of(value):
-    """Name of the pole the value hits ("0" or "-1/k"), else None."""
+    """Name of the pole the value hits ("0" or "-1/k"), else None; a
+    non-finite float raises DomainError."""
     if is_exact(value):
         if isinstance(value, QC):
             re, im = value.re, value.im
@@ -75,18 +75,25 @@ def _pole_of(value):
                 return f"-1/{q.numerator}"
         return None
     h = complex(value)
-    if abs(h) <= _POLE_TOL:
+    if not cmath.isfinite(h):
+        raise DomainError(f"deformation parameter {value!r} is not finite")
+    if h == 0:
         return "0"
-    k = round((-1 / h).real)
-    if k >= 1 and abs(h + 1 / k) <= _POLE_TOL:
-        return f"-1/{k}"
+    x = (-1 / h).real
+    if 0.5 <= x < cmath.inf:
+        # the test the sums apply to the divisor 1 + k hbar
+        k = round(x)
+        try:
+            _c_divisor(1.0, h, k, False)
+        except DomainError:
+            return f"-1/{k}"
     return None
 
 
 class Hbar:
     """Deformation parameter; rejects the poles of the coefficient family."""
 
-    __slots__ = ("value", "exact")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         pole = _pole_of(value)
@@ -94,7 +101,6 @@ class Hbar:
             raise DomainError(
                 f"deformation parameter {value!r} hits the excluded pole {pole}")
         self.value = value
-        self.exact = is_exact(value)
 
     @staticmethod
     def of(h) -> "Hbar":

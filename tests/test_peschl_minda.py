@@ -11,7 +11,7 @@ import wickstar.peschl_minda as peschl_minda
 import wickstar.star as star
 from wickstar.errors import DomainError, NonRepresentableError
 from wickstar.exact import QC, conj
-from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn
+from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
                                    PolyDisk, p_aux, pm_bar_bipoly,
                                    pm_bar_definitional, pm_bipoly,
@@ -75,32 +75,28 @@ def test_exact_polynomial_towers_on_exact_points():
         assert f.pm_bar(n, z) == _stepped(f, n, z, bar=True)
 
 
+# a complex-coefficient polynomial and an exponential: neither lift is
+# real-valued, so no conjugate symmetry stands in for the Dbar oracle
+_LIFT_GS = [PolyFn([0.5 - 1j, 1 + 0.25j, -2j, 0.75]), ExpFn(0.4 - 0.7j, 1.5 + 0.5j)]
+_LIFT_POINTS = (0.2 + 0.3j, -0.4 - 0.1j, 0.55j)
+
+
+def _assert_lift_towers_match_the_jets(cls):
+    for g in _LIFT_GS:
+        f = cls(g)
+        for z in _LIFT_POINTS:
+            for n in range(7):
+                assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z), rel=1e-12)
+                assert f.pm_bar(n, z) == pytest.approx(pm_bar_definitional(f, n, z),
+                                                       rel=1e-12)
+
+
 def test_annulus_lift_closed_form_matches_oracle():
-    # the chart pullback p is purely imaginary, so for real-coefficient g
-    # the conjugate function is g(-t) o p; that gives an independent jet
-    # oracle for the conjugate tower
-    g = PolyFn([0, 1, 2])
-    g_neg = PolyFn([c * (-1) ** k for k, c in enumerate(g.coeffs)])
-    f = ComposedP(g)
-    f_conj = ComposedP(g_neg)
-    for z in (0.2 + 0.3j, -0.4 - 0.1j):
-        for n in range(4):
-            d, dbar = f.pm(n, z), f.pm_bar(n, z)
-            assert d == pytest.approx(pm_definitional(f, n, z))
-            assert dbar == pytest.approx(
-                conj(pm_definitional(f_conj, n, z)))
+    _assert_lift_towers_match_the_jets(ComposedP)
 
 
 def test_punctured_lift_closed_form_matches_oracle():
-    # the chart pullback q is real-valued, so for real-coefficient g the
-    # function equals its own conjugate
-    g = PolyFn([1, -1, 0, 1])
-    f = ComposedQ(g)
-    for z in (0.2 + 0.3j, -0.4 - 0.1j):
-        for n in range(4):
-            d, dbar = f.pm(n, z), f.pm_bar(n, z)
-            assert d == pytest.approx(pm_definitional(f, n, z))
-            assert dbar == pytest.approx(conj(pm_definitional(f, n, z)))
+    _assert_lift_towers_match_the_jets(ComposedQ)
 
 
 def test_exponential_lift_derivatives():
@@ -111,11 +107,24 @@ def test_exponential_lift_derivatives():
         assert f.pm(n, z) == pytest.approx(pm_definitional(f, n, z))
 
 
-def test_composed_conjugates_are_not_representable():
-    with pytest.raises(NonRepresentableError):
-        ComposedP(PolyFn([0, 1])).conj_fn()
-    with pytest.raises(NonRepresentableError):
-        ComposedQ(PolyFn([0, 1])).conj_fn()
+@pytest.mark.parametrize("z", [QC(Fraction(1, 4), Fraction(-1, 5)), QC(Fraction(-2, 3)),
+                               QC(Fraction(1, 7), Fraction(5, 8))])
+def test_chart_matrices_give_the_hand_derived_chart_factors(z):
+    # with T_z (T_{conj z} for Dbar) the chart is t + c u: exactly the chart
+    # value and the factor each order of D (or Dbar) contributes
+    zb = conj(z)
+    r = 1 - z * zb
+    factors = {
+        (ComposedP, False): (p_aux(z), (1 - zb * zb) / r),
+        (ComposedP, True): (p_aux(z), -(1 - z * z) / r),
+        (ComposedQ, False): (q_aux(z), -(1 - zb) ** 2 / r),
+        (ComposedQ, True): (q_aux(z), -(1 - z) ** 2 / r),
+    }
+    for (cls, bar), (t, c) in factors.items():
+        ambient, w0 = ((1, zb, z, 1), z) if bar else ((1, z, zb, 1), zb)
+        a, b, c_entry, d = peschl_minda._matmul(cls.chart_matrix(w0, bar), ambient)
+        assert c_entry == 0
+        assert (b / d, a / d) == (t, c)
 
 
 def test_pullback_towers_match_oracle_and_chain_rule():
@@ -131,6 +140,53 @@ def test_pullback_towers_match_oracle_and_chain_rule():
     seq = f.pm_sequence(3, z)
     for n in range(4):
         assert math.factorial(n) * seq[n] == pytest.approx(f.pm(n, z))
+
+
+@pytest.mark.parametrize("cls", [ComposedP, ComposedQ])
+def test_pullbacks_of_lifts_intertwine_the_disk_product(cls):
+    phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+    cfg = star.StarConfig(max_terms=64, tol=1e-14)
+    pairs = [(PolyFn([0.2, 1 - 0.5j, 0.3j]), PolyFn([1j, -0.4, 0.25 + 0.1j])),
+             (ExpFn(0.3 - 0.2j), ExpFn(-0.25 + 0.4j, 0.5j))]
+    for g, gt in pairs:
+        f, ft = MoebiusPullback(cls(g), phi), MoebiusPullback(cls(gt), phi)
+        for z in (0.1 + 0.2j, -0.35 + 0.15j, 0.4j):
+            got = star.star_disk(f, ft, 0.35, z, cfg).value
+            want = star.star_disk(cls(g), cls(gt), 0.35, phi.apply(z), cfg).value
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_a_certified_series_enters_no_jet():
+    s = SeriesFn([1, 0.5, 0.125], rho=4.0, C=1.0)
+    f = MoebiusPullback(ComposedP(s), MoebiusMap.disk_automorphism(0.2, 0.3))
+    with pytest.raises(NonRepresentableError):
+        star.star_disk(f, f, 0.35, 0.1j)
+    with pytest.raises(NonRepresentableError):
+        f.pm_sequence(8, 0.1j)
+    with pytest.raises(NonRepresentableError):
+        pm_definitional(ComposedQ(s), 1, 0.1j)
+
+
+def test_polynomial_dbar_towers_build_no_conjugate_operand(monkeypatch):
+    # Dbar^n f/n! = conj(D^n conj(f)/n!): the same numbers, bit for bit, as
+    # the towers of the conjugate operand, but read off the jet in the
+    # antiholomorphic slot
+    f = BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j, (2, 2): 0.5, (0, 3): 0.1 - 0.7j})
+    zq = QC(Fraction(1, 4), Fraction(-1, 5))
+    fq = BiPoly({(1, 2): QC(2, -1), (3, 0): QC(0, 1), (0, 1): QC(Fraction(1, 3))})
+    cases = [(f, z) for z in (0.9, -0.6 + 0.6j, 0.3 - 0.8j)] + [(fq, zq)]
+    want = [PolyDisk(g.swap_conj()).pm_sequence(64, z) for g, z in cases]
+
+    def refuse(self):
+        raise AssertionError("a Dbar tower built a conjugate operand")
+
+    monkeypatch.setattr(BiPoly, "swap_conj", refuse)
+    for (g, z), ref in zip(cases, want):
+        got = PolyDisk(g).pm_bar_sequence(64, z)
+        if isinstance(got, list):
+            assert got == [conj(a) for a in ref]
+        else:
+            assert got.tolist() == ref.conj().tolist()
 
 
 def test_first_pullback_derivative_is_conformally_covariant():

@@ -70,6 +70,32 @@ def test_product_paths_check_poles_lazily():
             star_disk(zbar, z, -0.05, 0.5, StarConfig(max_terms=max_terms, tol=0))
 
 
+def test_hbar_and_the_sums_share_one_float_pole_rule():
+    zbar, z = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    budget = StarConfig(max_terms=64, tol=0)
+    # near a pole but off it by more than the divisor test's rounding slack
+    for h in (-1 / 3 + 1e-13, -0.05 + 5e-13):
+        Hbar(h)
+        res = star_disk(zbar, z, h, 0.5, budget)
+        assert res.terms_used == 65 and math.isfinite(abs(res.value))
+    for h, k in ((-0.25, 4), (-1.0 / 3.0, 3), (-0.05, 20)):
+        with pytest.raises(DomainError, match=f"-1/{k}"):
+            Hbar(h)
+        # the sum reaches the divisor 1 + k hbar at term k + 1
+        res = star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k, tol=0))
+        assert res.terms_used == k + 1
+        with pytest.raises(DomainError, match=f"-1/{k}"):
+            star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k + 1, tol=0))
+    with pytest.raises(DomainError, match="pole 0"):
+        Hbar(0.0)
+    for h in (float("nan"), complex(0.5, float("inf"))):
+        with pytest.raises(DomainError, match="not finite"):
+            Hbar(h)
+    # 0 is refused up front, before any divisor is formed
+    with pytest.raises(DomainError, match="pole 0"):
+        star_disk(zbar, z, 0.0, 0.5, StarConfig(max_terms=1, tol=0))
+
+
 def test_negative_coefficient_index_rejected():
     with pytest.raises(ValueError):
         c_n(Fraction(1, 2), -1)
@@ -258,9 +284,9 @@ def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
     orders = []
     ambient_jet = peschl_minda.DiskFunction.ambient_jet
 
-    def counting(self, z, order):
-        orders.append(order)
-        return ambient_jet(self, z, order)
+    def counting(self, z, order, bar=False):
+        orders.append((order, bar))
+        return ambient_jet(self, z, order, bar)
 
     monkeypatch.setattr(peschl_minda.DiskFunction, "ambient_jet", counting)
     phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
@@ -269,7 +295,7 @@ def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
         orders.clear()
         res = star_disk(f, g, 0.5, 0.9, StarConfig(max_terms=64, tol=0))
         assert res.terms_used == 65
-        assert orders == [64, 64]
+        assert orders == [(64, True), (64, False)]
 
 
 def test_closed_form_towers_stop_with_the_sum():
