@@ -12,7 +12,7 @@ from .functions import (BasisFpq, BiPoly, EntireFn, ExpFn, Jet, PolyFn,
 from .peschl_minda import (ComposedP, ComposedQ, DiskFunction, MoebiusPullback,
                            PolyDisk, p_aux, pm_bar_definitional,
                            pm_definitional, q_aux)
-from .sphere import (DeckGroup, GPoint, MoebiusMap, OmegaPoint, SpherePoint,
+from .sphere import (GPoint, MoebiusMap, OmegaPoint, SpherePoint,
                      annulus_deck_multiplier, covering_disk_to_annulus,
                      covering_disk_to_punctured, covering_half_to_annulus,
                      danielewski_chart, gamma_hat, moebius_fixed_points,
@@ -26,6 +26,5 @@ from .surfaces import (AnnulusElement, FpqCombo, PuncturedElement, chart_f_0,
                        scaling_kernel, transport_T, translation_kernel,
                        z2_involution)
 from .rigidity import (InvariantDimension, ObstructionReport,
-                       elliptic_invariant_indices, fpq_on_g,
-                       hyperbolic_fixed_point_demo, invariant_dimension,
+                       elliptic_invariant_indices, invariant_dimension,
                        obstruction_check)

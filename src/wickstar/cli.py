@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 
 from .errors import DomainError, WickstarError
-from .functions import BiPoly, entire_from_json
+from .functions import BiPoly, entire_from_json, json_complex, json_field
 from .peschl_minda import ComposedP, ComposedQ, PolyDisk
 from .rigidity import (elliptic_invariant_indices, invariant_dimension,
                        obstruction_check)
@@ -56,16 +56,23 @@ def _parse_complex(text: str) -> complex:
 def disk_function_from_json(obj: dict):
     """{"type":"bipoly","coeffs":[[i,j,[re,im]],...]} or a composed form
     {"type":"composed-p"|"composed-q","g":{entire-function}}."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"a disk function is a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "bipoly":
         d = {}
-        for i, j, pair in obj["coeffs"]:
-            d[(int(i), int(j))] = complex(pair[0], pair[1])
+        for term in json_field(obj, "coeffs", list):
+            if not (isinstance(term, list) and len(term) == 3
+                    and all(type(k) is int and k >= 0 for k in term[:2])):
+                raise DomainError("a bipoly term is [i, j, [re, im]] with integers "
+                                  f"i, j >= 0, got {term!r}")
+            i, j, pair = term
+            d[(i, j)] = json_complex(pair)
         return PolyDisk(BiPoly(d))
     if kind == "composed-p":
-        return ComposedP(entire_from_json(obj["g"]))
+        return ComposedP(entire_from_json(json_field(obj, "g", dict)))
     if kind == "composed-q":
-        return ComposedQ(entire_from_json(obj["g"]))
+        return ComposedQ(entire_from_json(json_field(obj, "g", dict)))
     raise DomainError(f"unknown disk function type {kind!r}")
 
 
@@ -106,8 +113,8 @@ def cmd_star_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite if args.suite else None
-    report = run_suites(names=names, seed=args.seed, tol=args.tol,
-                        timing=args.timing, inject_bug=args.inject_bug)
+    report = run_suites(names=names, seed=args.seed, timing=args.timing,
+                        inject_bug=args.inject_bug)
     print(json.dumps(report, indent=2))
     if all(c["status"] == "pass" for c in report["checks"]):
         return EXIT_OK
@@ -134,7 +141,7 @@ def _two_hyperbolic_generators():
 # the keys each experiment kind reads, besides "experiment"
 _SPEC_KEYS = {
     "invariant-dimension": ("generators", "degree", "seed"),
-    "elliptic-indices": ("n_fold", "degree", "samples", "seed", "tol"),
+    "elliptic-indices": ("n_fold", "degree", "samples", "seed"),
     "obstruction": ("R", "hbar_grid", "degree"),
 }
 
@@ -155,22 +162,26 @@ def cmd_rigidity(args) -> int:
         if spec.get("generators") != "two-hyperbolic":
             raise DomainError("only the 'two-hyperbolic' generator set is "
                               "bundled in this version")
-        cert = invariant_dimension(_two_hyperbolic_generators(),
-                                   int(spec.get("degree", 3)), int(spec.get("seed", 0)))
+        degree = json_field(spec, "degree", int, 3)
+        seed = json_field(spec, "seed", int, 0)
+        cert = invariant_dimension(_two_hyperbolic_generators(), degree, seed)
         body = {"experiment": kind, "dimension": cert.dimension,
                 "dimension_bounds": list(cert.bounds), "rank": cert.rank,
                 "prime": cert.prime, "basis_size": cert.basis_size}
     elif kind == "elliptic-indices":
-        rng = rng_for(int(spec.get("seed", 0)))
-        pts = sample_omega_points(rng, int(spec.get("samples", 40)))
-        kept = elliptic_invariant_indices(int(spec["n_fold"]),
-                                          int(spec.get("degree", 2)), pts,
-                                          tol=float(spec.get("tol", 1e-9)))
-        body = {"experiment": kind, "n_fold": int(spec["n_fold"]),
+        n_fold = json_field(spec, "n_fold", int)
+        degree = json_field(spec, "degree", int, 2)
+        samples = json_field(spec, "samples", int, 40)
+        seed = json_field(spec, "seed", int, 0)
+        pts = sample_omega_points(rng_for(seed), samples)
+        kept = elliptic_invariant_indices(n_fold, degree, pts)
+        body = {"experiment": kind, "n_fold": n_fold,
                 "invariant_indices": [list(k) for k in kept]}
     else:
-        hs = [complex(a, b) for a, b in spec["hbar_grid"]]
-        rep = obstruction_check(float(spec["R"]), hs, int(spec["degree"]))
+        radius = float(json_field(spec, "R", (int, float)))
+        hs = [json_complex(p) for p in json_field(spec, "hbar_grid", list)]
+        degree = json_field(spec, "degree", int)
+        rep = obstruction_check(radius, hs, degree)
         body = {"experiment": kind, "alpha": _cpair(rep.alpha),
                 "beta": _cpair(rep.beta), "residuals": rep.residuals,
                 "verdict": rep.verdict}
@@ -214,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suite name (repeatable); available: "
                                f"{', '.join(sorted(SUITES))}")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
     p_verify.add_argument("--timing", action="store_true",
                           help="record wall-clock times (breaks byte-identical "
                                "reports on purpose)")

@@ -316,8 +316,6 @@ def _strip(coeffs):
 class EntireFn:
     """Common surface for the entire-function forms."""
 
-    kind = "abstract"
-
     def derivative(self, n: int) -> "EntireFn":
         raise NotImplementedError
 
@@ -332,7 +330,6 @@ class EntireFn:
 class PolyFn(EntireFn):
     """Polynomial with ascending coefficients; exact calculus."""
 
-    kind = "poly"
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
@@ -410,7 +407,6 @@ class PolyFn(EntireFn):
 class ExpFn(EntireFn):
     """amp * e^{scale t}; n-th derivative is scale^n amp e^{scale t}."""
 
-    kind = "exp"
     __slots__ = ("scale", "amp")
 
     def __init__(self, scale, amp=1):
@@ -440,7 +436,6 @@ class SeriesFn(EntireFn):
     of the stored part together with the geometric remainder bound.
     """
 
-    kind = "series"
     __slots__ = ("coeffs", "rho", "C")
 
     def __init__(self, coeffs, rho: float, C: float):
@@ -501,21 +496,39 @@ def taylor_tower(g: EntireFn, c=1):
 # JSON mini-language ---------------------------------------------------------
 
 
-def _c_from_pair(p):
+def json_field(obj: dict, key: str, kind, default=None):
+    """obj[key], which must be of the JSON type ``kind`` (a type or a tuple
+    of types); an absent key takes the default when there is one."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        if key not in obj:
+            raise DomainError(f"missing field {key!r}")
+        raise DomainError(f"field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def json_complex(p) -> complex:
+    """A complex number written as [re, im]."""
+    if not (isinstance(p, list) and len(p) == 2
+            and all(type(x) in (int, float) for x in p)):
+        raise DomainError(f"expected a complex number [re, im], got {p!r}")
     return complex(p[0], p[1])
 
 
 def entire_from_json(obj: dict) -> EntireFn:
     """{"type":"poly","coeffs":[[re,im],...]} | {"type":"exp","scale":[re,im]}
     | {"type":"series","coeffs":[...],"rho":r,"C":c}"""
+    if not isinstance(obj, dict):
+        raise DomainError(f"an entire function is a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "poly":
-        return PolyFn([_c_from_pair(p) for p in obj["coeffs"]])
+        return PolyFn([json_complex(p) for p in json_field(obj, "coeffs", list)])
     if kind == "exp":
-        return ExpFn(_c_from_pair(obj["scale"]))
+        return ExpFn(json_complex(json_field(obj, "scale", list)))
     if kind == "series":
-        return SeriesFn([_c_from_pair(p) for p in obj["coeffs"]],
-                        rho=float(obj["rho"]), C=float(obj["C"]))
+        return SeriesFn([json_complex(p) for p in json_field(obj, "coeffs", list)],
+                        rho=float(json_field(obj, "rho", (int, float))),
+                        C=float(json_field(obj, "C", (int, float))))
     raise DomainError(f"unknown function type {kind!r}")
 
 
@@ -711,13 +724,6 @@ class BiPoly:
         out = BiPoly()
         out.coeffs = {(j, i): conj(a) for (i, j), a in self.coeffs.items()}
         return out
-
-    def is_real_symmetric(self) -> bool:
-        """True iff the disk function is real-valued: a_ij = conj(a_ji)."""
-        for (i, j), a in self.coeffs.items():
-            if self.coeffs.get((j, i), 0) != conj(a):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

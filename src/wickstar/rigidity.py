@@ -1,6 +1,6 @@
 """Desk-scale experiments behind the rigidity statements.
 
-Four experiments:
+Three experiments:
 
 * :func:`invariant_dimension` -- certified dimension of the subspace of
   the transported f_{p,q} basis on the configuration space that is
@@ -10,9 +10,6 @@ Four experiments:
   dimension from above; the constants bound it from below by 1.
 * :func:`elliptic_invariant_indices` -- the f_{p,q} invariant under an
   n-fold elliptic rotation of the bivariate disk model.
-* :func:`hyperbolic_fixed_point_demo` -- for an invariant function and a
-  hyperbolic map, the derivatives of z -> F(z, w0) at the second fixed
-  point all vanish; measured by circle-fit differentiation.
 * :func:`obstruction_check` -- the annulus and punctured-disk algebras
   admit no uniform-in-hbar isomorphism: matching powers of hbar in
   Psi(f * f) = Psi(f) * Psi(f) forces the transported chart function to
@@ -22,17 +19,15 @@ Four experiments:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 from .exact import QC, _parts, is_exact, to_complex
 from .functions import PolyFn
-from .sphere import (GPoint, MoebiusMap, SpherePoint, gamma_hat,
-                     moebius_fixed_points, moebius_multiplier_at, t_gamma_omega)
+from .sphere import MoebiusMap, SpherePoint, t_gamma_omega
 from .star import Hbar, star_punctured_poly
 
 
@@ -53,19 +48,6 @@ def fpq_proj(p: int, q: int, z: SpherePoint, w: SpherePoint):
     if den == 0:
         raise DomainError("f_{p,q} undefined on the hypersurface zw = 1")
     return u1 ** p * u2 ** q * v1 ** (m - p) * v2 ** (m - q) / den
-
-
-def fpq_on_g(p: int, q: int, cayley: MoebiusMap | None = None):
-    """f_{p,q} transported to the configuration space:
-    F(P) = f_{p,q}(T^{-1} z, 1 / (T^{-1} w))."""
-    t_inv = (cayley if cayley is not None else MoebiusMap.cayley()).inverse()
-
-    def f(pt: GPoint):
-        z = t_inv.apply_point(pt.z)
-        w = t_inv.apply_point(pt.w).reciprocal()
-        return fpq_proj(p, q, z, w)
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +191,19 @@ def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimensio
     return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
 
 
-def elliptic_invariant_indices(n_fold: int, dmax: int, samples, tol: float = 1e-9):
+def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
     """Indices (p, q), p,q <= dmax, whose f_{p,q} is invariant under the
-    n-fold elliptic rotation acting on the bivariate disk model.
+    n-fold elliptic rotation acting on the bivariate disk model, to a
+    residual of at most 1e-9 over the samples.
 
     ``samples`` are OmegaPoints; the expected answer is the congruence
     filter {(p, q) : p - q divisible by n_fold}."""
+    if n_fold < 2:
+        raise DomainError(f"an elliptic rotation needs n_fold >= 2, got {n_fold}")
     if n_fold == 2:
         # negating a float is exact, so invariant indices give residual 0.0
         gen = MoebiusMap(-1, 0, 0, 1, domain="D")
     else:
-        import math
         gen = MoebiusMap.rotation(2 * math.pi / n_fold)
     kept = []
     for p in range(dmax + 1):
@@ -229,58 +213,9 @@ def elliptic_invariant_indices(n_fold: int, dmax: int, samples, tol: float = 1e-
                 moved = t_gamma_omega(gen, pt)
                 worst = max(worst, abs(fpq_proj(p, q, moved.z, moved.w)
                                        - fpq_proj(p, q, pt.z, pt.w)))
-            if worst <= tol:
+            if worst <= 1e-9:
                 kept.append((p, q))
     return kept
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic fixed-point derivative demo
-# ---------------------------------------------------------------------------
-
-
-def hyperbolic_fixed_point_demo(gamma: MoebiusMap, f, order: int, samples,
-                                radius: float = 1e-2, tol: float = 1e-8):
-    """|d^j/dz^j F(z, w0)| at the second fixed point z0, j = 0..order.
-
-    w0 is the first fixed point of gamma; invariance of f (a callable on
-    GPoint) is verified on the samples first and non-invariant inputs are
-    refused.  Derivatives come from a trigonometric fit on the circle of
-    the given radius around z0 (local chart 1/z when z0 is infinite)."""
-    fps = moebius_fixed_points(gamma)
-    if len(fps) != 2:
-        raise DomainError("map must have two distinct fixed points")
-    if abs(abs(moebius_multiplier_at(gamma, fps[0])) - 1) < 1e-9:
-        raise DomainError("map is not hyperbolic (unimodular multiplier)")
-    w0, z0 = fps
-
-    worst = 0.0
-    for p in samples:
-        worst = max(worst, abs(f(gamma_hat(gamma, p)) - f(p)))
-    if worst > tol:
-        raise DomainError(
-            f"input is not invariant under the map (residual {worst:.3e})")
-
-    def g_chart(u: complex):
-        if z0.is_infinite:
-            zpt = SpherePoint(1, u)          # z = 1/u around infinity
-        else:
-            zpt = SpherePoint.finite(z0.value() + u)
-        return complex(f(GPoint(zpt, w0)))
-
-    m = 1
-    while m < 4 * (order + 1):
-        m *= 2
-    thetas = 2 * np.pi * np.arange(m) / m
-    vals = np.array([g_chart(radius * np.exp(1j * t)) for t in thetas])
-    coeffs = np.fft.fft(vals) / m
-    mags = []
-    fact = 1.0
-    for j in range(order + 1):
-        if j > 0:
-            fact *= j
-        mags.append(float(abs(coeffs[j]) * fact / radius ** j))
-    return mags
 
 
 # ---------------------------------------------------------------------------

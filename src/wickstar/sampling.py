@@ -25,43 +25,44 @@ def sample_disk(rng, n: int, rmax: float = 0.8):
     return [complex(x) for x in r * np.exp(1j * th)]
 
 
-def sample_annulus(rng, n: int, radius: float, margin: float = 0.9):
-    """n points of A_R, log-uniform in modulus over the middle fraction."""
-    u = margin * math.log(radius) * (2 * rng.random(n) - 1)
+def sample_annulus(rng, n: int, radius: float):
+    """n points of A_R, log-uniform in modulus over the middle 0.9 of
+    (1/R, R) in log scale."""
+    u = 0.9 * math.log(radius) * (2 * rng.random(n) - 1)
     th = 2 * math.pi * rng.random(n)
     return [complex(x) for x in np.exp(u) * np.exp(1j * th)]
 
 
-def sample_punctured(rng, n: int, min_mod: float = 1e-3, max_mod: float = 0.9):
-    """n points of D*, log-uniform in modulus."""
-    u = rng.uniform(math.log(min_mod), math.log(max_mod), n)
+def sample_punctured(rng, n: int):
+    """n points of D*, log-uniform in modulus over [1e-3, 0.9]."""
+    u = rng.uniform(math.log(1e-3), math.log(0.9), n)
     th = 2 * math.pi * rng.random(n)
     return [complex(x) for x in np.exp(u) * np.exp(1j * th)]
 
 
-def sample_half_plane(rng, n: int, spread: float = 2.0):
+def sample_half_plane(rng, n: int):
     """n points of the upper half plane."""
-    x = spread * rng.standard_normal(n)
+    x = 2.0 * rng.standard_normal(n)
     y = np.exp(0.7 * rng.standard_normal(n))
     return [complex(a, b) for a, b in zip(x, y)]
 
 
-def sample_gpoints(rng, n: int, spread: float = 2.0, min_sep: float = 0.05):
-    """n pairs of distinct finite sphere points."""
+def sample_gpoints(rng, n: int):
+    """n pairs of finite sphere points at least 0.05 apart."""
     out = []
     while len(out) < n:
-        z = complex(spread * rng.standard_normal(), spread * rng.standard_normal())
-        w = complex(spread * rng.standard_normal(), spread * rng.standard_normal())
-        if abs(z - w) < min_sep:
+        z = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
+        w = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
+        if abs(z - w) < 0.05:
             continue
         out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
     return out
 
 
-def sample_omega_points(rng, n: int, rmax: float = 0.85):
-    """n points of the bivariate disk model with both slots in the disk
+def sample_omega_points(rng, n: int):
+    """n points of the bivariate disk model with both slots in |z| <= 0.85
     (then zw != 1 automatically)."""
-    zs = sample_disk(rng, n, rmax)
-    ws = sample_disk(rng, n, rmax)
+    zs = sample_disk(rng, n, 0.85)
+    ws = sample_disk(rng, n, 0.85)
     return [OmegaPoint(SpherePoint.finite(z), SpherePoint.finite(w))
             for z, w in zip(zs, ws)]

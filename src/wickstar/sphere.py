@@ -1,4 +1,4 @@
-"""Riemann-sphere points, Moebius maps, deck groups and model conversions.
+"""Riemann-sphere points, Moebius maps and model conversions.
 
 Points of the sphere are stored as projective pairs (u, v), value u/v,
 with v = 0 encoding the point at infinity.  This keeps the Moebius
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .exact import QC, conj, is_exact, to_complex
@@ -77,7 +76,7 @@ class SpherePoint:
         return f"SpherePoint({self.value()!r})"
 
 
-def _validate_disk_map(a, b, c, d, tol):
+def _validate_disk_map(a, b, c, d):
     # (az+b)/(cz+d) preserves |z| = 1 iff |a|^2+|b|^2 = |c|^2+|d|^2 and
     # a*conj(b) = c*conj(d); it maps D onto D (not onto the exterior)
     # iff additionally |b| < |d|.
@@ -90,8 +89,8 @@ def _validate_disk_map(a, b, c, d, tol):
         interior = (b * conj(b)).re < (d * conj(d)).re if isinstance(b, QC) else abs(b) < abs(d)
     else:
         scale = max(abs(lhs_norm), abs(rhs_norm), 1.0)
-        ok = (abs(lhs_norm - rhs_norm) <= tol * scale
-              and abs(lhs_mix - rhs_mix) <= tol * scale)
+        ok = (abs(lhs_norm - rhs_norm) <= 1e-9 * scale
+              and abs(lhs_mix - rhs_mix) <= 1e-9 * scale)
         interior = abs(b) < abs(d)
     if not (ok and interior):
         raise DomainError("matrix does not define an automorphism of the unit disk")
@@ -119,12 +118,12 @@ class MoebiusMap:
 
     __slots__ = ("a", "b", "c", "d", "domain")
 
-    def __init__(self, a, b, c, d, domain: str | None = None, _tol: float = 1e-9):
+    def __init__(self, a, b, c, d, domain: str | None = None):
         det = a * d - b * c
         if _is_zero(det, tol=1e-300):
             raise DomainError("Moebius matrix is singular")
         if domain == "D":
-            _validate_disk_map(a, b, c, d, _tol)
+            _validate_disk_map(a, b, c, d)
         elif domain == "H":
             _validate_half_map(a, b, c, d)
         elif domain is not None:
@@ -135,9 +134,9 @@ class MoebiusMap:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def identity(exact: bool = False, domain: str | None = None) -> "MoebiusMap":
+    def identity(exact: bool = False) -> "MoebiusMap":
         one, zero = (QC(1), QC(0)) if exact else (1, 0)
-        return MoebiusMap(one, zero, zero, one, domain=domain)
+        return MoebiusMap(one, zero, zero, one)
 
     @staticmethod
     def cayley(exact: bool = False) -> "MoebiusMap":
@@ -149,13 +148,6 @@ class MoebiusMap:
     @staticmethod
     def rotation(theta: float) -> "MoebiusMap":
         return MoebiusMap(cmath.exp(1j * theta), 0, 0, 1, domain="D")
-
-    @staticmethod
-    def rotation_exact(unit: QC) -> "MoebiusMap":
-        """Exact disk rotation z -> unit*z for a unit-modulus QC scalar."""
-        if unit * conj(unit) != 1:
-            raise DomainError("rotation scalar must have modulus one")
-        return MoebiusMap(unit, QC(0), QC(0), QC(1), domain="D")
 
     @staticmethod
     def disk_automorphism(a: complex, theta: float = 0.0) -> "MoebiusMap":
@@ -205,37 +197,6 @@ class MoebiusMap:
     def __repr__(self):
         tag = f", domain={self.domain!r}" if self.domain else ""
         return f"MoebiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r}{tag})"
-
-
-@dataclass(frozen=True)
-class DeckGroup:
-    """Cyclic deck/Fuchsian generator with its geometric kind."""
-
-    kind: str                 # "hyperbolic-scaling" | "parabolic-translation" | "elliptic-rotation"
-    generator: MoebiusMap
-    parameter: object = None  # c > 1, None, or N >= 2
-
-    @staticmethod
-    def hyperbolic_scaling(c) -> "DeckGroup":
-        cre = c.re if isinstance(c, QC) else complex(c).real
-        if not cre > 1:
-            raise DomainError("hyperbolic scaling needs real c > 1")
-        return DeckGroup("hyperbolic-scaling", MoebiusMap.scaling(c), c)
-
-    @staticmethod
-    def parabolic_translation(exact: bool = False) -> "DeckGroup":
-        t = QC(1) if exact else 1
-        return DeckGroup("parabolic-translation", MoebiusMap.translation(t), None)
-
-    @staticmethod
-    def elliptic_rotation(n: int) -> "DeckGroup":
-        if n < 2:
-            raise DomainError("elliptic rotation needs N >= 2")
-        if n == 2:
-            gen = MoebiusMap.rotation_exact(QC(-1))
-        else:
-            gen = MoebiusMap.rotation(2 * math.pi / n)
-        return DeckGroup("elliptic-rotation", gen, n)
 
 
 class GPoint:
@@ -304,16 +265,15 @@ def t_gamma_omega(phi: MoebiusMap, p: OmegaPoint) -> OmegaPoint:
     return OmegaPoint(z, w)
 
 
-def psi_omega_to_g(p: OmegaPoint, cayley: MoebiusMap | None = None) -> GPoint:
+def psi_omega_to_g(p: OmegaPoint) -> GPoint:
     """Model conversion Psi(z, w) = (T z, T(1/w)) onto the configuration
-    space, with the fixed Cayley map T by default."""
-    t = cayley if cayley is not None else MoebiusMap.cayley()
+    space, with the fixed Cayley map T."""
+    t = MoebiusMap.cayley()
     return GPoint(t.apply_point(p.z), t.apply_point(p.w.reciprocal()))
 
 
-def psi_g_to_omega(p: GPoint, cayley: MoebiusMap | None = None) -> OmegaPoint:
-    t = cayley if cayley is not None else MoebiusMap.cayley()
-    tinv = t.inverse()
+def psi_g_to_omega(p: GPoint) -> OmegaPoint:
+    tinv = MoebiusMap.cayley().inverse()
     return OmegaPoint(tinv.apply_point(p.z), tinv.apply_point(p.w).reciprocal())
 
 

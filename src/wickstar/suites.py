@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .exact import QC, to_complex
+from .exact import QC
 from .errors import DomainError
 from .functions import BiPoly, PolyFn
 from .peschl_minda import (ComposedP, ComposedQ, MoebiusPullback, PolyDisk,
@@ -43,9 +43,8 @@ class CheckResult:
     done_at: float = field(default_factory=time.perf_counter, repr=False)
 
 
-def _check(name, statement, residual, tol, samples, status=None):
-    if status is None:
-        status = "pass" if residual <= tol else "fail"
+def _check(name, statement, residual, tol, samples):
+    status = "pass" if residual <= tol else "fail"
     return CheckResult(name, statement, status, float(residual), samples)
 
 
@@ -62,9 +61,9 @@ def _rand_bipoly(rng, deg: int, exact: bool = False) -> BiPoly:
     return BiPoly(d)
 
 
-def _sparse_bipoly(rng, deg: int, n_terms: int = 2) -> BiPoly:
+def _sparse_bipoly(rng, deg: int) -> BiPoly:
     d = {}
-    while len(d) < n_terms:
+    while len(d) < 2:
         i = int(rng.integers(0, deg + 1))
         j = int(rng.integers(0, deg + 1))
         d[(i, j)] = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
@@ -95,7 +94,7 @@ def _exact_disk_points(rng, n):
 # ---------------------------------------------------------------------------
 
 
-def suite_unit(rng, tol):
+def suite_unit(rng):
     cfg = StarConfig(mode="exact-finite")
     one = PolyDisk(BiPoly.constant(QC(1)))
     h = Fraction(1, 2)
@@ -126,7 +125,7 @@ def suite_unit(rng, tol):
     return [c1, c2]
 
 
-def suite_cn(rng, tol):
+def suite_cn(rng):
     hs = [Fraction(1), Fraction(1, 2), QC(1, 1)]
     bad = 0
     for h in hs:
@@ -156,7 +155,7 @@ def suite_cn(rng, tol):
         0.0 if c_n(QC(1, 1), 2) == QC(1, 1) ** 2 / QC(2, 1) else 1.0, 0, 1)]
 
 
-def suite_commutativity(rng, tol):
+def suite_commutativity(rng):
     bad = 0
     n_s = 0
     for h in [Fraction(1, 2), QC(1, 1)]:
@@ -173,7 +172,7 @@ def suite_commutativity(rng, tol):
                    "exactly on polynomial coefficients", float(bad), 0, n_s)]
 
 
-def suite_noncommutativity(rng, tol):
+def suite_noncommutativity(rng):
     """The disk product is noncommutative: conj z and z do not commute."""
     f = PolyDisk(BiPoly.w())   # conj z
     g = PolyDisk(BiPoly.z())
@@ -198,14 +197,14 @@ def suite_noncommutativity(rng, tol):
             n_s += 1
     checks = [_check("disk-commutator-series",
                      "the commutator of conj z and z matches its "
-                     "independently summed series", worst, tol, n_s)]
+                     "independently summed series", worst, 1e-12, n_s)]
     checks.append(_check("disk-commutator-nonzero",
                          "the commutator is bounded away from zero",
                          0.0 if min_mag > 1e-6 else 1.0, 0, n_s))
     return checks
 
 
-def suite_associativity(rng, tol):
+def suite_associativity(rng):
     n_terms = 24
     h = 0.4
     worst = 0.0
@@ -223,7 +222,7 @@ def suite_associativity(rng, tol):
             n_s += 1
     c1 = _check("disk-associativity-numeric",
                 "the disk product is associative on polynomial triples "
-                "up to series truncation", worst, tol, n_s)
+                "up to series truncation", worst, 1e-12, n_s)
 
     # terminating triples stay exact: holomorphic operands multiply pointwise
     bad = 0
@@ -240,7 +239,7 @@ def suite_associativity(rng, tol):
     return [c1, c2]
 
 
-def suite_conformal(rng, tol):
+def suite_conformal(rng):
     cfg = StarConfig(max_terms=64, tol=1e-13)
     h = 0.3
     worst = 0.0
@@ -260,10 +259,10 @@ def suite_conformal(rng, tol):
             n_s += 1
     return [_check("disk-conformal-invariance",
                    "precomposition with a disk automorphism intertwines "
-                   "the disk product", worst, max(tol, 1e-8), n_s)]
+                   "the disk product", worst, 1e-8, n_s)]
 
 
-def suite_lift(rng, tol, punctured_weight="derived"):
+def suite_lift(rng, punctured_weight="derived"):
     cfg = StarConfig(max_terms=48, tol=1e-14)
     h = 0.35
     radius = 2.0
@@ -287,18 +286,17 @@ def suite_lift(rng, tol, punctured_weight="derived"):
             rhs = star_disk(fp, ftp, h, z, cfg).value
             worst_p = max(worst_p, abs(lhs - rhs))
             n_s += 1
-    t = max(tol, 1e-9)
     return [
         _check("annulus-lift-coherence",
                "the annulus product agrees with the disk product on "
-               "lifted functions at covering-related points", worst_a, t, n_s),
+               "lifted functions at covering-related points", worst_a, 1e-9, n_s),
         _check("punctured-lift-coherence",
                "the punctured-disk product agrees with the disk product "
-               "on lifted functions", worst_p, t, n_s),
+               "on lifted functions", worst_p, 1e-9, n_s),
     ]
 
 
-def suite_charts(rng, tol):
+def suite_charts(rng):
     radius = 2.0
     worst_p = 0.0
     worst_q = 0.0
@@ -307,18 +305,17 @@ def suite_charts(rng, tol):
             chart_f_R(radius, covering_disk_to_annulus(radius, z)) - p_aux(z)))
         worst_q = max(worst_q, abs(
             chart_f_0(covering_disk_to_punctured(z)) - q_aux(z)))
-    t = max(tol, 1e-10)
     return [
         _check("annulus-chart-coherence",
                "chart of the annulus covering equals the bivariate "
-               "auxiliary function p", worst_p, t, 100),
+               "auxiliary function p", worst_p, 1e-10, 100),
         _check("punctured-chart-coherence",
                "chart of the punctured covering equals the auxiliary "
-               "function q", worst_q, t, 100),
+               "function q", worst_q, 1e-10, 100),
     ]
 
 
-def suite_deck(rng, tol):
+def suite_deck(rng):
     radius = 2.0
     c = annulus_deck_multiplier(radius)
     worst = 0.0
@@ -328,10 +325,10 @@ def suite_deck(rng, tol):
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return [_check("annulus-deck-relation",
                    "the half-plane covering of the annulus is invariant "
-                   "under its deck scaling", worst, max(tol, 1e-10), 100)]
+                   "under its deck scaling", worst, 1e-10, 100)]
 
 
-def suite_danielewski(rng, tol):
+def suite_danielewski(rng):
     worst = 0.0
     pts = sample_gpoints(rng, 1000)
     for p in pts:
@@ -339,10 +336,10 @@ def suite_danielewski(rng, tol):
         worst = max(worst, abs(b * b - 4 * a * c - 1))
     return [_check("danielewski-chart",
                    "the pair chart lands on the surface b^2 - 4ac = 1",
-                   worst, max(tol, 1e-12), len(pts))]
+                   worst, 1e-12, len(pts))]
 
 
-def suite_psi(rng, tol):
+def suite_psi(rng):
     cfg = StarConfig(max_terms=48, tol=1e-14)
     h = 0.3
     r_from, r_to = 2.0, 3.0
@@ -363,7 +360,7 @@ def suite_psi(rng, tol):
             n_s += 1
     c1 = _check("psi-morphism",
                 "the modulus-change map intertwines the annulus products",
-                worst, max(tol, 1e-9), n_s)
+                worst, 1e-9, n_s)
 
     e = AnnulusElement(2.0, PolyFn([0, 1]))
     same = iso_psi(e, 2.0)
@@ -373,7 +370,7 @@ def suite_psi(rng, tol):
     return [c1, c2]
 
 
-def suite_invariance(rng, tol):
+def suite_invariance(rng):
     pts = sample_gpoints(rng, 60)
     g = PolyFn([0, 1, 1])     # t + t^2
 
@@ -411,8 +408,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed: int = 0, tol: float = 1e-12,
-               timing: bool = False, inject_bug: str | None = None) -> dict:
+def run_suites(names=None, seed: int = 0, timing: bool = False, inject_bug: str | None = None) -> dict:
     """Run the selected suites and assemble the report dictionary."""
     if names is None:
         names = list(SUITES)
@@ -424,9 +420,9 @@ def run_suites(names=None, seed: int = 0, tol: float = 1e-12,
         rng = rng_for([seed, *name.encode()])
         prev = time.perf_counter()
         if name == "lift" and inject_bug == "printed-weight":
-            results = suite_lift(rng, tol, punctured_weight="printed")
+            results = suite_lift(rng, punctured_weight="printed")
         else:
-            results = SUITES[name](rng, tol)
+            results = SUITES[name](rng)
         if timing:
             # each check's own time: since the previous check of its suite
             for r in sorted(results, key=lambda r: r.done_at):

@@ -69,6 +69,40 @@ def test_star_eval_rejects_pole_and_bad_json():
     assert code == EXIT_DOMAIN
 
 
+IDENT = {"type": "poly", "coeffs": [[0, 0], [1, 0]]}
+Z = {"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]}
+
+# a spec (dict) for rigidity, or (surface, f, g) for star eval
+MALFORMED = {
+    "spec-missing-n_fold": {"experiment": "elliptic-indices"},
+    "spec-missing-R": {"experiment": "obstruction", "hbar_grid": [[0.05, 0.0]],
+                       "degree": 3},
+    "spec-hbar-not-a-pair": {"experiment": "obstruction", "R": 2.0,
+                             "hbar_grid": [0.05], "degree": 3},
+    "spec-degree-null": {"experiment": "invariant-dimension",
+                         "generators": "two-hyperbolic", "degree": None},
+    "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
+    "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
+    "exp-missing-scale": ("annulus", IDENT, {"type": "exp"}),
+    "poly-coeff-not-a-pair": ("annulus", {"type": "poly", "coeffs": [1]}, IDENT),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_domain_error(case, tmp_path):
+    if isinstance(case, dict):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(case), encoding="utf-8")
+        argv = ["rigidity", "--spec", str(spec)]
+    else:
+        surface, f, g = case
+        argv = ["star", "eval", "--surface", surface, "--f", json.dumps(f),
+                "--g", json.dumps(g), "--hbar", "0.5", "--point", "0.3"]
+    code, out = run_cli(*argv)
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["kind"] == "domain"
+
+
 def test_disk_function_json_variants():
     composed = disk_function_from_json(
         {"type": "composed-p", "g": {"type": "poly", "coeffs": [[0, 0], [1, 0]]}})
@@ -96,6 +130,12 @@ def test_verify_timing_is_per_check():
     assert all(t >= 0 for t in times)
     assert sum(times) <= total_ms
     assert all("done_at" not in c for c in report["checks"])
+
+
+def test_verify_tol_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--tol", "1e-9")
+    assert exc.value.code == 2
 
 
 def test_verify_single_suite_selection():
@@ -155,6 +195,11 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
                                 "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
+    # the elliptic filter's tolerance is fixed, not a spec key
+    spec.write_text(json.dumps({"experiment": "elliptic-indices", "n_fold": 2,
+                                "tol": 1e-9}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN and "'tol'" in json.loads(out)["error"]
     for body in ({"experiment": "no-such-kind"}, [1, 2]):
         spec.write_text(json.dumps(body), encoding="utf-8")
         assert run_cli("rigidity", "--spec", str(spec))[0] == EXIT_DOMAIN

@@ -326,12 +326,6 @@ def test_bipoly_diagonal_evaluation_and_conjugation():
     assert f.swap_conj().swap_conj() == f
 
 
-def test_bipoly_real_symmetry_detection():
-    assert BiPoly({(1, 1): 2, (0, 0): 1}).is_real_symmetric()
-    assert BiPoly({(1, 0): 1j, (0, 1): -1j}).is_real_symmetric()
-    assert not BiPoly({(1, 0): 1}).is_real_symmetric()
-
-
 def test_bipoly_eval_equals_the_termwise_sum_exactly():
     rng = random.Random(5)
 

@@ -1,13 +1,11 @@
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 
 from wickstar.errors import DomainError
-from wickstar.exact import QC
 from wickstar.sampling import sample_disk, sample_gpoints, sample_half_plane
-from wickstar.sphere import (DeckGroup, GPoint, MoebiusMap, OmegaPoint,
+from wickstar.sphere import (GPoint, MoebiusMap, OmegaPoint,
                              SpherePoint, annulus_deck_multiplier,
                              covering_disk_to_annulus,
                              covering_disk_to_punctured,
@@ -74,28 +72,11 @@ def test_apply_point_extends_apply_through_the_pole():
     assert m.apply_point(SpherePoint.infinity()).value() == 1
 
 
-def test_exact_rotation_requires_unit_modulus():
-    m = MoebiusMap.rotation_exact(QC(0, 1))
-    assert m.apply(QC(Fraction(1, 2))) == QC(0, Fraction(1, 2))
-    with pytest.raises(DomainError):
-        MoebiusMap.rotation_exact(QC(2))
-
-
 def test_cayley_maps_disk_to_half_plane(rng):
     t = MoebiusMap.cayley()
     assert t.apply(0) == 1j
     for z in sample_disk(rng, 20):
         assert t.apply(z).imag > 0
-
-
-def test_deck_group_constructors():
-    assert DeckGroup.hyperbolic_scaling(2.0).kind == "hyperbolic-scaling"
-    assert DeckGroup.parabolic_translation().parameter is None
-    assert DeckGroup.elliptic_rotation(2).generator.apply(QC(1)) == QC(-1)
-    with pytest.raises(DomainError):
-        DeckGroup.hyperbolic_scaling(0.5)
-    with pytest.raises(DomainError):
-        DeckGroup.elliptic_rotation(1)
 
 
 def test_gpoint_requires_distinct_points():
