@@ -92,27 +92,34 @@ def _mul_exact(a: list, b: list, size: int | None = None) -> list:
                                            _reach(kb, len(a), size))]
     ar, ai, da = _numerators(a)
     br, bi, db = _numerators(b)
+    re, im = _convolve(ar, ai, br, bi, size)
+    den = da * db
+    out = []
+    for k, r, m in zip(kinds, re, im or itertools.repeat(0)):
+        out.append(_make(r, m, den) if k == 2 else Fraction(r, den) if k else r // den)
+    return out
+
+
+def _convolve(ar: list, ai: list, br: list, bi: list, size: int):
+    """The first ``size`` coefficients (re, im) of the product of two
+    Gaussian-integer (or complex float) coefficient lists given by their
+    parts; im is None when both imaginary parts are zero."""
     re = [0] * size
     if any(ai) or any(bi):
         im = [0] * size
-        for i in range(min(len(a), size)):
+        for i in range(min(len(ar), size)):
             x, y = ar[i], ai[i]
-            for j in range(min(len(b), size - i)):
+            for j in range(min(len(br), size - i)):
                 u, v = br[j], bi[j]
                 re[i + j] += x * u - y * v
                 im[i + j] += x * v + y * u
-    else:
-        im = itertools.repeat(0)
-        for i in range(min(len(a), size)):
-            x = ar[i]
-            if x:
-                for j in range(min(len(b), size - i)):
-                    re[i + j] += x * br[j]
-    den = da * db
-    out = []
-    for k, r, m in zip(kinds, re, im):
-        out.append(_make(r, m, den) if k == 2 else Fraction(r, den) if k else r // den)
-    return out
+        return re, im
+    for i in range(min(len(ar), size)):
+        x = ar[i]
+        if x:
+            for j in range(min(len(br), size - i)):
+                re[i + j] += x * br[j]
+    return re, None
 
 
 def _reciprocal_exact(a: list) -> list:

@@ -31,6 +31,11 @@ from .sphere import MoebiusMap, SpherePoint, t_gamma_omega
 from .star import Hbar, star_punctured_poly
 
 
+def _check_degree(degree: int):
+    if degree < 0:
+        raise DomainError(f"the polynomial degree must be >= 0, got {degree}")
+
+
 # ---------------------------------------------------------------------------
 # basis functions on the configuration space
 # ---------------------------------------------------------------------------
@@ -173,6 +178,7 @@ def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimensio
     |basis| + 4 random projective points per generator, drawn from ``seed``;
     points where a denominator vanishes mod p are skipped.  Generator
     entries must be exact; a float entry raises DomainError."""
+    _check_degree(degree)
     n_basis = (degree + 1) ** 2
     t_inv = _matrix_mod_p(MoebiusMap.cayley(exact=True).inverse())
     gens = [_matrix_mod_p(g) for g in generators]
@@ -196,10 +202,14 @@ def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
     n-fold elliptic rotation acting on the bivariate disk model, to a
     residual of at most 1e-9 over the samples.
 
-    ``samples`` are OmegaPoints; the expected answer is the congruence
-    filter {(p, q) : p - q divisible by n_fold}."""
+    ``samples`` are OmegaPoints, at least one; the expected answer is the
+    congruence filter {(p, q) : p - q divisible by n_fold}."""
     if n_fold < 2:
         raise DomainError(f"an elliptic rotation needs n_fold >= 2, got {n_fold}")
+    _check_degree(dmax)
+    if not samples:
+        # the worst residual over no samples is 0: every index would pass
+        raise DomainError("the elliptic filter needs at least one sample point")
     if n_fold == 2:
         # negating a float is exact, so invariant indices give residual 0.0
         gen = MoebiusMap(-1, 0, 0, 1, domain="D")
@@ -270,6 +280,7 @@ def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
     candidates of the largest defect coefficient over the samples."""
     if radius <= 1:
         raise DomainError("annulus modulus must satisfy R > 1")
+    _check_degree(degree)
     hs = [_exact_hbar(h) for h in hs]
     if not hs:
         raise DomainError("need at least one deformation sample")

@@ -6,7 +6,8 @@ summed in the normalized form
     sum_n kappa_n t_n,   kappa_n = c_n n! = n!/(1/hbar)_n,
     kappa_{n+1} = kappa_n (n + 1) hbar / (1 + n hbar),
 
-by one kernel (:func:`_sum_series`).  kappa_n grows or decays only
+by one kernel (:func:`_sum_series`), except for the exact surface
+products of polynomials (below).  kappa_n grows or decays only
 polynomially in n (it is 1/(n+1) at hbar = 1/2), where c_n/n! underflows
 near n = 100.  The terms t_n are products of the Taylor coefficients that
 the towers carry, so no n! is formed anywhere:
@@ -27,7 +28,12 @@ sends a z^i w^j to a j z^i w^{j-1} - a (j + n) z^{i+1} w^j, so the
 monomial of Dbar^n f with j >= 1 and the largest z-exponent leaves a
 coefficient -a (j + n) != 0 that no other monomial reaches, again with
 j >= 1; the same holds for D^n g with the slots swapped.  A surface
-product of polynomials ends after min(deg g, deg gt) + 1 terms.
+product of polynomials ends after min(deg g, deg gt) + 1 terms, and
+:func:`star_annulus_poly`, :func:`star_punctured_poly` and the
+exact-finite surface mode sum them in one pass over integer numerators
+(:func:`_surface_poly`): g^(n)/n! is the binomial row C(k, n) a_k at
+w^{k-n}, the products are integer convolutions, the weights integer rows,
+and kappa_0..kappa_m share one denominator.
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
 :class:`Hbar` guards the poles: exactly for rational-complex values, and
@@ -41,12 +47,14 @@ import cmath
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from .errors import DomainError, NonTerminatingError, WickstarError
-from .exact import QC, is_exact, to_complex
-from .functions import BiPoly, PolyFn, taylor_tower
+from .exact import QC, _make, is_exact, to_complex
+from .functions import (BiPoly, PolyFn, _convolve, _kind, _numerators, _reach,
+                        taylor_tower)
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
@@ -221,8 +229,8 @@ def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = Non
     """sum_n kappa_n t_n over the pairs (t_n, err_n) that ``terms`` yields
     for n = 0, 1, ...
 
-    t_n is a number, QC, BiPoly or PolyFn, a product of Taylor coefficients
-    and so of the size of the term itself; err_n bounds the error of t_n.
+    t_n is a number, QC or BiPoly, a product of Taylor coefficients and so
+    of the size of the term itself; err_n bounds the error of t_n.
     The divisor 1 + (n-1) hbar of kappa_n is formed only when term n
     arrives, so a pole beyond the last term is never hit; whether the pole
     test is exact or float is read once, from the type of hbar.  The sum
@@ -326,28 +334,150 @@ def _pairs(tower):
 # ---------------------------------------------------------------------------
 
 
-def _weights(x, variant: str):
-    """w_0, w_1, ... at x (a number, or the variable PolyFn([0, 1])):
-    (x^2-1)^n on the annulus, x^{2n} on the punctured disk, and 1, x^2,
-    x^2, ... for its printed variant, which is wrong from n = 2 on and is
-    kept only so the coherence checks can show it."""
-    step = x * x - 1 if variant == "annulus" else x * x
-    wn = step * 0 + 1
-    while True:
-        yield wn
-        wn = step if variant == "printed" else wn * step
+def _weights(x):
+    """The printed punctured-disk weights 1, x^2, x^2, ... at a number x:
+    wrong from n = 2 on, and kept only so the coherence checks can show
+    it.  The derived weights never form alone: the float sums split them
+    into the towers (:func:`_entire_terms`), and the exact pass applies
+    them as integer rows (:func:`_weight_row`)."""
+    yield 1
+    yield from itertools.repeat(x * x)
+
+
+def _weight_row(n: int, variant: str) -> list:
+    """The weight w_n as (shift, coefficient) pairs of an integer
+    polynomial in w: (w^2-1)^n = sum_j (-1)^{n-j} C(n, j) w^{2j} on the
+    annulus, w^{2n} on the punctured disk, and w^2 (w^0 at n = 0) for its
+    printed variant."""
+    if variant == "annulus":
+        return [(2 * j, (-1) ** (n - j) * comb(n, j)) for j in range(n + 1)]
+    return [(2 * n if variant == "derived" else 2 * min(n, 1), 1)]
+
+
+def _kappas(hv, m: int) -> list:
+    """[kappa_0, ..., kappa_m] by the recurrence of :func:`_sum_series`,
+    with its lazy pole test: the divisors 1 + k hbar for k < m, no other.
+    (The kernel keeps its own copy of the step: fed from a generator,
+    its per-term loop, the float disk sums' largest cost, ran slower.)"""
+    one, exact = _one_like(hv), is_exact(hv)
+    out = [one]
+    for n in range(1, m + 1):
+        out.append(out[-1] * (n * hv) / _c_divisor(one, hv, n - 1, exact))
+    return out
+
+
+def _taylor_shift(a: list, n: int) -> list:
+    """The coefficients C(k, n) a_k of g^(n)/n! = sum_k C(k, n) a_k w^{k-n}."""
+    return [comb(k, n) * x for k, x in enumerate(a[n:], n)]
+
+
+def _weigh(x: list, rows: list):
+    """(shift, coefficients) of sum_rows c w^s x(w) for an integer row."""
+    if len(rows) == 1 and rows[0][1] == 1:
+        return rows[0][0], x
+    out = [0] * (len(x) + rows[-1][0])
+    for s, c in rows:
+        for k, v in enumerate(x):
+            out[s + k] += c * v
+    return 0, out
+
+
+def _surface_sum(a, b, k, variant: str):
+    """Numerators of sum_n K_n w_n A_n B_n for coefficient lists given by
+    parts, a = (re, im), b and k alike: A_n and B_n are the Taylor shifts
+    of a and b, K_n = k[n].  Returns (re, im, ends), with im None when
+    every part it sums is zero and ends[n] the length of the sum after
+    term n with its trailing zeros dropped."""
+    (ar, ai), (br, bi), (kr, ki) = a, b, k
+    size = len(ar) + len(br) - 1
+    complex_ab = any(ai) or any(bi)
+    re = [0] * size
+    im = [0] * size if complex_ab or any(ki) else None
+    ends = []
+    for n, (u, v) in enumerate(zip(kr, ki)):
+        xr, yr = _taylor_shift(ar, n), _taylor_shift(br, n)
+        xi, yi = (_taylor_shift(ai, n), _taylor_shift(bi, n)) if complex_ab else ((), ())
+        pr, pi = _convolve(xr, xi, yr, yi, len(xr) + len(yr) - 1)
+        rows = _weight_row(n, variant)
+        s, tr = _weigh(pr, rows)
+        if pi is not None:
+            _, ti = _weigh(pi, rows)
+            for j, (p, q) in enumerate(zip(tr, ti), s):
+                re[j] += p * u - q * v
+                im[j] += p * v + q * u
+        else:
+            for j, p in enumerate(tr, s):
+                re[j] += p * u
+            if im is not None:
+                for j, p in enumerate(tr, s):
+                    im[j] += p * v
+        end = size
+        while end > 1 and not re[end - 1] and not (im and im[end - 1]):
+            end -= 1
+        ends.append(end)
+    return re, im, ends
+
+
+def _sum_kinds(a: list, b: list, variant: str, ends: list) -> list:
+    """The kind (1 Fraction, 2 QC) of each coefficient of the exact
+    surface product at a Fraction hbar, for operands that mix QC with
+    narrower coefficients, as the term-by-term sum of PolyFns gives it.
+
+    Each term kappa_n w_n g_n gt_n takes at a position the widest kind of
+    the coefficients whose products reach it, read by position as
+    :func:`wickstar.functions._mul_exact` reads them, and each addition
+    of a term drops the trailing zeros of the sum, so a position that
+    fell off the end takes its kind only from the later terms."""
+    kinds = []
+    for n, end in enumerate(ends):
+        ka, kb = [_kind(x) for x in a[n:]], [_kind(x) for x in b[n:]]
+        width = _weight_row(n, variant)[-1][0] + 1
+        size = len(ka) + len(kb) + width - 2
+        term = [max(1, x, y) for x, y in zip(_reach(ka, width + len(kb) - 1, size),
+                                             _reach(kb, width + len(ka) - 1, size))]
+        kinds = [max(x, y) for x, y in
+                 itertools.zip_longest(kinds, term, fillvalue=0)][:end]
+    return kinds
+
+
+def _float_parts(coeffs: list):
+    zs = [to_complex(c) for c in coeffs]
+    return [z.real for z in zs], [z.imag for z in zs]
 
 
 def _surface_poly(g: PolyFn, gt: PolyFn, hv, variant: str) -> StarResult:
-    """The surface product of two polynomials as an exact PolyFn in w."""
-    def terms():
-        towers = zip(_weights(PolyFn([0, 1]), variant),
-                     taylor_tower(g, Fraction(1)), taylor_tower(gt, Fraction(1)))
-        for n, (wn, dg, dgt) in enumerate(towers):
-            if n and (dg.is_zero or dgt.is_zero):
-                return
-            yield wn * dg * dgt, 0.0
-    return _sum_series(hv, terms())
+    """The surface product of two polynomials as a PolyFn in w, in one pass.
+
+    Term n is kappa_n w_n g_n gt_n, with g_n = g^(n)/n!, and the terms end
+    after min(deg g, deg gt) + 1.  For exact operands the denominators of
+    g, gt and kappa_0..kappa_m are cleared once, g_n is the integer row
+    C(k, n) a_k at w^{k-n}, the products are integer (or Gaussian-integer)
+    convolutions, w_n is an integer row (:func:`_weight_row`), and each
+    output coefficient is built once over the product of the three
+    denominators, in the kind the term-by-term sum of PolyFns gives it: a
+    QC where a QC coefficient or hbar reaches it (:func:`_sum_kinds`),
+    else a Fraction.  A float or complex hbar or coefficient runs the same
+    pass on floats and gives complex coefficients."""
+    a, b = g.coeffs, gt.coeffs
+    kappas = _kappas(hv, min(len(a), len(b)) - 1)
+    if not (is_exact(hv) and all(map(is_exact, a)) and all(map(is_exact, b))):
+        re, im, _ = _surface_sum(_float_parts(a), _float_parts(b),
+                                 _float_parts(kappas), variant)
+        coeffs = [complex(r, m) for r, m in zip(re, im or itertools.repeat(0.0))]
+        return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
+    (ar, ai, da), (br, bi, db), (kr, ki, dk) = map(_numerators, (a, b, kappas))
+    re, im, ends = _surface_sum((ar, ai), (br, bi), (kr, ki), variant)
+    ka, kb = {_kind(x) for x in a}, {_kind(x) for x in b}
+    if isinstance(hv, QC) or ka == {2} or kb == {2}:
+        kinds = itertools.repeat(2)
+    elif 2 in ka | kb:
+        kinds = _sum_kinds(a, b, variant, ends)
+    else:
+        kinds = itertools.repeat(1)
+    den = dk * da * db
+    coeffs = [_make(r, m, den) if k == 2 else Fraction(r, den)
+              for k, r, m in zip(kinds, re, im or itertools.repeat(0))]
+    return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
 
 
 def _entire_terms(g, gt, w, variant):
@@ -355,7 +485,7 @@ def _entire_terms(g, gt, w, variant):
     # rides in both towers (Taylor coefficients of u -> g(w + r u)), so no
     # power of rho is formed alone, to overflow while the towers underflow
     if variant == "printed":
-        r, weights = 1.0, _weights(w, variant)
+        r, weights = 1.0, _weights(w)
     else:
         r = cmath.sqrt(w * w - 1) if variant == "annulus" else w
         weights = itertools.repeat(1.0)

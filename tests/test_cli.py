@@ -82,6 +82,14 @@ MALFORMED = {
     "spec-degree-null": {"experiment": "invariant-dimension",
                          "generators": "two-hyperbolic", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
+    # no samples would leave every index with residual 0
+    "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
+    "spec-invariant-degree-negative": {"experiment": "invariant-dimension",
+                                       "generators": "two-hyperbolic", "degree": -1},
+    "spec-elliptic-degree-negative": {"experiment": "elliptic-indices", "n_fold": 2,
+                                      "degree": -1},
+    "spec-obstruction-degree-negative": {"experiment": "obstruction", "R": 2.0,
+                                         "hbar_grid": [[0.05, 0.0]], "degree": -2},
     "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
     "exp-missing-scale": ("annulus", IDENT, {"type": "exp"}),
     "poly-coeff-not-a-pair": ("annulus", {"type": "poly", "coeffs": [1]}, IDENT),

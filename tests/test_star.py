@@ -1,7 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import surface_poly_by_terms
 
 from wickstar import peschl_minda, star
 from wickstar.errors import DomainError, NonTerminatingError, WickstarError
@@ -238,6 +242,69 @@ def test_printed_weight_variant_differs_from_second_order_on():
         t, t, h, weight_variant="printed")
     with pytest.raises(ValueError):
         star_punctured_poly(t, t, h, weight_variant="folklore")
+
+
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+coefficients = st.one_of(st.integers(-3, 3), small_fractions,
+                         st.builds(QC, small_fractions, small_fractions))
+# degrees 0 to 8; PolyFn drops trailing zeros, so zero polynomials occur
+polynomials = st.lists(coefficients, min_size=1, max_size=9).map(PolyFn)
+nonzero = st.one_of(
+    small_fractions,
+    st.builds(QC, small_fractions, small_fractions),
+    st.floats(-2, 2, allow_subnormal=False).map(Fraction),   # a float, exactly
+    st.floats(-2, 2, allow_subnormal=False).map(
+        lambda x: QC(Fraction(x), Fraction(x / 3)))).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=polynomials, gt=polynomials, variant=st.sampled_from(["annulus", "derived", "printed"]),
+       data=st.data())
+def test_one_pass_surface_product_matches_the_term_by_term_sum(g, gt, variant, data):
+    # the last divisor a sum of m + 1 terms forms is 1 + (m - 1) hbar, so
+    # hbar = -1/(m - 1) is a pole it reaches and -1/m one it does not
+    m = min(g.degree, gt.degree)
+    poles = [Fraction(-1, k) for k in (m - 1, m) if k >= 1]
+    h = data.draw(st.one_of(nonzero, st.sampled_from(poles)) if poles else nonzero)
+    try:
+        want = surface_poly_by_terms(g, gt, h, variant)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            star._surface_poly(g, gt, h, variant)
+        return
+    got = star._surface_poly(g, gt, h, variant)
+    assert got.value.coeffs == want.value.coeffs
+    assert list(map(type, got.value.coeffs)) == list(map(type, want.value.coeffs))
+    assert (got.terms_used, got.stop_reason) == (want.terms_used, want.stop_reason)
+    assert got.terms_used == m + 1
+
+
+def test_one_pass_surface_product_keeps_the_kinds_a_cancelled_sum_drops():
+    # at hbar = -1/4 the first two terms cancel at w^4 and w^3, so the
+    # term-by-term sum drops both before the last term adds them back; w^3
+    # then takes its kind from the last term alone, which no QC reaches
+    g, gt = PolyFn([0, QC(1), 1]), PolyFn([0, -1, 1])
+    h = Fraction(-1, 4)
+    got = star._surface_poly(g, gt, h, "annulus").value.coeffs
+    assert got == surface_poly_by_terms(g, gt, h, "annulus").value.coeffs
+    assert list(map(type, got)) == [QC, QC, QC, Fraction, Fraction]
+
+
+def test_float_surface_product_runs_the_same_pass():
+    # integer coefficients at a float hbar: every term is exact in floats,
+    # so the pass rounds only kappa_n t_n and the sum, as the term-by-term
+    # sum does
+    g, gt = PolyFn([1, -2, 3, 1]), PolyFn([2, 0, -1, 1])
+    for h in (0.3, 0.7 + 0.2j):
+        for variant in ("annulus", "derived", "printed"):
+            got = star._surface_poly(g, gt, h, variant)
+            want = surface_poly_by_terms(g, gt, h, variant)
+            assert got.value.coeffs == want.value.coeffs
+            assert all(isinstance(c, complex) for c in got.value.coeffs)
+    g, gt = PolyFn([0.5 + 0.1j, 1.0, 0.3 - 0.2j]), PolyFn([1.0, 0.7])
+    got = star._surface_poly(g, gt, Fraction(1, 3), "annulus").value.coeffs
+    want = surface_poly_by_terms(g, gt, Fraction(1, 3), "annulus").value.coeffs
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_numeric_and_symbolic_surface_paths_agree():
