@@ -85,21 +85,18 @@ def cmd_star_eval(args) -> int:
     cfg = StarConfig(max_terms=args.max_terms, tol=args.tol, mode=args.mode)
     h = _parse_complex(args.hbar)
     points = [_parse_complex(p) for p in args.point]
-    results = []
     if args.surface == "disk":
         f = disk_function_from_json(json.loads(args.f))
         g = disk_function_from_json(json.loads(args.g))
-        for z in points:
-            results.append((z, star_disk(f, g, h, z, cfg)))
+        out = star_disk(f, g, h, points, cfg)
     else:
         f = entire_from_json(json.loads(args.f))
         g = entire_from_json(json.loads(args.g))
-        for w in points:
-            if args.surface == "annulus":
-                results.append((w, star_annulus(f, g, h, w, cfg)))
-            else:
-                results.append((w, star_punctured(
-                    f, g, h, w, cfg, weight_variant=args.weight_variant)))
+        if args.surface == "annulus":
+            out = star_annulus(f, g, h, points, cfg)
+        else:
+            out = star_punctured(f, g, h, points, cfg, weight_variant=args.weight_variant)
+    results = list(zip(points, out))
     body = {"surface": args.surface, "results": [
         {"point": _cpair(p), "value": _cpair(r.value),
          "terms_used": r.terms_used, "tail_estimate": float(r.tail_estimate),

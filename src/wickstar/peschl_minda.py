@@ -8,25 +8,31 @@ antiholomorphic slot, with z frozen in the holomorphic one.  D^n f
 appears only at the public edge (``pm``/``pm_bar``, :func:`pm_bipoly`,
 :func:`pm_definitional`), which multiplies by n!.
 
-A variant describes its towers once, by ``moebius_eval_jet``: the jet of
-u -> F(M(u), w0), or with ``bar`` of u -> F(w0, M(u)), for the Moebius
-map M of a matrix (a, b, c, d).  T_z is (1, z, conj z, 1) and T_{conj z}
-is (1, conj z, z, 1).  A variant multiplies the matrix of the map it puts
-in front into the one it is handed, and the jet of the product comes in
-closed form (:func:`moebius_matrix_jet`): no jet is divided and no
-operand is conjugated.  ``pm_sequence`` and ``pm_bar_sequence`` read
-a_n, n = start..nmax, off one such jet of order nmax: a complex array
-at a float point, a list at an exact one.
+A variant describes its towers twice, by the same Moebius matrices: as
+the jet ``moebius_eval_jet`` of u -> F(M(u), w0), or with ``bar`` of
+u -> F(w0, M(u)), for the map M of a matrix (a, b, c, d), and as the
+closed-form tower ``_tower`` of the same coefficients, one row per point
+of a batch.  T_z is (1, z, conj z, 1) and T_{conj z} is (1, conj z, z, 1).
+A variant multiplies the matrix of the map it puts in front into the one
+it is handed: no jet is divided and no operand is conjugated.  Float
+points read the closed form (``pm_tower``, and ``pm_sequence``/
+``pm_bar_sequence`` for one point); exact points read the jet, which is
+also the definitional oracle of the closed form (:func:`pm_definitional`).
+
+The closed form: write M(u) = M(0) + delta v with v = u/(1 - r u),
+M(0) = b/d, r = -c/d and delta = det/d^2.  For a polynomial p in the
+jet's slot, p(M(u)) = sum_k e_k delta^k v^k, e_k the Taylor coefficients
+of p at M(0) (a binomial shift), so
+a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
 
 * ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F, which
-  collapses to a polynomial in the jet's slot, evaluated on the Moebius
-  jet by Horner.  Its exact symbolic towers E_n = D^n F/n! are stepped
-  one order at a time by
+  collapses to a polynomial in the jet's slot.  Its exact symbolic towers
+  E_n = D^n F/n! are stepped one order at a time by
   E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
   d_z T_z = (1 + wu)/(1 - zw) d_u T_z; Leibniz on the factor (1 + wu)
-  gives the term -n w E_n.  They serve the symbolic products and are the
-  independent oracle of the jet towers.
+  gives the term -n w E_n.  They serve the symbolic products and are an
+  independent oracle of the float towers.
 * ``MoebiusPullback`` -- precomposition with a disk automorphism phi,
   which acts on (Z, W) as (phi(Z), psi(W)) with psi = 1/phi(1/.): the
   map of the jet's slot joins the matrix, and the frozen value moves by
@@ -34,24 +40,28 @@ at a float point, a list at an exact one.
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
 * ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2).  With
   one slot frozen the chart is a Moebius map (``chart_matrix``), and its
-  product with T_z (or T_{conj z}) has c = 0: the chart's jet is t + c u.
-  So a_n = c^n g^(n)(t)/n!, stepped by :func:`taylor_tower` and streamed
-  as (a_n, error bound) pairs; they carry the tail bound of a series g
-  and form no order past the one a sum stops at.  The jet is their
-  independent oracle (:func:`pm_definitional`).  A certified series
-  enters no jet, which would drop its tail bound.
+  product with T_z (or T_{conj z}) has c = 0, so r = 0: the chart is
+  t + delta u and a_n = delta^n g^(n)(t)/n!, the entire-function tower
+  of :func:`wickstar.functions.entire_tower`, shared with the surface
+  products.  A series g carries its tail bound into every entry, and a
+  row faults where the series cannot give an order.  Under a pullback
+  (r != 0) a polynomial g takes the closed form above and an
+  exponential the jet; a certified series enters no jet, which would
+  drop its tail bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, NonRepresentableError
 from .exact import conj, is_exact, to_complex
-from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, moebius_matrix_jet,
-                        taylor_tower)
+from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, Tower, entire_tower,
+                        moebius_compose, moebius_matrix_jet, shift_table,
+                        shifted_rows)
 from .sphere import MoebiusMap
 
 
@@ -75,11 +85,6 @@ def _check_disk(z):
 def _check_order(n):
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-
-
-def _scalar(a):
-    """A tower entry as a Python scalar (numpy hands out complex128)."""
-    return a if is_exact(a) else complex(a)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,22 @@ def _ambient(z, bar):
     return ((1, zb, z, 1), z) if bar else ((1, z, zb, 1), zb)
 
 
+def _chart(m):
+    """(M(0), delta, r) of the Moebius map M of m = (a, b, c, d): with
+    v = u/(1 - r u), M(u) = M(0) + delta v, where M(0) = b/d, r = -c/d and
+    delta = det/d^2 = (a + b r)/d."""
+    a, b, c, d = m
+    r = -c / d
+    return b / d, (a + b * r) / d, r
+
+
+def _raise_fault(tower: Tower, n: int):
+    """Raise the error of the first row when it cannot reach order n."""
+    fault = tower.faults[0] if tower.faults else None
+    if fault is not None and fault[0] <= n:
+        raise fault[2]
+
+
 class DiskFunction:
     """Common surface of the disk-function variants.
 
@@ -184,18 +205,47 @@ class DiskFunction:
         m, w0 = _ambient(z, bar)
         return self.moebius_eval_jet(m, w0, order, bar)
 
+    def _tower(self, frames: list, width: int, bar: bool) -> Tower:
+        """Coefficients 0..width-1 of the jet of ``moebius_eval_jet`` at
+        each frame (m, w0) of complex scalars, in closed form: one row per
+        frame."""
+        raise NotImplementedError
+
+    def pm_tower(self, nmax: int, zs, bar: bool = False) -> Tower:
+        """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = 0..nmax at
+        each float point of the 1-D sequence zs: one row per point, in
+        closed form (:meth:`_tower`), the rows of a lift faulting where its
+        series cannot give an order."""
+        zs = [to_complex(z) for z in zs]
+        for z in zs:
+            _check_disk(z)
+        return self._tower([_ambient(z, bar) for z in zs], nmax + 1, bar)
+
+    def _float_tower(self, nmax, z, bar):
+        # past a float's range an entry is inf, as in scalar arithmetic
+        with np.errstate(all="ignore"):
+            return self.pm_tower(nmax, [z], bar)
+
     def _sequence(self, nmax, z, start, bar):
-        """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = start..nmax,
-        read off one jet of order nmax: a complex array for a float z, a
-        list for an exact z."""
+        """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = start..nmax:
+        a list off the exact jet for an exact z, else a complex array off
+        the closed-form tower."""
         _check_disk(z)
-        return self.ambient_jet(z, nmax, bar).coeffs[start:]
+        if is_exact(z):
+            return self.ambient_jet(z, nmax, bar).coeffs[start:]
+        tower = self._float_tower(nmax, z, bar)
+        _raise_fault(tower, nmax)
+        return tower.values[0, start:]
 
     def _with_bound(self, n, z, bar):
         _check_order(n)
-        a = next(iter(self._sequence(n, z, n, bar)))
-        # a jet coefficient carries no truncation error; a stream yields pairs
-        return a if isinstance(a, tuple) else (_scalar(a), 0.0)
+        _check_disk(z)
+        if is_exact(z):
+            return self.ambient_jet(z, n, bar).coeffs[n], 0.0
+        tower = self._float_tower(n, z, bar)
+        _raise_fault(tower, n)
+        bound = 0.0 if tower.bounds is None else float(tower.bounds[0, n])
+        return complex(tower.values[0, n]), bound
 
     def pm_sequence(self, nmax: int, z, start: int = 0):
         """D^n f(z)/n! for n = start..nmax."""
@@ -225,13 +275,16 @@ class PolyDisk(DiskFunction):
     """z -> F(z, conj z) for a bivariate polynomial F; ``pm_poly`` and
     ``pm_bar_poly`` are its exact symbolic towers."""
 
-    __slots__ = ("f", "_pm_tower", "_pm_bar_tower")
+    __slots__ = ("f", "_pm_tower", "_pm_bar_tower", "_shifts")
 
     def __init__(self, f: BiPoly):
         self.f = f
         # [E_0, E_1, ...] with E_n = D^n F/n!, extended on demand
         self._pm_tower = [f]
         self._pm_bar_tower = [f]
+        # bar -> the float shift table of F (:meth:`_shift`), built on
+        # first use
+        self._shifts = {}
 
     def value(self, z):
         return self.f.eval_diag(z)
@@ -245,6 +298,27 @@ class PolyDisk(DiskFunction):
 
     def moebius_eval_jet(self, m, w0, order, bar=False):
         return self.f.eval_jet(moebius_matrix_jet(m, order), w0, "w" if bar else "z")
+
+    def _shift(self, bar):
+        """(shift table, E) of F with the jet's slot first."""
+        out = self._shifts.get(bar)
+        if out is None:
+            terms = [((j, i) if bar else (i, j), a) for (i, j), a in self.f.coeffs.items()]
+            dense = np.zeros((max((k for (k, _), _ in terms), default=0) + 1,
+                              max((e for (_, e), _ in terms), default=0) + 1), dtype=complex)
+            for (k, e), a in terms:
+                dense[k, e] = to_complex(a)
+            out = self._shifts[bar] = shift_table(dense), dense.shape[1]
+        return out
+
+    def _tower(self, frames, width, bar):
+        # the Taylor coefficients of u -> F(M(0) + delta u, w0), composed
+        # with v = u/(1 - r u)
+        table, e_top = self._shift(bar)
+        t, delta, r = np.array([_chart(m) for m, _ in frames], dtype=complex).T
+        e = shifted_rows(table, t, delta, np.array([w for _, w in frames], dtype=complex),
+                         e_top)
+        return Tower(moebius_compose(e, r, width))
 
 
 def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
@@ -276,13 +350,21 @@ class _Composed(DiskFunction):
     def value(self, z):
         return self.g.eval(self._affine(z, False)[0])[0]
 
-    def _sequence(self, nmax, z, start, bar):
-        # streamed: a tower term is formed only when the sum asks for it, so
-        # a SeriesFn g is never asked for a derivative the sum does not use
-        _check_disk(z)
-        t, c = self._affine(z, bar)
-        towers = itertools.islice(taylor_tower(self.g, c), start, nmax + 1)
-        return (gn.eval(t) for gn in towers)
+    def _tower(self, frames, width, bar):
+        t, delta, r = np.array([_chart(_matmul(self.chart_matrix(w0, bar), m))
+                                for m, w0 in frames], dtype=complex).T
+        if not r.any():
+            # the lift's own towers: the chart is t + delta u
+            return entire_tower(self.g, t, delta, width)
+        if isinstance(self.g, PolyFn):
+            # under a pullback: the polynomial's tower at (M(0), delta),
+            # composed with v = u/(1 - r u)
+            e = entire_tower(self.g, t, delta, len(self.g.coeffs)).values
+            return Tower(moebius_compose(e, r, width))
+        # no finite closed form under a pullback: the definitional jet,
+        # which refuses a certified series
+        return Tower(np.array([self.moebius_eval_jet(m, w0, width - 1, bar).coeffs
+                               for m, w0 in frames]))
 
     def moebius_eval_jet(self, m, w0, order, bar=False):
         return _entire_eval_jet(self.g, moebius_matrix_jet(
@@ -327,17 +409,28 @@ class MoebiusPullback(DiskFunction):
     def value(self, z):
         return self.inner.value(self.phi.apply(z))
 
-    def moebius_eval_jet(self, m, w0, order, bar=False):
-        # the induced map of (Z, W) is (phi(Z), psi(W)), where
-        # psi(w) = 1/phi(1/w) = (dw + c)/(bw + a)
-        p = self.phi
-        phi, psi = (p.a, p.b, p.c, p.d), (p.d, p.c, p.b, p.a)
+    def _move(self, m, w0, bar, phi):
+        """(outer m, moved w0): the induced map of (Z, W) is (phi(Z), psi(W)),
+        psi(w) = 1/phi(1/w) = (dw + c)/(bw + a), for phi = (a, b, c, d);
+        the map of the jet's slot joins the matrix, and the frozen value
+        moves by the other."""
+        psi = phi[::-1]
         outer, (a, b, c, d) = (psi, phi) if bar else (phi, psi)
         den = c * w0 + d
         if den == 0:
             raise DomainError("pullback ambient hits a pole of the induced map")
-        return self.inner.moebius_eval_jet(_matmul(outer, m), (a * w0 + b) / den,
+        return _matmul(outer, m), (a * w0 + b) / den
+
+    def moebius_eval_jet(self, m, w0, order, bar=False):
+        p = self.phi
+        return self.inner.moebius_eval_jet(*self._move(m, w0, bar, (p.a, p.b, p.c, p.d)),
                                            order, bar)
+
+    def _tower(self, frames, width, bar):
+        p = self.phi
+        phi = tuple(to_complex(x) for x in (p.a, p.b, p.c, p.d))
+        return self.inner._tower([self._move(m, w0, bar, phi) for m, w0 in frames],
+                                 width, bar)
 
 
 # ---------------------------------------------------------------------------

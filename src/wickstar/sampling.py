@@ -51,11 +51,13 @@ def sample_gpoints(rng, n: int):
     """n pairs of finite sphere points at least 0.05 apart."""
     out = []
     while len(out) < n:
-        z = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        w = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        if abs(z - w) < 0.05:
-            continue
-        out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
+        # one draw per round for the candidates still missing: the same
+        # stream, in the same order, as a draw per number
+        draws = 2.0 * rng.standard_normal(4 * (n - len(out)))
+        for zr, zi, wr, wi in draws.reshape(-1, 4).tolist():
+            z, w = complex(zr, zi), complex(wr, wi)
+            if abs(z - w) >= 0.05:
+                out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
     return out
 
 

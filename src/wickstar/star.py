@@ -6,11 +6,10 @@ summed in the normalized form
     sum_n kappa_n t_n,   kappa_n = c_n n! = n!/(1/hbar)_n,
     kappa_{n+1} = kappa_n (n + 1) hbar / (1 + n hbar),
 
-by one kernel (:func:`_sum_series`), except for the exact surface
-products of polynomials (below).  kappa_n grows or decays only
-polynomially in n (it is 1/(n+1) at hbar = 1/2), where c_n/n! underflows
-near n = 100.  The terms t_n are products of the Taylor coefficients that
-the towers carry, so no n! is formed anywhere:
+kappa_n grows or decays only polynomially in n (it is 1/(n+1) at
+hbar = 1/2), where c_n/n! underflows near n = 100.  The terms t_n are
+products of the Taylor coefficients that the towers carry, so no n! is
+formed anywhere:
 
 * :func:`star_disk`      -- t_n = (Dbar^n f(z)/n!) (D^n g(z)/n!) on the unit
   disk; note the operand order: the FIRST factor takes Dbar, the SECOND
@@ -35,6 +34,25 @@ exact-finite surface mode sum them in one pass over integer numerators
 w^{k-n}, the products are integer convolutions, the weights integer rows,
 and kappa_0..kappa_m share one denominator.
 
+Float products are summed over a batch of points at once.  Each operand
+gives a closed-form tower, an array with one row per point: on the disk
+(``DiskFunction.pm_tower``) a polynomial or a pullback of one has
+a_n = sum_k e_k delta^k C(n-1, k-1) r^{n-k} from the Moebius matrix of
+its map, and a lift the entire-function tower c^n g^(n)(t)/n!, which the
+surfaces use too (:func:`entire_tower`: a binomial Taylor shift for a
+polynomial or a series, which carries its certificate into every entry,
+and a cumprod for an exponential).  Their product is the
+(points, max_terms + 1) term array, and one array kernel
+(:func:`_sum_rows`) sums every row: kappa is formed once per hbar and
+width, each row's partial sums are one cumsum, and each row stops,
+reports its tail and raises exactly as a sum taken one term at a time
+would.  A point's row does not depend on the batch it is in, and
+``star_disk``, ``star_annulus`` and ``star_punctured`` take one point
+(giving a StarResult) or a 1-D sequence of them (giving a list).  Exact
+and symbolic terms (QC, Fraction, BiPoly) keep a loop that adds one term
+at a time (:func:`_sum_series`), and the exact surface products of
+polynomials their one integer pass (above).
+
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
 :class:`Hbar` guards the poles: exactly for rational-complex values, and
 for floats by the relative test that the sums apply to each divisor
@@ -44,6 +62,7 @@ for floats by the relative test that the sums apply to each divisor
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -53,8 +72,8 @@ import numpy as np
 
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, _make, is_exact, to_complex
-from .functions import (BiPoly, PolyFn, _convolve, _kind, _numerators, _reach,
-                        taylor_tower)
+from .functions import (BiPoly, PolyFn, Tower, _convolve, _kind, _numerators,
+                        _reach, entire_tower)
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
@@ -87,14 +106,22 @@ def _pole_of(value):
         raise DomainError(f"deformation parameter {value!r} is not finite")
     if h == 0:
         return "0"
+    k = _float_pole(h)
+    return None if k is None else f"-1/{k}"
+
+
+def _float_pole(h: complex):
+    """The k whose divisor 1 + k hbar fails the float pole test of
+    :func:`_c_divisor`, else None.  Only the k nearest the real part of
+    -1/hbar can: a failing divisor puts k within 1e-14 (k + 1/|hbar|) of
+    -1/hbar."""
     x = (-1 / h).real
     if 0.5 <= x < cmath.inf:
-        # the test the sums apply to the divisor 1 + k hbar
         k = round(x)
         try:
             _c_divisor(1.0, h, k, False)
         except DomainError:
-            return f"-1/{k}"
+            return k
     return None
 
 
@@ -147,9 +174,12 @@ def _c_divisor(one, hv, n, exact):
     within a relative distance of 1e-14."""
     den = one + n * hv
     if den == 0 if exact else abs(den) <= 1e-14 * (1.0 + n * abs(hv)):
-        raise DomainError(
-            f"deformation parameter hits the excluded pole -1/{n}")
+        raise _pole_error(n)
     return den
+
+
+def _pole_error(n: int) -> DomainError:
+    return DomainError(f"deformation parameter hits the excluded pole -1/{n}")
 
 
 def _c_stream(hv, nmax: int):
@@ -173,18 +203,25 @@ def c_n(h, n: int):
     return c_sequence(h, n)[n]
 
 
+def c_direct_sequence(h, nmax: int):
+    """[c_0, ..., c_nmax] from the product formula, independent of the
+    recurrence: hbar^n and prod_{j<n} (1 + j hbar) are two running
+    products, divided once per n."""
+    hv = Hbar.of(h).value
+    one = _one_like(hv)
+    num = den = one
+    out = [num / den]
+    for j in range(nmax):
+        num, den = num * hv, den * (one + j * hv)
+        out.append(num / den)
+    return out
+
+
 def c_n_direct(h, n: int):
     """Independent evaluation of c_n from the product formula."""
     if n < 0:
         raise ValueError("coefficient index must be >= 0")
-    hv = Hbar.of(h).value
-    one = _one_like(hv)
-    num = one
-    den = one
-    for j in range(n):
-        num = num * hv
-        den = den * (one + j * hv)
-    return num / den
+    return c_direct_sequence(h, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -225,61 +262,142 @@ class StarResult:
 # ---------------------------------------------------------------------------
 
 
-def _sum_series(hv, terms, max_terms: int | None = None, tol: float | None = None):
-    """sum_n kappa_n t_n over the pairs (t_n, err_n) that ``terms`` yields
-    for n = 0, 1, ...
+def _sum_series(hv, terms, max_terms: int | None = None):
+    """sum_n kappa_n t_n over the exact or symbolic terms (QC, Fraction,
+    PolyFn, BiPoly) that ``terms`` yields for n = 0, 1, ...
 
-    t_n is a number, QC or BiPoly, a product of Taylor coefficients and so
-    of the size of the term itself; err_n bounds the error of t_n.
     The divisor 1 + (n-1) hbar of kappa_n is formed only when term n
     arrives, so a pole beyond the last term is never hit; whether the pole
     test is exact or float is read once, from the type of hbar.  The sum
-    stops when ``terms`` ends ("terminated"), when three successive terms
-    fall below tol * max(1, |sum|) ("tol"), or after max_terms + 1 terms
-    ("budget").
-
-    A tol is given for number terms.  Their tail estimate is the last
-    three terms plus the bounds err_n and, for a float sum, the rounding
-    bound gamma_m sum_k |kappa_k t_k| of m terms summed in turn, gamma_m =
-    m u/(1 - m u) with u = 2^-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 4.2).  An exact sum rounds
-    nothing."""
+    stops when ``terms`` ends ("terminated") or after max_terms + 1 terms
+    ("budget").  It rounds nothing, so its tail estimate is 0."""
     one, exact = _one_like(hv), is_exact(hv)
-    kappa = one
-    total, err, mass = None, 0.0, 0.0
-    r1 = r2 = r3 = 0.0  # the sizes of the last three terms
+    kappa, total = one, None
     stop, used = "terminated", 0
-    for n, (t, t_err) in enumerate(terms):
+    for n, t in enumerate(terms):
         if n:
             kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
         term = t * kappa
         total = term if total is None else total + term
         used = n + 1
-        if t_err:
-            err += abs(kappa) * t_err
-        if tol is not None:
-            r1, r2, r3 = r2, r3, abs(term)
-            mass += r3
-            if n >= 2 and max(r1, r2, r3) < tol * max(1.0, abs(total)):
-                stop = "tol"
-                break
         if n == max_terms:
             stop = "budget"
             break
-    tail = r1 + r2 + r3 + err
-    if not exact:
-        gamma = used * _UNIT_ROUNDOFF
-        tail += gamma / (1 - gamma) * mass
-    return StarResult(total, used, tail, stop)
+    return StarResult(total, used, 0.0, stop)
 
 
-def _float_term(a, a_err, b, b_err, weight=1.0):
-    """(weight a b, error bound) for the kernel, from float Taylor
-    coefficients a, b with error bounds."""
-    a, b = to_complex(a), to_complex(b)
-    if not (a_err or b_err):
-        return weight * a * b, 0.0
-    return weight * a * b, abs(weight) * (abs(a) * b_err + abs(b) * a_err + a_err * b_err)
+def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
+              tol: float) -> list:
+    """sum_n kappa_n t_n for every row of the float term array ``terms``
+    (P, width), one StarResult per row.
+
+    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar) is formed once for all
+    rows (:func:`_kappa_row`), and each row's partial sums are one cumsum.
+    Row p stops at the first n >= 2 where three successive terms fall
+    below tol * max(1, |sum|) ("tol"), else at n = max_terms ("budget").
+    Its tail estimate is the last three terms, plus
+    sum_k |kappa_k| bounds[p, k], plus the rounding bound
+    gamma_m sum_k |kappa_k t_k| of m terms summed in turn,
+    gamma_m = m u/(1 - m u) with u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 4.2).
+
+    Poles stay lazy: a row raises at the pole -1/k only when it reaches
+    term k + 1, whose kappa divides by 1 + k hbar; the only k that can
+    fail the float pole test is read off hbar once (:func:`_float_pole`).
+    A row whose towers fault (``faults[p] = (n, ...)``) at a term it
+    reaches raises that error, or the pole's, whichever its terms meet
+    first; the first row that raises decides, as in a loop over the
+    points.  A narrower array than max_terms + 1 faults in every row.
+    Callers ignore numpy's float errors: the entries a raising row leaves
+    behind may be NaN."""
+    size, width = terms.shape
+    pole = _float_pole(hv)
+    kappa = _kappa_row(hv, width)
+    kt = terms * kappa
+    total = np.add.accumulate(kt, axis=1)
+    mag = np.abs(kt)
+    mass = np.add.accumulate(mag, axis=1)
+    err = None if bounds is None else np.add.accumulate(np.abs(kappa) * bounds, axis=1)
+    if width > 2:
+        pair = np.maximum(mag[:, :-1], mag[:, 1:])
+        small = (np.maximum(pair[:, :-1], pair[:, 1:])
+                 < tol * np.maximum(np.abs(total[:, 2:]), 1.0))
+        firsts = small.argmax(axis=1).tolist()
+    out = []
+    for p in range(size):
+        hit = width > 2 and small.item(p, firsts[p])
+        stop = firsts[p] + 2 if hit else max_terms
+        fault = faults[p] if faults else None
+        end = stop if fault is None or fault[0] > stop else fault[0] - 1
+        if pole is not None and pole < end:
+            raise _pole_error(pole)
+        if end < stop:
+            raise fault[2]
+        row = mag[p]
+        tail = ((row.item(stop - 2) if stop > 1 else 0.0) + row.item(stop - 1)
+                + row.item(stop))
+        if err is not None:
+            tail += err.item(p, stop)
+        gamma = (stop + 1) * _UNIT_ROUNDOFF
+        tail += gamma / (1 - gamma) * mass.item(p, stop)
+        out.append(StarResult(total.item(p, stop), stop + 1, tail, "tol" if hit else "budget"))
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _kappa_row(hv: complex, width: int) -> np.ndarray:
+    """[kappa_0, ..., kappa_{width-1}] at a float hbar by the recurrence of
+    :func:`_kappas`, step for step, up to the pole: past the term whose
+    kappa divides by the pole's 1 + k hbar the entries are NaN, and no sum
+    reads them (:func:`_sum_rows`).  Read-only, as every caller shares it."""
+    pole = _float_pole(hv)
+    top = width - 1 if pole is None else min(width - 1, pole)
+    row = np.full(width, complex("nan"))
+    row[:top + 1] = _kappas(hv, top)
+    row.setflags(write=False)
+    return row
+
+
+def _points(z):
+    """(the points as a list, batched): a 1-D sequence is a batch, anything
+    else one point."""
+    if isinstance(z, (list, tuple)) or (isinstance(z, np.ndarray) and z.ndim == 1):
+        return list(z), True
+    if isinstance(z, np.ndarray) and z.ndim:
+        raise ValueError("points must be a scalar or a 1-D sequence")
+    return [z], False
+
+
+def _merge_faults(fa, fb, stage_first: bool):
+    """Per row, the fault of two towers that a term meets first: the lower
+    order, then the first operand, or with ``stage_first`` the lower stage
+    (every derivative is taken before either is evaluated)."""
+    if fa is None or fb is None:
+        return fa or fb
+
+    def key(fault, operand):
+        n, stage, _ = fault
+        return (n, stage, operand) if stage_first else (n, operand, stage)
+
+    out = []
+    for x, y in zip(fa, fb):
+        pick = [(key(f, k), f) for k, f in enumerate((x, y)) if f is not None]
+        out.append(min(pick, key=lambda e: e[0])[1] if pick else None)
+    return out
+
+
+def _product_rows(a: Tower, b: Tower, weights=None):
+    """(terms, bounds) of w_n a_n b_n over the common width of two towers,
+    with the bound |w_n| (|a_n| eb_n + |b_n| ea_n + ea_n eb_n)."""
+    width = min(a.values.shape[1], b.values.shape[1])
+    x, y = a.values[:, :width], b.values[:, :width]
+    terms = x * y if weights is None else weights[:, :width] * x * y
+    if a.bounds is None and b.bounds is None:
+        return terms, None
+    ea = np.zeros(x.shape) if a.bounds is None else a.bounds[:, :width]
+    eb = np.zeros(y.shape) if b.bounds is None else b.bounds[:, :width]
+    bounds = np.abs(x) * eb + np.abs(y) * ea + ea * eb
+    return terms, bounds if weights is None else np.abs(weights[:, :width]) * bounds
 
 
 # ---------------------------------------------------------------------------
@@ -297,51 +415,45 @@ def _require_termination(f: BiPoly, g: BiPoly):
 
 
 def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = None):
-    """(f * g)(z) = sum_n c_n/n! D^n g(z) Dbar^n f(z)."""
+    """(f * g)(z) = sum_n c_n/n! D^n g(z) Dbar^n f(z).
+
+    z is one point, giving one StarResult, or a 1-D sequence of points,
+    giving a list of them; a batch raises what its first failing point
+    would raise alone."""
     cfg = cfg if cfg is not None else StarConfig()
     hv = _lenient_value(h)
-    _check_disk(z)
+    points, batched = _points(z)
+    if not points:
+        return []
     if cfg.mode == "exact-finite":
+        for p in points:
+            _check_disk(p)
         if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
             raise NonTerminatingError(
                 "exact-finite mode requires polynomial disk functions")
         _require_termination(f.f, g.f)
-        return StarResult(f.value(z) * g.value(z), 1, 0.0, "terminated")
-    zc = to_complex(z)
-    return _sum_series(to_complex(hv), _disk_terms(f, g, zc, cfg.max_terms),
-                       cfg.max_terms, cfg.tol)
+        out = [StarResult(f.value(p) * g.value(p), 1, 0.0, "terminated") for p in points]
+    else:
+        # past a float's range an entry is inf, as in scalar arithmetic, and
+        # a row past its pole or fault may hold any value: it raises
+        with np.errstate(all="ignore"):
+            rows = _disk_rows(f, g, [to_complex(p) for p in points], cfg.max_terms)
+            out = _sum_rows(to_complex(hv), *rows, cfg.max_terms, cfg.tol)
+    return out if batched else out[0]
 
 
-def _disk_terms(f, g, z, max_terms):
-    # one fetch of each tower to max_terms: a single jet (an array) for the
-    # jet variants, a lazy stream of pairs for the closed forms, which form
-    # no term past the one where the sum stops
-    a, b = f.pm_bar_sequence(max_terms, z), g.pm_sequence(max_terms, z)
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return _pairs(a * b)
-    return (_float_term(*x, *y) for x, y in zip(_pairs(a), _pairs(b)))
-
-
-def _pairs(tower):
-    """A tower as (value, error bound) pairs; a jet array is exact."""
-    if isinstance(tower, np.ndarray):
-        return zip(tower.tolist(), itertools.repeat(0.0))
-    return tower
+def _disk_rows(f, g, zs: list, max_terms: int):
+    """(terms, bounds, faults) of the disk product at the points zs, for
+    :func:`_sum_rows`: one tower per operand, a row per point, the first
+    operand taking Dbar.  The towers check the points."""
+    a = f.pm_tower(max_terms, zs, bar=True)
+    b = g.pm_tower(max_terms, zs)
+    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults, False))
 
 
 # ---------------------------------------------------------------------------
 # the annulus and punctured-disk products (entire-function model)
 # ---------------------------------------------------------------------------
-
-
-def _weights(x):
-    """The printed punctured-disk weights 1, x^2, x^2, ... at a number x:
-    wrong from n = 2 on, and kept only so the coherence checks can show
-    it.  The derived weights never form alone: the float sums split them
-    into the towers (:func:`_entire_terms`), and the exact pass applies
-    them as integer rows (:func:`_weight_row`)."""
-    yield 1
-    yield from itertools.repeat(x * x)
 
 
 def _weight_row(n: int, variant: str) -> list:
@@ -357,8 +469,8 @@ def _weight_row(n: int, variant: str) -> list:
 def _kappas(hv, m: int) -> list:
     """[kappa_0, ..., kappa_m] by the recurrence of :func:`_sum_series`,
     with its lazy pole test: the divisors 1 + k hbar for k < m, no other.
-    (The kernel keeps its own copy of the step: fed from a generator,
-    its per-term loop, the float disk sums' largest cost, ran slower.)"""
+    (That loop keeps its own copy of the step: it does not know m, and
+    forms each divisor only when its term arrives.)"""
     one, exact = _one_like(hv), is_exact(hv)
     out = [one]
     for n in range(1, m + 1):
@@ -480,41 +592,59 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, variant: str) -> StarResult:
     return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
 
 
-def _entire_terms(g, gt, w, variant):
-    # a geometric weight rho^n is split as r^n r^n with r^2 = rho, and r
-    # rides in both towers (Taylor coefficients of u -> g(w + r u)), so no
-    # power of rho is formed alone, to overflow while the towers underflow
-    if variant == "printed":
-        r, weights = 1.0, _weights(w)
-    else:
-        r = cmath.sqrt(w * w - 1) if variant == "annulus" else w
-        weights = itertools.repeat(1.0)
-    for wn, gn, gtn in zip(weights, taylor_tower(g, r), taylor_tower(gt, r)):
-        yield _float_term(*gn.eval(w), *gtn.eval(w), wn)
-
-
 def _star_entire(g, gt, h, w, cfg, variant):
     cfg = cfg if cfg is not None else StarConfig()
     hv = _lenient_value(h)
+    points, batched = _points(w)
+    if not points:
+        return []
     if cfg.mode == "exact-finite":
         if not (isinstance(g, PolyFn) and isinstance(gt, PolyFn)):
             raise NonTerminatingError(
                 "exact-finite mode requires polynomial operands")
         res = _surface_poly(g, gt, hv, variant)
-        return replace(res, value=res.value.eval(w)[0])
-    wc = to_complex(w)
-    return _sum_series(to_complex(hv), _entire_terms(g, gt, wc, variant),
-                       cfg.max_terms, cfg.tol)
+        out = [replace(res, value=res.value.eval(p)[0]) for p in points]
+    else:
+        # as in star_disk
+        with np.errstate(all="ignore"):
+            rows = _surface_rows(g, gt, [to_complex(p) for p in points], cfg.max_terms,
+                                 variant)
+            out = _sum_rows(to_complex(hv), *rows, cfg.max_terms, cfg.tol)
+    return out if batched else out[0]
+
+
+def _surface_rows(g, gt, points: list, max_terms: int, variant: str):
+    """(terms, bounds, faults) of a surface product at the points, for
+    :func:`_sum_rows`: the towers of g and gt at (w, r), a row per point."""
+    ws = np.array(points, dtype=complex)
+    width = max_terms + 1
+    weights = None
+    if variant == "printed":
+        # the printed weights 1, w^2, w^2, ...: wrong from n = 2 on, kept
+        # only so the coherence checks can show it
+        r = np.ones(len(ws), dtype=complex)
+        weights = np.repeat((ws * ws)[:, None], width, axis=1)
+        weights[:, 0] = 1
+    else:
+        # a geometric weight rho^n is split as r^n r^n with r^2 = rho, and
+        # r rides in both towers (Taylor coefficients of u -> g(w + r u)),
+        # so no power of rho is formed alone, to overflow while the towers
+        # underflow
+        r = np.sqrt(ws * ws - 1) if variant == "annulus" else ws
+    a, b = entire_tower(g, ws, r, width), entire_tower(gt, ws, r, width)
+    return (*_product_rows(a, b, weights), _merge_faults(a.faults, b.faults, True))
 
 
 def star_annulus(g, gt, h, w, cfg: StarConfig | None = None):
-    """(g o f_R) * (gt o f_R) evaluated in the chart variable w = f_R."""
+    """(g o f_R) * (gt o f_R) evaluated in the chart variable w = f_R: at
+    one point, or at each of a 1-D sequence of points as a list."""
     return _star_entire(g, gt, h, w, cfg, "annulus")
 
 
 def star_punctured(g, gt, h, w, cfg: StarConfig | None = None,
                    weight_variant: str = "derived"):
-    """(g o f_0) * (gt o f_0) in the chart variable w = f_0."""
+    """(g o f_0) * (gt o f_0) in the chart variable w = f_0, at one point
+    or at each of a 1-D sequence of points as a list."""
     if weight_variant not in ("derived", "printed"):
         raise ValueError(f"unknown weight variant {weight_variant!r}")
     return _star_entire(g, gt, h, w, cfg, weight_variant)
@@ -550,7 +680,7 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
                 g_d = pm_step(g_d, n - 1, "z")
                 if f_bar.is_zero or g_d.is_zero:
                     return
-            yield f_bar * g_d, 0.0
+            yield f_bar * g_d
     return _sum_series(_lenient_value(h), terms(), n_terms).value
 
 

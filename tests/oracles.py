@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 from fractions import Fraction
 
-from wickstar.functions import PolyFn, taylor_tower
-from wickstar.star import _sum_series
+from wickstar.exact import is_exact, to_complex
+from wickstar.functions import PolyFn
+from wickstar.peschl_minda import _Composed
+from wickstar.sphere import GPoint, SpherePoint
+from wickstar.star import StarConfig, _c_divisor, _one_like, _sum_series
+
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def taylor_tower(g, c=1):
+    """Yield g_n = c^n g^(n)/n!, n = 0, 1, ...: g_n(t) is the n-th Taylor
+    coefficient of u -> g(t + c u).  Each step is g_n = g_{n-1}' (c/n), so
+    neither n! nor c^n is formed; c = Fraction(1) keeps polynomials exact.
+    The stepped oracle of ``functions.entire_tower``: a SeriesFn raises
+    SeriesOrderError past its order and DomainError outside the radius of
+    a derivative, when the term is asked for."""
+    for n in itertools.count():
+        if n:
+            g = g.derivative() * (c / n)
+        yield g
 
 
 def _poly_weights(variant: str):
@@ -34,5 +55,97 @@ def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
         for n, (wn, dg, dgt) in enumerate(towers):
             if n and (dg.is_zero or dgt.is_zero):
                 return
-            yield wn * dg * dgt, 0.0
+            yield wn * dg * dgt
     return _sum_series(hv, terms())
+
+
+# ---------------------------------------------------------------------------
+# the float star products term by term: the reference of the array kernel
+# ---------------------------------------------------------------------------
+
+
+def sum_series_loop(hv, terms, max_terms: int, tol: float):
+    """sum_n kappa_n t_n over the (t_n, err_n) pairs of ``terms``, one term
+    at a time: kappa by the recurrence with its lazy pole test at each
+    divisor, the stop test of three successive terms below
+    tol * max(1, |sum|), and the tail of the last three terms, the bounds
+    err_n and the rounding bound gamma_m sum_k |kappa_k t_k|.  The
+    reference of ``star._sum_rows``.  Returns (value, terms used, tail
+    estimate, stop reason, sum_k |kappa_k t_k|)."""
+    one, exact = _one_like(hv), is_exact(hv)
+    kappa = one
+    total, err, mass = None, 0.0, 0.0
+    r1 = r2 = r3 = 0.0
+    stop, used = "terminated", 0
+    for n, (t, t_err) in enumerate(terms):
+        if n:
+            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
+        term = t * kappa
+        total = term if total is None else total + term
+        used = n + 1
+        if t_err:
+            err += abs(kappa) * t_err
+        r1, r2, r3 = r2, r3, abs(term)
+        mass += r3
+        if n >= 2 and max(r1, r2, r3) < tol * max(1.0, abs(total)):
+            stop = "tol"
+            break
+        if n == max_terms:
+            stop = "budget"
+            break
+    tail = r1 + r2 + r3 + err
+    gamma = used * _UNIT_ROUNDOFF
+    tail += gamma / (1 - gamma) * mass
+    return total, used, tail, stop, mass
+
+
+def _float_term(a, a_err, b, b_err, weight=1.0):
+    a, b = to_complex(a), to_complex(b)
+    if not (a_err or b_err):
+        return weight * a * b, 0.0
+    return weight * a * b, abs(weight) * (abs(a) * b_err + abs(b) * a_err + a_err * b_err)
+
+
+def _disk_stream(f, z, max_terms, bar):
+    """(a_n, err_n) of one disk operand: the lifts step ``taylor_tower`` at
+    their chart t + c u, every other operand reads its definitional jet."""
+    if isinstance(f, _Composed):
+        t, c = f._affine(z, bar)
+        return (gn.eval(t) for gn in taylor_tower(f.g, c))
+    return zip(f.ambient_jet(z, max_terms, bar).tolist(), itertools.repeat(0.0))
+
+
+def star_disk_by_terms(f, g, h, z, cfg: StarConfig):
+    """The float disk product at one point, term by term."""
+    z = to_complex(z)
+    towers = zip(_disk_stream(f, z, cfg.max_terms, True),
+                 _disk_stream(g, z, cfg.max_terms, False))
+    terms = (_float_term(*x, *y) for x, y in towers)
+    return sum_series_loop(to_complex(h), terms, cfg.max_terms, cfg.tol)
+
+
+def star_surface_by_terms(g, gt, h, w, cfg: StarConfig, variant: str):
+    """The float annulus ("annulus") or punctured-disk ("derived",
+    "printed") product at one point, term by term."""
+    w = to_complex(w)
+    if variant == "printed":
+        r, weights = 1.0, itertools.chain([1.0], itertools.repeat(w * w))
+    else:
+        r = cmath.sqrt(w * w - 1) if variant == "annulus" else w
+        weights = itertools.repeat(1.0)
+    terms = (_float_term(*gn.eval(w), *gtn.eval(w), wn)
+             for wn, gn, gtn in zip(weights, taylor_tower(g, r), taylor_tower(gt, r)))
+    return sum_series_loop(to_complex(h), terms, cfg.max_terms, cfg.tol)
+
+
+def sample_gpoints_by_draws(rng, n: int):
+    """``sampling.sample_gpoints`` with one draw per number: its reference
+    for the points and the generator state."""
+    out = []
+    while len(out) < n:
+        z = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
+        w = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
+        if abs(z - w) < 0.05:
+            continue
+        out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
+    return out

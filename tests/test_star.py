@@ -346,16 +346,16 @@ def test_profile_collects_domain_errors_per_sample():
 
 
 def test_truncated_disk_sum_evaluates_each_tower_order_once(monkeypatch):
-    # terms 0..64 take coefficients 0..64 of each tower: one jet of order
+    # terms 0..64 take coefficients 0..64 of each tower: one tower of order
     # 64 per operand, and no order is built twice
     orders = []
-    ambient_jet = peschl_minda.DiskFunction.ambient_jet
+    pm_tower = peschl_minda.DiskFunction.pm_tower
 
-    def counting(self, z, order, bar=False):
-        orders.append((order, bar))
-        return ambient_jet(self, z, order, bar)
+    def counting(self, nmax, zs, bar=False):
+        orders.append((nmax, bar))
+        return pm_tower(self, nmax, zs, bar)
 
-    monkeypatch.setattr(peschl_minda.DiskFunction, "ambient_jet", counting)
+    monkeypatch.setattr(peschl_minda.DiskFunction, "pm_tower", counting)
     phi = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
     zbar, z = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
     for f, g in ((zbar, z), (MoebiusPullback(zbar, phi), MoebiusPullback(z, phi))):
