@@ -25,3 +25,9 @@ class SeriesOrderError(WickstarError, ValueError):
 class NonTerminatingError(WickstarError, ValueError):
     """Exact-finite evaluation was requested for a star-product series
     that does not terminate for the given operands."""
+
+
+class FloatRangeError(WickstarError, OverflowError):
+    """A float evaluation left the range of double precision: a term it
+    sums is infinite or NaN, so neither its value nor its error bound
+    means anything."""

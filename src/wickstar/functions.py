@@ -539,12 +539,11 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return x[:, None] ** _exponents(n)
 
 
-@functools.lru_cache(maxsize=32)
 def _binomials(m: int):
     """(C(n+j, n), n+j) for 0 <= n, j <= m, with the binomial 0 where
     n + j > m and the index clipped to m there: the Taylor shift of a
     polynomial of degree m.  Pascal's rule in floats is exact below 2^53.
-    Read-only, as every caller shares it."""
+    Built per shift table: the tables themselves are memoized."""
     pascal = np.zeros((m + 1, m + 1))
     pascal[:, 0] = 1.0
     with np.errstate(over="ignore"):
@@ -554,10 +553,7 @@ def _binomials(m: int):
     idx = k[:, None] + k[None, :]
     keep = idx <= m
     idx = np.where(keep, idx, m)
-    binom = np.where(keep, pascal[idx, k[:, None]], 0.0)
-    for a in (binom, idx):
-        a.setflags(write=False)
-    return binom, idx
+    return np.where(keep, pascal[idx, k[:, None]], 0.0), idx
 
 
 def shift_table(coeffs: np.ndarray, rows: int | None = None) -> np.ndarray:

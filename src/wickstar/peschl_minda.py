@@ -45,9 +45,8 @@ a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
   of :func:`wickstar.functions.entire_tower`, shared with the surface
   products.  A series g carries its tail bound into every entry, and a
   row faults where the series cannot give an order.  Under a pullback
-  (r != 0) a polynomial g takes the closed form above and an
-  exponential the jet; a certified series enters no jet, which would
-  drop its tail bound.
+  (r != 0) the towers are read off the jet, which a certified series
+  does not enter: it would drop its tail bound.
 """
 
 from __future__ import annotations
@@ -77,9 +76,12 @@ def q_aux(z):
     return (1 - z) * (1 - zb) / (1 - z * zb)
 
 
+_OUTSIDE_DISK = "point must lie in the open unit disk"
+
+
 def _check_disk(z):
     if abs(to_complex(z)) >= 1:
-        raise DomainError("point must lie in the open unit disk")
+        raise DomainError(_OUTSIDE_DISK)
 
 
 def _check_order(n):
@@ -215,11 +217,19 @@ class DiskFunction:
         """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = 0..nmax at
         each float point of the 1-D sequence zs: one row per point, in
         closed form (:meth:`_tower`), the rows of a lift faulting where its
-        series cannot give an order."""
+        series cannot give an order.  The row of a point outside the disk
+        faults at order 0 (and is built at 0), so a batch raises what
+        its first failing point would raise alone."""
         zs = [to_complex(z) for z in zs]
-        for z in zs:
-            _check_disk(z)
-        return self._tower([_ambient(z, bar) for z in zs], nmax + 1, bar)
+        outside = [abs(z) >= 1 for z in zs]
+        tower = self._tower([_ambient(0j if out else z, bar) for z, out in zip(zs, outside)],
+                            nmax + 1, bar)
+        if not any(outside):
+            return tower
+        faults = tower.faults or [None] * len(zs)
+        return tower._replace(faults=[
+            (0, 1, DomainError(_OUTSIDE_DISK)) if out else fault
+            for out, fault in zip(outside, faults)])
 
     def _float_tower(self, nmax, z, bar):
         # past a float's range an entry is inf, as in scalar arithmetic
@@ -356,13 +366,8 @@ class _Composed(DiskFunction):
         if not r.any():
             # the lift's own towers: the chart is t + delta u
             return entire_tower(self.g, t, delta, width)
-        if isinstance(self.g, PolyFn):
-            # under a pullback: the polynomial's tower at (M(0), delta),
-            # composed with v = u/(1 - r u)
-            e = entire_tower(self.g, t, delta, len(self.g.coeffs)).values
-            return Tower(moebius_compose(e, r, width))
-        # no finite closed form under a pullback: the definitional jet,
-        # which refuses a certified series
+        # under a pullback: the definitional jet, which refuses a certified
+        # series
         return Tower(np.array([self.moebius_eval_jet(m, w0, width - 1, bar).coeffs
                                for m, w0 in frames]))
 

@@ -46,9 +46,10 @@ and a cumprod for an exponential).  Their product is the
 (:func:`_sum_rows`) sums every row: kappa is formed once per hbar and
 width, each row's partial sums are one cumsum, and each row stops,
 reports its tail and raises exactly as a sum taken one term at a time
-would.  A point's row does not depend on the batch it is in, and
-``star_disk``, ``star_annulus`` and ``star_punctured`` take one point
-(giving a StarResult) or a 1-D sequence of them (giving a list).  Exact
+would; a row whose sum or tail is not finite raises FloatRangeError.  A
+point's row does not depend on the batch it is in, and ``star_disk``,
+``star_annulus`` and ``star_punctured`` take one point (giving a
+StarResult) or a 1-D sequence of them (giving a list).  Exact
 and symbolic terms (QC, Fraction, BiPoly) keep a loop that adds one term
 at a time (:func:`_sum_series`), and the exact surface products of
 polynomials their one integer pass (above).
@@ -66,11 +67,11 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
-from .errors import DomainError, NonTerminatingError, WickstarError
+from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
 from .exact import QC, _make, is_exact, to_complex
 from .functions import (BiPoly, PolyFn, Tower, _convolve, _kind, _numerators,
                         _reach, entire_tower)
@@ -307,9 +308,10 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
     A row whose towers fault (``faults[p] = (n, ...)``) at a term it
     reaches raises that error, or the pole's, whichever its terms meet
     first; the first row that raises decides, as in a loop over the
-    points.  A narrower array than max_terms + 1 faults in every row.
-    Callers ignore numpy's float errors: the entries a raising row leaves
-    behind may be NaN."""
+    points.  A narrower array than max_terms + 1 faults in every row.  A
+    row whose sum or tail up to its stop is not finite (a term it reaches
+    overflowed) raises FloatRangeError.  Callers ignore numpy's float
+    errors: the entries a raising row leaves behind may be NaN."""
     size, width = terms.shape
     pole = _float_pole(hv)
     kappa = _kappa_row(hv, width)
@@ -340,7 +342,12 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
             tail += err.item(p, stop)
         gamma = (stop + 1) * _UNIT_ROUNDOFF
         tail += gamma / (1 - gamma) * mass.item(p, stop)
-        out.append(StarResult(total.item(p, stop), stop + 1, tail, "tol" if hit else "budget"))
+        value = total.item(p, stop)
+        if not (cmath.isfinite(value) and isfinite(tail)):
+            raise FloatRangeError(
+                f"the float star sum leaves the range of double precision within "
+                f"{stop + 1} terms")
+        out.append(StarResult(value, stop + 1, tail, "tol" if hit else "budget"))
     return out
 
 
@@ -426,26 +433,30 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
     if not points:
         return []
     if cfg.mode == "exact-finite":
-        for p in points:
-            _check_disk(p)
-        if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
-            raise NonTerminatingError(
-                "exact-finite mode requires polynomial disk functions")
-        _require_termination(f.f, g.f)
-        out = [StarResult(f.value(p) * g.value(p), 1, 0.0, "terminated") for p in points]
+        out = [_exact_disk(f, g, p) for p in points]
     else:
-        # past a float's range an entry is inf, as in scalar arithmetic, and
-        # a row past its pole or fault may hold any value: it raises
+        # a row that leaves the float range, or runs past its pole or fault,
+        # may hold any value: it raises
         with np.errstate(all="ignore"):
             rows = _disk_rows(f, g, [to_complex(p) for p in points], cfg.max_terms)
             out = _sum_rows(to_complex(hv), *rows, cfg.max_terms, cfg.tol)
     return out if batched else out[0]
 
 
+def _exact_disk(f, g, z) -> StarResult:
+    """f g at z, checked as a batch of points checks each in turn."""
+    _check_disk(z)
+    if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
+        raise NonTerminatingError(
+            "exact-finite mode requires polynomial disk functions")
+    _require_termination(f.f, g.f)
+    return StarResult(f.value(z) * g.value(z), 1, 0.0, "terminated")
+
+
 def _disk_rows(f, g, zs: list, max_terms: int):
     """(terms, bounds, faults) of the disk product at the points zs, for
     :func:`_sum_rows`: one tower per operand, a row per point, the first
-    operand taking Dbar.  The towers check the points."""
+    operand taking Dbar.  A point outside the disk faults at order 0."""
     a = f.pm_tower(max_terms, zs, bar=True)
     b = g.pm_tower(max_terms, zs)
     return (*_product_rows(a, b), _merge_faults(a.faults, b.faults, False))

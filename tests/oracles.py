@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
+from wickstar.errors import FloatRangeError
 from wickstar.exact import is_exact, to_complex
 from wickstar.functions import PolyFn
 from wickstar.peschl_minda import _Composed
@@ -71,7 +73,8 @@ def sum_series_loop(hv, terms, max_terms: int, tol: float):
     tol * max(1, |sum|), and the tail of the last three terms, the bounds
     err_n and the rounding bound gamma_m sum_k |kappa_k t_k|.  The
     reference of ``star._sum_rows``.  Returns (value, terms used, tail
-    estimate, stop reason, sum_k |kappa_k t_k|)."""
+    estimate, stop reason, sum_k |kappa_k t_k|); a value or tail that is
+    not finite raises FloatRangeError."""
     one, exact = _one_like(hv), is_exact(hv)
     kappa = one
     total, err, mass = None, 0.0, 0.0
@@ -96,6 +99,8 @@ def sum_series_loop(hv, terms, max_terms: int, tol: float):
     tail = r1 + r2 + r3 + err
     gamma = used * _UNIT_ROUNDOFF
     tail += gamma / (1 - gamma) * mass
+    if not (cmath.isfinite(total) and math.isfinite(tail)):
+        raise FloatRangeError("the float star sum leaves the range of double precision")
     return total, used, tail, stop, mass
 
 

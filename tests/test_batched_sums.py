@@ -15,7 +15,8 @@ from oracles import (sample_gpoints_by_draws, star_disk_by_terms, star_surface_b
 
 from wickstar import star
 from wickstar.cli import main
-from wickstar.errors import WickstarError
+from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
+                             WickstarError)
 from wickstar.exact import QC
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn, entire_tower
 from wickstar.peschl_minda import ComposedP, ComposedQ, MoebiusPullback, PolyDisk
@@ -31,6 +32,10 @@ hbars = st.one_of(
               st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3))))
 disk_points = st.builds(lambda r, a: r * cmath.exp(1j * a),
                         st.floats(0.0, 0.97), st.floats(0.0, 2 * math.pi))
+# mostly inside the disk; a point outside it fails at order 0
+batch_points = st.one_of(disk_points, disk_points, disk_points,
+                         st.builds(lambda r, a: r * cmath.exp(1j * a),
+                                   st.floats(1.0, 1.5), st.floats(0.0, 2 * math.pi)))
 chart_points = st.complex_numbers(max_magnitude=2.0)
 configs = st.builds(StarConfig, max_terms=st.integers(1, 400),
                     tol=st.sampled_from([0.0, 1e-14, 1e-12, 1e-8]))
@@ -61,11 +66,11 @@ disk_operands = st.one_of(
 variants = st.sampled_from(["annulus", "derived", "printed"])
 
 
-def _outcome(call):
+def _outcome(call, message=False):
     try:
         return call()
     except WickstarError as exc:
-        return type(exc)
+        return (type(exc), str(exc)) if message else type(exc)
 
 
 def _surface(variant):
@@ -95,14 +100,14 @@ def _assert_close(got, want, mass):
     the mass sum_n |kappa_n t_n|."""
     value, used, tail, stop, _ = want
     assert (got.terms_used, got.stop_reason) == (used, stop)
-    if cmath.isfinite(value) and math.isfinite(tail):
-        assert abs(got.value - value) <= 1e-14 * max(abs(value), mass) + TINY
-        assert abs(got.tail_estimate - tail) <= 1e-14 * tail + TINY
+    assert abs(got.value - value) <= 1e-14 * max(abs(value), mass) + TINY
+    assert abs(got.tail_estimate - tail) <= 1e-14 * tail + TINY
 
 
 def _check_rows(h, rows, cfg, batch, solo):
     """Every row of the kernel against the loop, the batch against its
-    points one at a time, and a batch of one against the scalar call."""
+    points one at a time (the same error, message and all), and a batch
+    of one against the scalar call."""
     terms, bounds, faults = rows
     hv = complex(h)
     for p in range(len(terms)):
@@ -116,19 +121,19 @@ def _check_rows(h, rows, cfg, batch, solo):
             assert got == want
         else:
             _assert_close(got[0], want, want[4])
-    alone = [_outcome(lambda: solo(p)) for p in range(len(terms))]
-    raised = [a for a in alone if isinstance(a, type)]
-    together = _outcome(batch)
+    alone = [_outcome(lambda: solo(p), True) for p in range(len(terms))]
+    raised = [a for a in alone if isinstance(a, tuple)]
+    together = _outcome(batch, True)
     if raised:
         assert together == raised[0]
     else:
         assert together == alone
-    assert _outcome(lambda: solo(0, batched=True)[0]) == alone[0]
+    assert _outcome(lambda: solo(0, batched=True)[0], True) == alone[0]
 
 
 @settings(max_examples=120, deadline=None)
 @given(f=disk_operands, g=disk_operands, h=hbars, cfg=configs,
-       zs=st.lists(disk_points, min_size=1, max_size=4))
+       zs=st.lists(batch_points, min_size=1, max_size=4))
 def test_disk_kernel_matches_the_loop_row_by_row(f, g, h, cfg, zs):
     def solo(p, batched=False):
         return star_disk(f, g, h, [zs[p]] if batched else zs[p], cfg)
@@ -169,7 +174,7 @@ def test_disk_products_match_the_old_float_sums(f, g, h, cfg, z):
     value, used, tail, stop, mass = want
     assert (got.terms_used, got.stop_reason) == (used, stop)
     series = any(isinstance(getattr(x, "g", None), SeriesFn) for x in (f, g))
-    if not series and cmath.isfinite(value):
+    if not series:
         assert abs(got.value - value) <= 1e-13 * max(abs(value), mass) + TINY
         assert abs(got.tail_estimate - tail) <= 1e-13 * max(tail, mass) + TINY
 
@@ -184,7 +189,7 @@ def test_surface_products_match_the_old_float_sums(g, gt, h, cfg, variant, w):
         return
     value, used, tail, stop, mass = want
     assert (got.terms_used, got.stop_reason) == (used, stop)
-    if not any(isinstance(x, SeriesFn) for x in (g, gt)) and cmath.isfinite(value):
+    if not any(isinstance(x, SeriesFn) for x in (g, gt)):
         assert abs(got.value - value) <= 1e-13 * max(abs(value), mass) + TINY
         assert abs(got.tail_estimate - tail) <= 1e-13 * max(tail, mass) + TINY
 
@@ -223,6 +228,18 @@ def test_a_batch_raises_the_error_of_its_first_failing_point():
         star_disk(zbar, z, -0.05, [0.01, 0.9], cfg)
     with pytest.raises(WickstarError, match="open unit disk"):
         star_disk(zbar, z, 0.5, [0.1, 1.5], cfg)
+    # the point that meets the pole comes first, so its error wins over
+    # that of the point outside the disk, and the other way round
+    with pytest.raises(DomainError, match="-1/20"):
+        star_disk(zbar, z, -0.05, [0.9, 1.5], cfg)
+    with pytest.raises(DomainError, match="open unit disk"):
+        star_disk(zbar, z, -0.05, [1.5, 0.9], cfg)
+    # in exact-finite mode the operands are checked at each point in turn
+    exact = StarConfig(mode="exact-finite")
+    with pytest.raises(NonTerminatingError):
+        star_disk(zbar, z, 0.5, [0.5, 1.5], exact)
+    with pytest.raises(DomainError, match="open unit disk"):
+        star_disk(zbar, z, 0.5, [1.5, 0.5], exact)
     # a certified series faults only at the point outside its radius
     s = _exp_series(0.5, 12, 4.0)
     assert all(r.converged for r in star_punctured(s, s, 0.5, [0.01, 0.02],
@@ -297,3 +314,20 @@ def test_direct_coefficients_in_one_pass(h):
         assert seq == star.c_sequence(h, 30)
     if h == 1:
         assert seq == [Fraction(1, math.factorial(n)) for n in range(31)]
+
+
+def test_a_sum_that_leaves_the_float_range_is_refused():
+    # e^{800 w} overflows at w = 1: no value and no tail bound is left
+    with pytest.raises(FloatRangeError):
+        star_annulus(ExpFn(800), ExpFn(1), 0.5, 1.0)
+    with pytest.raises(FloatRangeError):
+        star_annulus(ExpFn(1), ExpFn(1), 0.5, [0.5, 1.0 + 0j, 1e300])
+    # a large sum that stays in range is kept
+    res = star_annulus(ExpFn(300), ExpFn(1), 0.5, 0.5)
+    assert res.stop_reason == "tol" and abs(res.value) > 1e60
+    assert math.isfinite(res.tail_estimate)
+    # the CLI reports it as an internal error, as it did OverflowError
+    code = main(["star", "eval", "--surface", "annulus",
+                 "--f", '{"type":"exp","scale":[800,0]}', "--g", '{"type":"exp","scale":[1,0]}',
+                 "--hbar", "0.5", "--point", "1.0"])
+    assert code == 4
