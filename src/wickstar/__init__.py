@@ -10,8 +10,7 @@ from .exact import QC, conj, is_exact, to_complex
 from .functions import (BasisFpq, BiPoly, EntireFn, ExpFn, Jet, PolyFn,
                         SeriesFn, entire_from_json)
 from .peschl_minda import (ComposedP, ComposedQ, DiskFunction, MoebiusPullback,
-                           PolyDisk, p_aux, pm_bar_definitional,
-                           pm_definitional, q_aux)
+                           PolyDisk, p_aux, q_aux)
 from .sphere import (GPoint, MoebiusMap, OmegaPoint, SpherePoint,
                      annulus_deck_multiplier, covering_disk_to_annulus,
                      covering_disk_to_punctured, covering_half_to_annulus,

@@ -6,16 +6,8 @@ a mandatory geometric tail certificate |a_k| <= C / rho^k for k > M.
 A truncated series never silently drops its truncation error: every
 evaluation returns (value, bound).
 
-Truncated Taylor jets compute in their scalar type: float jets run on
-numpy (products by np.convolve, reciprocals by Newton doubling), and the
-jet of a Moebius map comes in closed form (:func:`moebius_matrix_jet`).  Exact
-jets (QC, Fraction, int coefficients) and exact polynomials multiply by
-one kernel, :func:`_mul_exact`, that convolves integer (or
-Gaussian-integer) numerators over a common denominator; exact
-reciprocals run the truncated recurrence in QC.
-
-The float sums read closed-form towers instead of jets, one row per point
-of a batch (:class:`Tower`): :func:`entire_tower` gives the Taylor
+The float sums read closed-form towers, one row per point of a batch
+(:class:`Tower`): :func:`entire_tower` gives the Taylor
 coefficients of u -> g(t + c u) for each entire-function shape, and
 :func:`shift_table`, :func:`shifted_rows` and :func:`moebius_compose`
 give those of a polynomial composed with a Moebius map.
@@ -27,7 +19,7 @@ import cmath
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +29,8 @@ from .exact import QC, _make, _parts, conj, is_exact, to_complex
 
 
 # ---------------------------------------------------------------------------
-# truncated Taylor jets (the Peschl-Minda towers of polynomials and
-# pullbacks, and the definitional oracle of the closed-form towers)
+# truncated Taylor jets, and the exact convolution kernel they share with
+# the exact polynomials
 # ---------------------------------------------------------------------------
 
 def _float_coeffs(coeffs) -> np.ndarray:
@@ -290,32 +282,6 @@ def moebius_jet(m, zjet: Jet) -> Jet:
     return num / den
 
 
-def moebius_matrix_jet(m, order: int) -> Jet:
-    """Jet of u -> (a u + b)/(c u + d) for the matrix m = (a, b, c, d).
-
-    In closed form, a geometric series: the constant b/d, then coefficient
-    k >= 1 is det/d^2 (-c/d)^{k-1}, det = ad - bc.  Exact entries give a
-    list of QC; otherwise a float jet, its powers by multiply.accumulate."""
-    if m[3] == 0:
-        raise ZeroDivisionError("Moebius jet has a pole at u = 0")
-    if all(map(is_exact, m)):
-        a, b, c, d = (x if isinstance(x, QC) else QC(x) for x in m)
-        r, x = -c / d, (a * d - b * c) / (d * d)
-        out = [b / d]
-        for _ in range(order):
-            out.append(x)
-            x = x * r
-        return Jet(out)
-    a, b, c, d = map(to_complex, m)
-    out = np.empty(order + 1, dtype=complex)
-    out[0] = b / d
-    if order:
-        out[1:] = -c / d
-        out[1] = (a * d - b * c) / (d * d)
-        np.multiply.accumulate(out[1:], out=out[1:])
-    return Jet(out)
-
-
 # ---------------------------------------------------------------------------
 # entire functions
 # ---------------------------------------------------------------------------
@@ -454,11 +420,13 @@ class SeriesFn(EntireFn):
     __slots__ = ("coeffs", "rho", "C")
 
     def __init__(self, coeffs, rho: float, C: float):
-        if rho <= 0 or C < 0:
-            raise ValueError("tail certificate needs rho > 0 and C >= 0")
+        rho, C = float(rho), float(C)
+        # a NaN fails both comparisons
+        if not (0 < rho < inf and 0 <= C < inf):
+            raise ValueError("tail certificate needs finite rho > 0 and C >= 0")
         self.coeffs = list(coeffs)
-        self.rho = float(rho)
-        self.C = float(C)
+        self.rho = rho
+        self.C = C
 
     @property
     def max_order(self) -> int:

@@ -3,30 +3,28 @@
 D^n f(z) = d_u^n F(T_z(u), conj z)|_0, T_z(u) = (z + u)/(1 + conj(z) u),
 grows like n!, so every tower carries a_n = D^n f(z)/n!, the n-th Taylor
 coefficient of u -> F(T_z(u), conj z).  Dbar^n f(z)/n! is the n-th
-coefficient of u -> F(z, T_{conj z}(u)): the same jet in the
+coefficient of u -> F(z, T_{conj z}(u)): the same coefficients in the
 antiholomorphic slot, with z frozen in the holomorphic one.  D^n f
-appears only at the public edge (``pm``/``pm_bar``, :func:`pm_bipoly`,
-:func:`pm_definitional`), which multiplies by n!.
+appears only at the public edge (``pm``/``pm_bar``, :func:`pm_bipoly`),
+which multiplies by n!.
 
-A variant describes its towers twice, by the same Moebius matrices: as
-the jet ``moebius_eval_jet`` of u -> F(M(u), w0), or with ``bar`` of
-u -> F(w0, M(u)), for the map M of a matrix (a, b, c, d), and as the
-closed-form tower ``_tower`` of the same coefficients, one row per point
-of a batch.  T_z is (1, z, conj z, 1) and T_{conj z} is (1, conj z, z, 1).
-A variant multiplies the matrix of the map it puts in front into the one
-it is handed: no jet is divided and no operand is conjugated.  Float
-points read the closed form (``pm_tower``, and ``pm_sequence``/
-``pm_bar_sequence`` for one point); exact points read the jet, which is
-also the definitional oracle of the closed form (:func:`pm_definitional`).
+A variant describes its towers once, by its Moebius matrices: the
+closed-form tower ``_tower`` of the coefficients of u -> F(M(u), w0), or
+with ``bar`` of u -> F(w0, M(u)), for the map M of a matrix (a, b, c, d),
+one row per point of a batch.  T_z is (1, z, conj z, 1) and T_{conj z}
+is (1, conj z, z, 1).  A variant multiplies the matrix of the map it puts
+in front into the one it is handed: no operand is conjugated.  The
+towers are read at float points (``pm_tower``, and ``pm_sequence``/
+``pm_bar_sequence`` for one point); an exact point is read as its float.
 
 The closed form: write M(u) = M(0) + delta v with v = u/(1 - r u),
 M(0) = b/d, r = -c/d and delta = det/d^2.  For a polynomial p in the
-jet's slot, p(M(u)) = sum_k e_k delta^k v^k, e_k the Taylor coefficients
+varying slot, p(M(u)) = sum_k e_k delta^k v^k, e_k the Taylor coefficients
 of p at M(0) (a binomial shift), so
 a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
 
 * ``PolyDisk``      -- F(z, conj z) for a bivariate polynomial F, which
-  collapses to a polynomial in the jet's slot.  Its exact symbolic towers
+  collapses to a polynomial in the slot.  Its exact symbolic towers
   E_n = D^n F/n! are stepped one order at a time by
   E_{n+1} = [(1 - zw) d_z E_n - n w E_n]/(n + 1)   (w standing for conj z),
   and the same step with the slots swapped for Dbar.  It holds because
@@ -35,8 +33,8 @@ a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
   independent oracle of the float towers.
 * ``MoebiusPullback`` -- precomposition with a disk automorphism phi,
   which acts on (Z, W) as (phi(Z), psi(W)) with psi = 1/phi(1/.): the
-  map of the jet's slot joins the matrix, and the frozen value moves by
-  the other.
+  map of the slot joins the matrix, and the frozen value moves by the
+  other.
 * ``ComposedP``     -- g(p(z)) with p(z) = (z - conj z)/(1 - |z|^2), and
 * ``ComposedQ``     -- g(q(z)) with q(z) = |1-z|^2 / (1 - |z|^2).  With
   one slot frozen the chart is a Moebius map (``chart_matrix``), and its
@@ -45,8 +43,9 @@ a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
   of :func:`wickstar.functions.entire_tower`, shared with the surface
   products.  A series g carries its tail bound into every entry, and a
   row faults where the series cannot give an order.  Under a pullback
-  (r != 0) the towers are read off the jet, which a certified series
-  does not enter: it would drop its tail bound.
+  (r != 0) the same tower, taken as the e_k above, is composed with v;
+  a certified series is refused there, as the composition would drop
+  its tail bound.
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ import numpy as np
 
 from .errors import DomainError, NonRepresentableError
 from .exact import conj, is_exact, to_complex
-from .functions import (BiPoly, EntireFn, ExpFn, Jet, PolyFn, Tower, entire_tower,
-                        moebius_compose, moebius_matrix_jet, shift_table,
-                        shifted_rows)
+from .functions import (BiPoly, EntireFn, Tower, entire_tower, moebius_compose,
+                        shift_table, shifted_rows)
 from .sphere import MoebiusMap
 
 
@@ -173,44 +171,24 @@ def _chart(m):
     return b / d, (a + b * r) / d, r
 
 
-def _raise_fault(tower: Tower, n: int):
-    """Raise the error of the first row when it cannot reach order n."""
-    fault = tower.faults[0] if tower.faults else None
-    if fault is not None and fault[0] <= n:
-        raise fault[2]
-
-
 class DiskFunction:
     """Common surface of the disk-function variants.
 
-    A variant implements ``value`` and ``moebius_eval_jet``, the one
-    description of its towers.  The towers of Taylor coefficients
-    D^n f(z)/n! and Dbar^n f(z)/n! are then read off one definitional jet
-    each, its Moebius map in the holomorphic or in the antiholomorphic
-    slot, and everything else derives from ``_sequence``."""
+    A variant implements ``value`` and ``_tower``, the one description of
+    its towers: the Taylor coefficients D^n f(z)/n! and Dbar^n f(z)/n!, in
+    closed form over a batch of points (``pm_tower``).  The per-point API
+    reads one row of it."""
 
     def value(self, z):
         raise NotImplementedError
 
-    def moebius_eval_jet(self, m, w0, order: int, bar: bool = False) -> Jet:
-        """Jet of u -> F(M(u), w0), or with ``bar`` of u -> F(w0, M(u)):
-        the bivariate extension F(Z, W) with the Moebius map M(u) =
-        (au + b)/(cu + d), m = (a, b, c, d), in the holomorphic slot (the
-        antiholomorphic one with ``bar``) and the scalar w0 frozen in the
-        other."""
-        raise NotImplementedError
-
-    def ambient_jet(self, z, order: int, bar: bool = False) -> Jet:
-        """Jet of u -> F(T_z(u), conj z), or with ``bar`` of
-        u -> F(z, T_{conj z}(u)); its n-th coefficient is D^n f(z)/n!, or
-        Dbar^n f(z)/n!, by definition.  T_z(u) = (u + z)/(zb u + 1)."""
-        m, w0 = _ambient(z, bar)
-        return self.moebius_eval_jet(m, w0, order, bar)
-
     def _tower(self, frames: list, width: int, bar: bool) -> Tower:
-        """Coefficients 0..width-1 of the jet of ``moebius_eval_jet`` at
-        each frame (m, w0) of complex scalars, in closed form: one row per
-        frame."""
+        """Coefficients 0..width-1 of u -> F(M(u), w0), or with ``bar`` of
+        u -> F(w0, M(u)), at each frame (m, w0) of complex scalars: the
+        bivariate extension F(Z, W) with the Moebius map M(u) =
+        (au + b)/(cu + d), m = (a, b, c, d), in the holomorphic slot (the
+        antiholomorphic one with ``bar``) and w0 frozen in the other, in
+        closed form, one row per frame."""
         raise NotImplementedError
 
     def pm_tower(self, nmax: int, zs, bar: bool = False) -> Tower:
@@ -231,46 +209,36 @@ class DiskFunction:
             (0, 1, DomainError(_OUTSIDE_DISK)) if out else fault
             for out, fault in zip(outside, faults)])
 
-    def _float_tower(self, nmax, z, bar):
+    def _row(self, nmax, z, bar):
+        """(values, bounds) of orders 0..nmax at the one point z, read as a
+        float, the bounds 0 where the tower carries none; raises the error
+        of the row when it cannot reach nmax."""
+        _check_order(nmax)
         # past a float's range an entry is inf, as in scalar arithmetic
         with np.errstate(all="ignore"):
-            return self.pm_tower(nmax, [z], bar)
-
-    def _sequence(self, nmax, z, start, bar):
-        """D^n f(z)/n!, or Dbar^n f(z)/n! with ``bar``, for n = start..nmax:
-        a list off the exact jet for an exact z, else a complex array off
-        the closed-form tower."""
-        _check_disk(z)
-        if is_exact(z):
-            return self.ambient_jet(z, nmax, bar).coeffs[start:]
-        tower = self._float_tower(nmax, z, bar)
-        _raise_fault(tower, nmax)
-        return tower.values[0, start:]
-
-    def _with_bound(self, n, z, bar):
-        _check_order(n)
-        _check_disk(z)
-        if is_exact(z):
-            return self.ambient_jet(z, n, bar).coeffs[n], 0.0
-        tower = self._float_tower(n, z, bar)
-        _raise_fault(tower, n)
-        bound = 0.0 if tower.bounds is None else float(tower.bounds[0, n])
-        return complex(tower.values[0, n]), bound
+            tower = self.pm_tower(nmax, [z], bar)
+        fault = tower.faults[0] if tower.faults else None
+        if fault is not None and fault[0] <= nmax:
+            raise fault[2]
+        bounds = np.zeros(nmax + 1) if tower.bounds is None else tower.bounds[0]
+        return tower.values[0], bounds
 
     def pm_sequence(self, nmax: int, z, start: int = 0):
         """D^n f(z)/n! for n = start..nmax."""
-        return self._sequence(nmax, z, start, False)
+        return self._row(nmax, z, False)[0][start:]
 
     def pm_bar_sequence(self, nmax: int, z, start: int = 0):
         """Dbar^n f(z)/n! for n = start..nmax."""
-        return self._sequence(nmax, z, start, True)
+        return self._row(nmax, z, True)[0][start:]
 
     def pm_with_bound(self, n, z):
         """(D^n f(z)/n!, error bound)."""
-        return self._with_bound(n, z, False)
+        values, bounds = self._row(n, z, False)
+        return complex(values[n]), float(bounds[n])
 
     def pm_bar_with_bound(self, n, z):
-        return self._with_bound(n, z, True)
+        values, bounds = self._row(n, z, True)
+        return complex(values[n]), float(bounds[n])
 
     def pm(self, n: int, z):
         """D^n f(z)."""
@@ -306,11 +274,8 @@ class PolyDisk(DiskFunction):
     def pm_bar_poly(self, n: int) -> BiPoly:
         return _tower_to(self._pm_bar_tower, n, "w")
 
-    def moebius_eval_jet(self, m, w0, order, bar=False):
-        return self.f.eval_jet(moebius_matrix_jet(m, order), w0, "w" if bar else "z")
-
     def _shift(self, bar):
-        """(shift table, E) of F with the jet's slot first."""
+        """(shift table, E) of F with the varying slot first."""
         out = self._shifts.get(bar)
         if out is None:
             terms = [((j, i) if bar else (i, j), a) for (i, j), a in self.f.coeffs.items()]
@@ -329,15 +294,6 @@ class PolyDisk(DiskFunction):
         e = shifted_rows(table, t, delta, np.array([w for _, w in frames], dtype=complex),
                          e_top)
         return Tower(moebius_compose(e, r, width))
-
-
-def _entire_eval_jet(g: EntireFn, t: Jet) -> Jet:
-    if isinstance(g, PolyFn):
-        return g.eval_jet(t)
-    if isinstance(g, ExpFn):
-        return (t * g.scale).exp() * g.amp
-    # a SeriesFn too: a jet of its stored part would drop its tail bound
-    raise NonRepresentableError(f"cannot build jets of {type(g).__name__}")
 
 
 class _Composed(DiskFunction):
@@ -363,17 +319,16 @@ class _Composed(DiskFunction):
     def _tower(self, frames, width, bar):
         t, delta, r = np.array([_chart(_matmul(self.chart_matrix(w0, bar), m))
                                 for m, w0 in frames], dtype=complex).T
+        # the Taylor coefficients of u -> g(M(0) + delta u)
+        tower = entire_tower(self.g, t, delta, width)
         if not r.any():
             # the lift's own towers: the chart is t + delta u
-            return entire_tower(self.g, t, delta, width)
-        # under a pullback: the definitional jet, which refuses a certified
-        # series
-        return Tower(np.array([self.moebius_eval_jet(m, w0, width - 1, bar).coeffs
-                               for m, w0 in frames]))
-
-    def moebius_eval_jet(self, m, w0, order, bar=False):
-        return _entire_eval_jet(self.g, moebius_matrix_jet(
-            _matmul(self.chart_matrix(w0, bar), m), order))
+            return tower
+        # under a pullback, composed with v = u/(1 - r u)
+        if tower.bounds is not None:
+            raise NonRepresentableError(
+                f"a pullback of a {type(self.g).__name__} lift would drop its tail bound")
+        return Tower(moebius_compose(tower.values, r, width))
 
 
 class ComposedP(_Composed):
@@ -417,7 +372,7 @@ class MoebiusPullback(DiskFunction):
     def _move(self, m, w0, bar, phi):
         """(outer m, moved w0): the induced map of (Z, W) is (phi(Z), psi(W)),
         psi(w) = 1/phi(1/w) = (dw + c)/(bw + a), for phi = (a, b, c, d);
-        the map of the jet's slot joins the matrix, and the frozen value
+        the map of the varying slot joins the matrix, and the frozen value
         moves by the other."""
         psi = phi[::-1]
         outer, (a, b, c, d) = (psi, phi) if bar else (phi, psi)
@@ -426,33 +381,8 @@ class MoebiusPullback(DiskFunction):
             raise DomainError("pullback ambient hits a pole of the induced map")
         return _matmul(outer, m), (a * w0 + b) / den
 
-    def moebius_eval_jet(self, m, w0, order, bar=False):
-        p = self.phi
-        return self.inner.moebius_eval_jet(*self._move(m, w0, bar, (p.a, p.b, p.c, p.d)),
-                                           order, bar)
-
     def _tower(self, frames, width, bar):
         p = self.phi
         phi = tuple(to_complex(x) for x in (p.a, p.b, p.c, p.d))
         return self.inner._tower([self._move(m, w0, bar, phi) for m, w0 in frames],
                                  width, bar)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-
-def pm_definitional(f: DiskFunction, n: int, z):
-    """Independent oracle for the closed-form towers: D^n f(z) as n! times
-    coefficient n of the order-n jet of u -> f(T_z(u)) at 0."""
-    _check_order(n)
-    _check_disk(z)
-    return math.factorial(n) * f.ambient_jet(z, n).tolist(n)[0]
-
-
-def pm_bar_definitional(f: DiskFunction, n: int, z):
-    """Dbar^n f(z) the same way, the jet in the antiholomorphic slot."""
-    _check_order(n)
-    _check_disk(z)
-    return math.factorial(n) * f.ambient_jet(z, n, bar=True).tolist(n)[0]

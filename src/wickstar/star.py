@@ -244,6 +244,9 @@ class StarConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        # a NaN tol would fail every stop test and silently sum to the budget
+        if not self.tol >= 0:
+            raise ValueError("tol must be a number >= 0")
 
 
 @dataclass(frozen=True)

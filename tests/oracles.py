@@ -7,11 +7,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from wickstar.errors import FloatRangeError
-from wickstar.exact import is_exact, to_complex
-from wickstar.functions import PolyFn
-from wickstar.peschl_minda import _Composed
-from wickstar.sphere import GPoint, SpherePoint
+from wickstar.errors import FloatRangeError, NonRepresentableError
+from wickstar.exact import conj, is_exact, to_complex
+from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
+from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
+from wickstar.sphere import GPoint, MoebiusMap, SpherePoint
 from wickstar.star import StarConfig, _c_divisor, _one_like, _sum_series
 
 # unit roundoff of IEEE double precision
@@ -29,6 +29,58 @@ def taylor_tower(g, c=1):
         if n:
             g = g.derivative() * (c / n)
         yield g
+
+
+# ---------------------------------------------------------------------------
+# the definitional Peschl-Minda jets: the oracle of the closed-form towers
+# ---------------------------------------------------------------------------
+
+
+def _operand_jet(f, x: Jet, w0, bar: bool) -> Jet:
+    """Jet of u -> F(x(u), w0), or with ``bar`` of u -> F(w0, x(u)), for
+    the bivariate extension F of the disk operand f, walked from outside:
+    each map is applied to the jet x by jet division."""
+    if isinstance(f, PolyDisk):
+        return f.f.eval_jet(x, w0, "w" if bar else "z")
+    if isinstance(f, MoebiusPullback):
+        # (Z, W) -> (phi(Z), psi(W)), psi(w) = 1/phi(1/w) = (dw + c)/(bw + a)
+        phi = f.phi
+        psi = MoebiusMap(phi.d, phi.c, phi.b, phi.a)
+        inner, frozen = (psi, phi) if bar else (phi, psi)
+        w = (frozen.a * w0 + frozen.b) / (frozen.c * w0 + frozen.d)
+        return _operand_jet(f.inner, moebius_jet(inner, x), w, bar)
+    if isinstance(f, _Composed):
+        t = moebius_jet(MoebiusMap(*f.chart_matrix(w0, bar)), x)
+        if isinstance(f.g, PolyFn):
+            return f.g.eval_jet(t)
+        if isinstance(f.g, ExpFn):
+            return (t * f.g.scale).exp() * f.g.amp
+        raise NonRepresentableError(f"a jet of a {type(f.g).__name__} drops its tail bound")
+    raise TypeError(f"no definitional jet for {type(f).__name__}")
+
+
+def definitional_jet(f, z, order: int, bar: bool = False) -> Jet:
+    """The jet of u -> F(T_z(u), conj z) to ``order``, or with ``bar`` of
+    u -> F(z, T_{conj z}(u)): its n-th coefficient is D^n f(z)/n!, or
+    Dbar^n f(z)/n!, by definition.  T_z(u) = (u + z)/(conj(z) u + 1) is
+    applied to Jet.variable(0) by jet division, and the operand's maps
+    after it; at a Gaussian-rational z with exact operands every
+    coefficient is exact."""
+    zb = conj(z)
+    zero = z * 0
+    one = zero + 1
+    t_z = MoebiusMap(one, zb, z, one) if bar else MoebiusMap(one, z, zb, one)
+    return _operand_jet(f, moebius_jet(t_z, Jet.variable(zero, order)), z if bar else zb, bar)
+
+
+def pm_definitional(f, n: int, z):
+    """D^n f(z) as n! times coefficient n of the definitional jet."""
+    return math.factorial(n) * definitional_jet(f, z, n).tolist(n)[0]
+
+
+def pm_bar_definitional(f, n: int, z):
+    """Dbar^n f(z) the same way, the jet in the antiholomorphic slot."""
+    return math.factorial(n) * definitional_jet(f, z, n, bar=True).tolist(n)[0]
 
 
 def _poly_weights(variant: str):
@@ -117,7 +169,7 @@ def _disk_stream(f, z, max_terms, bar):
     if isinstance(f, _Composed):
         t, c = f._affine(z, bar)
         return (gn.eval(t) for gn in taylor_tower(f.g, c))
-    return zip(f.ambient_jet(z, max_terms, bar).tolist(), itertools.repeat(0.0))
+    return zip(definitional_jet(f, z, max_terms, bar).tolist(), itertools.repeat(0.0))
 
 
 def star_disk_by_terms(f, g, h, z, cfg: StarConfig):

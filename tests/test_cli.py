@@ -67,10 +67,15 @@ def test_star_eval_rejects_pole_and_bad_json():
     code, _ = run_cli("star", "eval", "--surface", "disk", "--f", "{not json",
                       "--g", ident, "--hbar", "0.5", "--point", "0.1")
     assert code == EXIT_DOMAIN
+    # a NaN tol would turn the stop rule off
+    code, _ = run_cli("star", "eval", "--surface", "annulus", "--f", ident,
+                      "--g", ident, "--hbar", "0.5", "--point", "0.4", "--tol", "nan")
+    assert code == EXIT_DOMAIN
 
 
 IDENT = {"type": "poly", "coeffs": [[0, 0], [1, 0]]}
 Z = {"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]}
+SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "C": 1.0}
 
 # a spec (dict) for rigidity, or (surface, f, g) for star eval
 MALFORMED = {
@@ -93,6 +98,11 @@ MALFORMED = {
     "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
     "exp-missing-scale": ("annulus", IDENT, {"type": "exp"}),
     "poly-coeff-not-a-pair": ("annulus", {"type": "poly", "coeffs": [1]}, IDENT),
+    # json writes and reads NaN and Infinity; the series reaches every
+    # order and radius of the sum, so only its certificate is wrong
+    "series-rho-nan": ("annulus", {**SERIES, "rho": float("nan")}, IDENT),
+    "series-C-infinity": ("annulus", {**SERIES, "C": float("inf")}, IDENT),
+    "series-C-nan": ("annulus", {**SERIES, "C": float("nan")}, IDENT),
 }
 
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
 from wickstar.functions import (BasisFpq, BiPoly, ExpFn, Jet, PolyFn,
-                                SeriesFn, entire_from_json,
-                                moebius_jet, moebius_matrix_jet)
-from wickstar.peschl_minda import _matmul
+                                SeriesFn, entire_from_json, moebius_compose,
+                                moebius_jet)
+from wickstar.peschl_minda import _chart, _matmul
 from wickstar.sphere import MoebiusMap
 
 
@@ -120,9 +120,22 @@ def _exact_disk_map(a, unit=QC(1)):
     return MoebiusMap(unit, -unit * a, -a.conjugate(), QC(1), domain="D")
 
 
+def _closed_form_jet(m, order: int) -> list:
+    """The jet of u -> (a u + b)/(c u + d) from the closed form the towers
+    compose with (``peschl_minda._chart``): M(0) = b/d, then coefficient
+    k >= 1 is delta r^{k-1}."""
+    t, delta, r = _chart(m)
+    out = [t]
+    for _ in range(order):
+        out.append(delta)
+        delta = delta * r
+    return out
+
+
 def test_closed_form_moebius_jet_is_exact_for_a_pullback_of_a_pullback():
-    # the jet of u -> phi1(phi2(T_z(u))) in closed form equals the jet
-    # divisions of moebius_jet, coefficient for coefficient, in QC
+    # the jet of u -> phi1(phi2(T_z(u))) from the product matrix in closed
+    # form equals the jet divisions of moebius_jet, coefficient for
+    # coefficient, in QC
     z = QC(Fraction(1, 4), Fraction(-1, 5))
     zb = z.conjugate()
     phi1 = _exact_disk_map(QC(Fraction(1, 3), Fraction(-1, 4)), QC(Fraction(3, 5), Fraction(4, 5)))
@@ -131,14 +144,15 @@ def test_closed_form_moebius_jet_is_exact_for_a_pullback_of_a_pullback():
     t_z = moebius_jet(MoebiusMap(QC(1), z, zb, QC(1)), Jet.variable(QC(0), order))
     oracle = moebius_jet(phi1, moebius_jet(phi2, t_z))
     m = _matmul(_matrix(phi1), _matmul(_matrix(phi2), (1, z, zb, 1)))
-    jet = moebius_matrix_jet(m, order)
-    assert jet.exact and oracle.exact
-    assert all(isinstance(c, QC) for c in jet.coeffs)
-    assert jet.coeffs == oracle.coeffs
+    jet = _closed_form_jet(m, order)
+    assert oracle.exact
+    assert all(isinstance(c, QC) for c in jet)
+    assert jet == oracle.coeffs
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 0.97])
 def test_closed_form_moebius_jet_matches_jet_division_in_float(r):
+    # moebius_compose of the rows [M(0), delta] is the closed-form jet
     rng = random.Random(int(100 * r))
     order = 400
     for _ in range(4):
@@ -148,18 +162,21 @@ def test_closed_form_moebius_jet_matches_jet_division_in_float(r):
             0.9 * rng.random() * cmath.exp(2j * math.pi * rng.random()), rng.uniform(0, 6))
         oracle = moebius_jet(phi, moebius_jet(MoebiusMap(1, z, zb, 1),
                                               Jet.variable(0j, order))).coeffs
-        jet = moebius_matrix_jet(_matmul(_matrix(phi), (1, z, zb, 1)), order)
-        assert not jet.exact and len(jet.coeffs) == order + 1
+        t, delta, ratio = _chart(_matmul(_matrix(phi), (1, z, zb, 1)))
+        jet = moebius_compose(np.array([[t, delta]]), np.array([ratio]), order + 1)[0]
+        assert len(jet) == order + 1
         scale = np.abs(oracle).max()
-        assert np.abs(jet.coeffs - oracle).max() <= 1e-13 * scale
+        assert np.abs(jet - oracle).max() <= 1e-13 * scale
 
 
 def test_closed_form_moebius_jet_edge_cases():
     # c = 0 is a polynomial map; order 0 keeps the constant; d = 0 is a pole
-    assert moebius_matrix_jet((2.0, 1.0, 0.0, 4.0), 3).coeffs.tolist() == [0.25, 0.5, 0, 0]
-    assert moebius_matrix_jet((1, QC(1, 2), QC(3), 2), 0).coeffs == [QC(Fraction(1, 2), 1)]
+    t, delta, r = _chart((2.0, 1.0, 0.0, 4.0))
+    assert moebius_compose(np.array([[t, delta]]), np.array([r]), 4)[0].tolist() == [
+        0.25, 0.5, 0, 0]
+    assert _closed_form_jet((1, QC(1, 2), QC(3), 2), 0) == [QC(Fraction(1, 2), 1)]
     with pytest.raises(ZeroDivisionError):
-        moebius_matrix_jet((1.0, 1.0, 1.0, 0.0), 3)
+        _chart((1.0, 1.0, 1.0, 0.0))
 
 
 # the exact convolution kernel ------------------------------------------------
@@ -281,6 +298,10 @@ def test_series_tail_certificate():
         g.derivative(8)
     d = g.derivative(1)
     assert d.rho == 1.0 and d.C == 0.5
+    # a NaN or infinite certificate bounds nothing
+    for rho, C in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError):
+            SeriesFn(g.coeffs, rho=rho, C=C)
 
 
 def test_entire_json_roundtrip():

@@ -2,20 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import definitional_jet, pm_bar_definitional, pm_definitional
 
 import wickstar.functions as functions
 import wickstar.peschl_minda as peschl_minda
 import wickstar.star as star
 from wickstar.errors import DomainError, NonRepresentableError
-from wickstar.exact import QC, conj
+from wickstar.exact import QC, conj, to_complex
 from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
-                                   PolyDisk, p_aux, pm_bar_bipoly,
-                                   pm_bar_definitional, pm_bipoly,
-                                   pm_definitional, q_aux)
+                                   PolyDisk, p_aux, pm_bar_bipoly, pm_bipoly,
+                                   q_aux)
 from wickstar.sphere import MoebiusMap
 
 disk_points = st.tuples(
@@ -33,22 +34,28 @@ def test_chart_pullbacks_at_reference_points():
     assert q_aux(z) == pytest.approx(abs(1 - z) ** 2 / (1 - abs(z) ** 2))
 
 
-def test_first_derivatives_of_the_coordinate_function():
-    # the coordinate function z: first derivative (1-|z|^2), conjugate
-    # tower dies immediately
-    f = PolyDisk(BiPoly.z(exact=True))
-    z = QC(Fraction(1, 4), Fraction(-1, 5))
-    r2 = z * conj(z)
-    assert f.pm(1, z) == QC(1) - r2
-    assert f.pm(2, z) == -2 * conj(z) * (QC(1) - r2)
-    assert f.pm_bar(1, z) == QC(0)
-
-
 def _stepped(f: PolyDisk, n: int, z, bar: bool = False):
-    """Independent oracle for the jet towers: n! E_n(z, conj z) from the
+    """Independent oracle for the towers: n! E_n(z, conj z) from the
     stepped symbolic tower."""
     e_n = f.pm_bar_poly(n) if bar else f.pm_poly(n)
     return math.factorial(n) * e_n.eval_diag(z)
+
+
+def test_first_derivatives_of_the_coordinate_function():
+    # the coordinate function z: first derivative (1-|z|^2), conjugate
+    # tower dies immediately; exact in the definitional jet and the stepped
+    # tower, and to rounding in the float towers, which read an exact
+    # point as its float
+    f = PolyDisk(BiPoly.z(exact=True))
+    z = QC(Fraction(1, 4), Fraction(-1, 5))
+    r2 = z * conj(z)
+    want = {(1, False): QC(1) - r2, (2, False): -2 * conj(z) * (QC(1) - r2),
+            (1, True): QC(0)}
+    for (n, bar), value in want.items():
+        oracle = pm_bar_definitional if bar else pm_definitional
+        assert oracle(f, n, z) == _stepped(f, n, z, bar) == value
+        got = f.pm_bar(n, z) if bar else f.pm(n, z)
+        assert got == pytest.approx(to_complex(value), abs=1e-15)
 
 
 def test_polynomial_towers_against_the_stepped_oracle():
@@ -68,16 +75,88 @@ def test_monomial_towers_match_the_oracle(z, i, j, a, n):
 
 
 def test_exact_polynomial_towers_on_exact_points():
+    # the exact definitional jet is the stepped tower; the float towers
+    # read the point as its float
     f = PolyDisk(BiPoly({(1, 1): QC(1), (2, 0): QC(0, 1)}))
     z = QC(Fraction(1, 3), Fraction(1, 7))
     for n in range(4):
-        assert f.pm(n, z) == _stepped(f, n, z)
-        assert f.pm_bar(n, z) == _stepped(f, n, z, bar=True)
+        assert pm_definitional(f, n, z) == _stepped(f, n, z)
+        assert pm_bar_definitional(f, n, z) == _stepped(f, n, z, bar=True)
+        assert f.pm(n, z) == pytest.approx(to_complex(_stepped(f, n, z)), rel=1e-14)
+        assert f.pm_bar(n, z) == pytest.approx(to_complex(_stepped(f, n, z, bar=True)),
+                                               rel=1e-14)
 
 
+def _rotation(unit) -> MoebiusMap:
+    return MoebiusMap(unit, QC(0), QC(0), QC(1), domain="D")
+
+
+def _rotated(f: BiPoly, unit) -> BiPoly:
+    """F(unit Z, conj(unit) W): the polynomial of the pullback of F by the
+    rotation z -> unit z, |unit| = 1."""
+    return BiPoly({(i, j): a * unit ** i * conj(unit) ** j for (i, j), a in f.coeffs.items()})
+
+
+_Q_POINTS = (QC(Fraction(1, 4), Fraction(-1, 5)), QC(Fraction(-2, 3), Fraction(1, 7)))
+
+
+def test_exact_definitional_jets_are_the_stepped_towers():
+    # at Gaussian-rational points the jet divisions of the oracle give the
+    # stepped symbolic towers exactly, for a polynomial and, through the
+    # polynomial it equals, for a pullback of a pullback by rotations
+    f = BiPoly({(2, 1): QC(3, -1), (0, 2): QC(Fraction(-1, 2)), (1, 0): QC(0, 5),
+                (1, 1): QC(1)})
+    u1, u2 = QC(Fraction(3, 5), Fraction(4, 5)), QC(Fraction(5, 13), Fraction(-12, 13))
+    cases = [(PolyDisk(f), PolyDisk(f)),
+             (MoebiusPullback(MoebiusPullback(PolyDisk(f), _rotation(u1)), _rotation(u2)),
+              PolyDisk(_rotated(f, u1 * u2)))]
+    for op, poly in cases:
+        for z in _Q_POINTS:
+            for bar in (False, True):
+                jet = definitional_jet(op, z, 20, bar)
+                assert jet.exact
+                assert [math.factorial(n) * c for n, c in enumerate(jet.coeffs)] == [
+                    _stepped(poly, n, z, bar) for n in range(21)]
+    # a pullback by a map that is no rotation: the constant of its exact
+    # jet is its value
+    phi = MoebiusMap(QC(1), QC(Fraction(-1, 3)), QC(Fraction(-1, 3)), QC(1), domain="D")
+    op = MoebiusPullback(PolyDisk(BiPoly({(1, 1): QC(2), (0, 2): QC(0, 1)})), phi)
+    for z in _Q_POINTS:
+        for bar in (False, True):
+            assert definitional_jet(op, z, 6, bar).coeffs[0] == op.value(z)
+
+
+_PHI = MoebiusMap.disk_automorphism(0.3 - 0.2j, 0.7)
+_F = BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j, (2, 2): 0.5})
 # a complex-coefficient polynomial and an exponential: neither lift is
 # real-valued, so no conjugate symmetry stands in for the Dbar oracle
 _LIFT_GS = [PolyFn([0.5 - 1j, 1 + 0.25j, -2j, 0.75]), ExpFn(0.4 - 0.7j, 1.5 + 0.5j)]
+_SHAPES = {
+    "poly": PolyDisk(_F),
+    "pullback": MoebiusPullback(PolyDisk(_F), _PHI),
+    "pullback-of-pullback": MoebiusPullback(
+        MoebiusPullback(PolyDisk(_F), _PHI), MoebiusMap.disk_automorphism(-0.1 + 0.45j, 2.1)),
+    **{f"{cls.__name__}-{type(g).__name__}": cls(g)
+       for cls in (ComposedP, ComposedQ) for g in _LIFT_GS},
+    **{f"pullback-of-{cls.__name__}-{type(g).__name__}": MoebiusPullback(cls(g), _PHI)
+       for cls in (ComposedP, ComposedQ) for g in _LIFT_GS},
+}
+
+
+@pytest.mark.parametrize("f", _SHAPES.values(), ids=_SHAPES.keys())
+def test_float_towers_match_the_definitional_jets_to_order_40(f):
+    # entry by entry to 1e-12, where an entry far below its row's largest
+    # one is compared at the scale of that one: the two algorithms round
+    # at the scale of the row
+    zs = [0.2 + 0.3j, -0.55 + 0.1j, 0.7j]
+    for bar in (False, True):
+        rows = f.pm_tower(40, zs, bar).values
+        for z, row in zip(zs, rows):
+            want = definitional_jet(f, z, 40, bar).coeffs
+            scale = np.abs(want).max()
+            assert row == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
 _LIFT_POINTS = (0.2 + 0.3j, -0.4 - 0.1j, 0.55j)
 
 
@@ -169,7 +248,7 @@ def test_a_certified_series_enters_no_jet():
 
 def test_polynomial_dbar_towers_build_no_conjugate_operand(monkeypatch):
     # Dbar^n f/n! = conj(D^n conj(f)/n!): the same numbers, bit for bit, as
-    # the towers of the conjugate operand, but read off the jet in the
+    # the towers of the conjugate operand, but built in the
     # antiholomorphic slot
     f = BiPoly({(2, 1): 1 + 1j, (0, 2): -2, (1, 0): 3j, (2, 2): 0.5, (0, 3): 0.1 - 0.7j})
     zq = QC(Fraction(1, 4), Fraction(-1, 5))
@@ -183,10 +262,7 @@ def test_polynomial_dbar_towers_build_no_conjugate_operand(monkeypatch):
     monkeypatch.setattr(BiPoly, "swap_conj", refuse)
     for (g, z), ref in zip(cases, want):
         got = PolyDisk(g).pm_bar_sequence(64, z)
-        if isinstance(got, list):
-            assert got == [conj(a) for a in ref]
-        else:
-            assert got.tolist() == ref.conj().tolist()
+        assert got.tolist() == ref.conj().tolist()
 
 
 def test_first_pullback_derivative_is_conformally_covariant():
@@ -323,17 +399,20 @@ def test_definitional_oracle_guard_order():
     # a jet of higher order leaves coefficient n unchanged
     f = PolyDisk(BiPoly({(2, 2): 1}))
     z = 0.3 + 0.1j
-    jet = f.ambient_jet(z, 3)
+    jet = definitional_jet(f, z, 3)
     assert math.factorial(2) * jet.coeffs[2] == pytest.approx(f.pm(2, z))
 
 
 def test_closed_form_t_z_jet_equals_the_quotient_exactly():
-    # F(z, w) = z makes ambient_jet the jet of T_z(u) itself
+    # F(z, w) = z makes the definitional jet the jet of T_z(u) itself:
+    # the quotient (u + z)/(conj(z) u + 1) by jet division is the closed
+    # form z, then (1 - |z|^2)(-conj z)^{k-1}
     z = QC(Fraction(1, 4), Fraction(-1, 5))
-    jet = PolyDisk(BiPoly.z(exact=True)).ambient_jet(z, 12)
+    jet = definitional_jet(PolyDisk(BiPoly.z(exact=True)), z, 12)
     u = Jet.variable(QC(0), 12)
     assert jet.exact
     assert jet.coeffs == ((u + z) / (u * conj(z) + 1)).coeffs
+    assert jet.coeffs == [z] + [(1 - z * conj(z)) * (-conj(z)) ** (k - 1) for k in range(1, 13)]
 
 
 def test_float_pullback_towers_never_enter_the_exact_loops(monkeypatch):
@@ -354,7 +433,7 @@ def test_float_pullback_towers_never_enter_the_exact_loops(monkeypatch):
 
 def test_pullback_towers_run_no_jet_division(monkeypatch):
     # a pullback multiplies its map into the Moebius matrix of T_z, so its
-    # towers come from a closed-form jet with no reciprocal
+    # towers come from a closed form with no reciprocal
     def refuse(*args):
         raise AssertionError("a pullback tower divided jets")
 
@@ -366,10 +445,11 @@ def test_pullback_towers_run_no_jet_division(monkeypatch):
     z = 0.6 - 0.3j
     assert f.pm_sequence(64, z)[0] == pytest.approx(f.value(z))
     assert f.pm_bar_sequence(64, z)[0] == pytest.approx(f.value(z))
+    # an exact point and exact maps are read as floats
     zq = QC(Fraction(1, 4), Fraction(-1, 5))
     phi_q = MoebiusMap(QC(1), QC(Fraction(-1, 3)), QC(Fraction(-1, 3)), QC(1), domain="D")
     fq = MoebiusPullback(PolyDisk(BiPoly({(1, 1): QC(2), (0, 2): QC(0, 1)})), phi_q)
-    assert fq.pm_sequence(8, zq)[0] == fq.value(zq)
+    assert fq.pm_sequence(8, zq)[0] == pytest.approx(to_complex(fq.value(zq)), rel=1e-15)
 
 
 # values of the mixed pairs (a jet operand with a streamed closed form),

@@ -333,6 +333,11 @@ def test_star_config_validation():
         StarConfig(mode="adaptive")
     with pytest.raises(ValueError):
         StarConfig(max_terms=0)
+    # every comparison with NaN is false, so a NaN tol would sum each row
+    # to the budget
+    for tol in (float("nan"), -1e-12, float("-inf")):
+        with pytest.raises(ValueError):
+            StarConfig(tol=tol)
 
 
 def test_profile_collects_domain_errors_per_sample():
