@@ -82,6 +82,9 @@ def disk_function_from_json(obj: dict):
 
 
 def cmd_star_eval(args) -> int:
+    if args.weight_variant == "printed" and args.surface != "punctured":
+        raise DomainError(f"--weight-variant {args.weight_variant} is a weight of the "
+                          "punctured disk; use it with --surface punctured")
     cfg = StarConfig(max_terms=args.max_terms, tol=args.tol, mode=args.mode)
     h = _parse_complex(args.hbar)
     points = [_parse_complex(p) for p in args.point]
@@ -214,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mode", default="truncated",
                         choices=["exact-finite", "truncated"])
     p_eval.add_argument("--weight-variant", default="derived",
-                        choices=["derived", "printed"])
+                        choices=["derived", "printed"],
+                        help="weight of the punctured-disk product; "
+                             "'printed' needs --surface punctured")
     p_eval.set_defaults(func=cmd_star_eval)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")

@@ -13,8 +13,8 @@ class DomainError(WickstarError, ValueError):
 
 class NonRepresentableError(WickstarError, ValueError):
     """An operation requires a representation the input does not admit
-    (a pullback of a certified-series lift, which would drop its tail
-    bound; a value that is not a finite f_{p,q} combination)."""
+    (a value that is not a finite f_{p,q} combination, or a Taylor jet of
+    a certified series, which would drop its tail bound)."""
 
 
 class SeriesOrderError(WickstarError, ValueError):

@@ -44,20 +44,6 @@ def _kind(x) -> int:
     return 2 if isinstance(x, QC) else 0 if isinstance(x, int) else 1
 
 
-def _reach(kinds: list, width: int, size: int) -> list:
-    """For each k < size, the widest of kinds[k - width + 1 .. k]: the kind
-    of the products that one factor sends to output k."""
-    out, last1, last2 = [], -width, -width
-    for k in range(size):
-        t = kinds[k] if k < len(kinds) else 0
-        if t:
-            last1 = k
-            if t == 2:
-                last2 = k
-        out.append(2 if k - last2 < width else 1 if k - last1 < width else 0)
-    return out
-
-
 def _numerators(coeffs: list):
     """The exact coefficients as Gaussian-integer numerators (re, im) over
     their least common denominator."""
@@ -76,28 +62,24 @@ def _mul_exact(a: list, b: list, size: int | None = None) -> list:
 
     The denominators are cleared once, the integer (or Gaussian-integer)
     numerators are convolved on ints, and each output coefficient is
-    rebuilt once.  Its scalar type is the one the schoolbook sum of
-    products gives: the widest kind (int < Fraction < QC) among the
-    products that reach it.  (A jet's sum starts from a[0] * 0, but with
-    len(b) >= size the product a[0] b[k] reaches every output k anyway.)"""
+    rebuilt once (:func:`_exact_coeffs`)."""
     full = len(a) + len(b) - 1
     size = full if size is None else min(size, full)
-    ka, kb = [_kind(x) for x in a], [_kind(x) for x in b]
-    top = max(max(ka), max(kb))
-    if top == max(min(ka), min(kb)):
-        # every output meets a product of the widest kind
-        kinds = itertools.repeat(top)
-    else:
-        kinds = [max(x, y) for x, y in zip(_reach(ka, len(b), size),
-                                           _reach(kb, len(a), size))]
     ar, ai, da = _numerators(a)
     br, bi, db = _numerators(b)
-    re, im = _convolve(ar, ai, br, bi, size)
-    den = da * db
-    out = []
-    for k, r, m in zip(kinds, re, im or itertools.repeat(0)):
-        out.append(_make(r, m, den) if k == 2 else Fraction(r, den) if k else r // den)
-    return out
+    return _exact_coeffs(*_convolve(ar, ai, br, bi, size), da * db, a, b)
+
+
+def _exact_coeffs(re: list, im, den: int, *inputs) -> list:
+    """The exact coefficients (re + i im)/den, im None for zero, all of one
+    kind: the widest (int < Fraction < QC) among the coefficients of the
+    input lists, so an exact result never depends on which products or
+    cancellations reached a position."""
+    kind = max(_kind(x) for xs in inputs for x in xs)
+    if kind == 2:
+        return [_make(r, m, den) for r, m in zip(re, im or itertools.repeat(0))]
+    # below QC every imaginary part is zero, and with int inputs den is 1
+    return [Fraction(r, den) for r in re] if kind else re
 
 
 def _convolve(ar: list, ai: list, br: list, bi: list, size: int):
@@ -288,7 +270,8 @@ def moebius_jet(m, zjet: Jet) -> Jet:
 
 
 def _strip(coeffs):
-    coeffs = list(coeffs)
+    # no coefficients is the zero polynomial
+    coeffs = list(coeffs) or [0]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -424,7 +407,10 @@ class SeriesFn(EntireFn):
         # a NaN fails both comparisons
         if not (0 < rho < inf and 0 <= C < inf):
             raise ValueError("tail certificate needs finite rho > 0 and C >= 0")
-        self.coeffs = list(coeffs)
+        coeffs = list(coeffs)
+        if not coeffs:
+            raise ValueError("a series needs at least its constant coefficient")
+        self.coeffs = coeffs
         self.rho = rho
         self.C = C
 
@@ -452,7 +438,7 @@ class SeriesFn(EntireFn):
         if x >= self.rho:
             raise DomainError(
                 f"|t| = {x:.6g} outside the certified radius rho = {self.rho:.6g}")
-        acc = complex(self.coeffs[-1]) if self.coeffs else 0j
+        acc = complex(self.coeffs[-1])
         for a in reversed(self.coeffs[:-1]):
             acc = acc * complex(t) + complex(a)
         r = x / self.rho

@@ -42,10 +42,10 @@ a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
   t + delta u and a_n = delta^n g^(n)(t)/n!, the entire-function tower
   of :func:`wickstar.functions.entire_tower`, shared with the surface
   products.  A series g carries its tail bound into every entry, and a
-  row faults where the series cannot give an order.  Under a pullback
-  (r != 0) the same tower, taken as the e_k above, is composed with v;
-  a certified series is refused there, as the composition would drop
-  its tail bound.
+  row faults where the series cannot give an order.  Under a pullback by
+  phi the ambient map is phi o T_z = T_{phi(z)} o rotation, so the chart
+  is again affine: r is 0 up to rounding, and the tower, certificate
+  included, is the same entire-function tower at (t, delta).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonRepresentableError
+from .errors import DomainError
 from .exact import conj, is_exact, to_complex
 from .functions import (BiPoly, EntireFn, Tower, entire_tower, moebius_compose,
                         shift_table, shifted_rows)
@@ -299,8 +299,10 @@ class PolyDisk(DiskFunction):
 class _Composed(DiskFunction):
     """g o chart for an entire g.  With one slot frozen at w0 the chart is
     the Moebius map ``chart_matrix(w0, bar)`` of the other; times T_z (or
-    T_{conj z}) its c entry is 0, so u -> chart is t + c u, and the towers
-    are c^n g^(n)(t)/n!, the Taylor coefficients of u -> g(t + c u)."""
+    T_{conj z}) its c entry is 0, and times a pullback's phi o T_z =
+    T_{phi(z)} o rotation it is 0 up to rounding, so u -> chart is t + c u,
+    and the towers are c^n g^(n)(t)/n!, the Taylor coefficients of
+    u -> g(t + c u)."""
 
     __slots__ = ("g",)
 
@@ -317,18 +319,11 @@ class _Composed(DiskFunction):
         return self.g.eval(self._affine(z, False)[0])[0]
 
     def _tower(self, frames, width, bar):
-        t, delta, r = np.array([_chart(_matmul(self.chart_matrix(w0, bar), m))
+        # the Taylor coefficients of u -> g(M(0) + delta u); r is 0, or
+        # rounding under a pullback
+        t, delta, _ = np.array([_chart(_matmul(self.chart_matrix(w0, bar), m))
                                 for m, w0 in frames], dtype=complex).T
-        # the Taylor coefficients of u -> g(M(0) + delta u)
-        tower = entire_tower(self.g, t, delta, width)
-        if not r.any():
-            # the lift's own towers: the chart is t + delta u
-            return tower
-        # under a pullback, composed with v = u/(1 - r u)
-        if tower.bounds is not None:
-            raise NonRepresentableError(
-                f"a pullback of a {type(self.g).__name__} lift would drop its tail bound")
-        return Tower(moebius_compose(tower.values, r, width))
+        return entire_tower(self.g, t, delta, width)
 
 
 class ComposedP(_Composed):

@@ -32,7 +32,9 @@ product of polynomials ends after min(deg g, deg gt) + 1 terms, and
 exact-finite surface mode sum them in one pass over integer numerators
 (:func:`_surface_poly`): g^(n)/n! is the binomial row C(k, n) a_k at
 w^{k-n}, the products are integer convolutions, the weights integer rows,
-and kappa_0..kappa_m share one denominator.
+and kappa_0..kappa_m share one denominator.  Every coefficient of an
+exact result takes one kind, the widest among its inputs: int < Fraction
+< QC.
 
 Float products are summed over a batch of points at once.  Each operand
 gives a closed-form tower, an array with one row per point: on the disk
@@ -49,10 +51,10 @@ reports its tail and raises exactly as a sum taken one term at a time
 would; a row whose sum or tail is not finite raises FloatRangeError.  A
 point's row does not depend on the batch it is in, and ``star_disk``,
 ``star_annulus`` and ``star_punctured`` take one point (giving a
-StarResult) or a 1-D sequence of them (giving a list).  Exact
-and symbolic terms (QC, Fraction, BiPoly) keep a loop that adds one term
-at a time (:func:`_sum_series`), and the exact surface products of
-polynomials their one integer pass (above).
+StarResult) or a 1-D sequence of them (giving a list).  The symbolic
+disk product (:func:`star_disk_poly_truncated`) sums its BiPoly terms
+against kappa_0..kappa_m (:func:`_kappas`), and the exact surface
+products of polynomials take their one integer pass (above).
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
 :class:`Hbar` guards the poles: exactly for rational-complex values, and
@@ -65,6 +67,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isfinite
@@ -72,9 +75,9 @@ from math import comb, isfinite
 import numpy as np
 
 from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
-from .exact import QC, _make, is_exact, to_complex
-from .functions import (BiPoly, PolyFn, Tower, _convolve, _kind, _numerators,
-                        _reach, entire_tower)
+from .exact import QC, is_exact, to_complex
+from .functions import (BiPoly, PolyFn, Tower, _convolve, _exact_coeffs, _numerators,
+                        entire_tower)
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
@@ -264,30 +267,6 @@ class StarResult:
 # ---------------------------------------------------------------------------
 # the summation kernel
 # ---------------------------------------------------------------------------
-
-
-def _sum_series(hv, terms, max_terms: int | None = None):
-    """sum_n kappa_n t_n over the exact or symbolic terms (QC, Fraction,
-    PolyFn, BiPoly) that ``terms`` yields for n = 0, 1, ...
-
-    The divisor 1 + (n-1) hbar of kappa_n is formed only when term n
-    arrives, so a pole beyond the last term is never hit; whether the pole
-    test is exact or float is read once, from the type of hbar.  The sum
-    stops when ``terms`` ends ("terminated") or after max_terms + 1 terms
-    ("budget").  It rounds nothing, so its tail estimate is 0."""
-    one, exact = _one_like(hv), is_exact(hv)
-    kappa, total = one, None
-    stop, used = "terminated", 0
-    for n, t in enumerate(terms):
-        if n:
-            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
-        term = t * kappa
-        total = term if total is None else total + term
-        used = n + 1
-        if n == max_terms:
-            stop = "budget"
-            break
-    return StarResult(total, used, 0.0, stop)
 
 
 def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
@@ -481,10 +460,9 @@ def _weight_row(n: int, variant: str) -> list:
 
 
 def _kappas(hv, m: int) -> list:
-    """[kappa_0, ..., kappa_m] by the recurrence of :func:`_sum_series`,
-    with its lazy pole test: the divisors 1 + k hbar for k < m, no other.
-    (That loop keeps its own copy of the step: it does not know m, and
-    forms each divisor only when its term arrives.)"""
+    """[kappa_0, ..., kappa_m] by the recurrence
+    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), with the lazy pole test:
+    the divisors 1 + k hbar for k < m, no other."""
     one, exact = _one_like(hv), is_exact(hv)
     out = [one]
     for n in range(1, m + 1):
@@ -511,15 +489,13 @@ def _weigh(x: list, rows: list):
 def _surface_sum(a, b, k, variant: str):
     """Numerators of sum_n K_n w_n A_n B_n for coefficient lists given by
     parts, a = (re, im), b and k alike: A_n and B_n are the Taylor shifts
-    of a and b, K_n = k[n].  Returns (re, im, ends), with im None when
-    every part it sums is zero and ends[n] the length of the sum after
-    term n with its trailing zeros dropped."""
+    of a and b, K_n = k[n].  Returns (re, im), with im None when every
+    part it sums is zero."""
     (ar, ai), (br, bi), (kr, ki) = a, b, k
     size = len(ar) + len(br) - 1
     complex_ab = any(ai) or any(bi)
     re = [0] * size
     im = [0] * size if complex_ab or any(ki) else None
-    ends = []
     for n, (u, v) in enumerate(zip(kr, ki)):
         xr, yr = _taylor_shift(ar, n), _taylor_shift(br, n)
         xi, yi = (_taylor_shift(ai, n), _taylor_shift(bi, n)) if complex_ab else ((), ())
@@ -537,33 +513,7 @@ def _surface_sum(a, b, k, variant: str):
             if im is not None:
                 for j, p in enumerate(tr, s):
                     im[j] += p * v
-        end = size
-        while end > 1 and not re[end - 1] and not (im and im[end - 1]):
-            end -= 1
-        ends.append(end)
-    return re, im, ends
-
-
-def _sum_kinds(a: list, b: list, variant: str, ends: list) -> list:
-    """The kind (1 Fraction, 2 QC) of each coefficient of the exact
-    surface product at a Fraction hbar, for operands that mix QC with
-    narrower coefficients, as the term-by-term sum of PolyFns gives it.
-
-    Each term kappa_n w_n g_n gt_n takes at a position the widest kind of
-    the coefficients whose products reach it, read by position as
-    :func:`wickstar.functions._mul_exact` reads them, and each addition
-    of a term drops the trailing zeros of the sum, so a position that
-    fell off the end takes its kind only from the later terms."""
-    kinds = []
-    for n, end in enumerate(ends):
-        ka, kb = [_kind(x) for x in a[n:]], [_kind(x) for x in b[n:]]
-        width = _weight_row(n, variant)[-1][0] + 1
-        size = len(ka) + len(kb) + width - 2
-        term = [max(1, x, y) for x, y in zip(_reach(ka, width + len(kb) - 1, size),
-                                             _reach(kb, width + len(ka) - 1, size))]
-        kinds = [max(x, y) for x, y in
-                 itertools.zip_longest(kinds, term, fillvalue=0)][:end]
-    return kinds
+    return re, im
 
 
 def _float_parts(coeffs: list):
@@ -580,29 +530,21 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, variant: str) -> StarResult:
     C(k, n) a_k at w^{k-n}, the products are integer (or Gaussian-integer)
     convolutions, w_n is an integer row (:func:`_weight_row`), and each
     output coefficient is built once over the product of the three
-    denominators, in the kind the term-by-term sum of PolyFns gives it: a
-    QC where a QC coefficient or hbar reaches it (:func:`_sum_kinds`),
-    else a Fraction.  A float or complex hbar or coefficient runs the same
-    pass on floats and gives complex coefficients."""
+    denominators, every one a QC when hbar or a coefficient is one, else a
+    Fraction, as kappa is at least a Fraction (the widest kind among the
+    inputs, :func:`wickstar.functions._exact_coeffs`).  A float or complex
+    hbar or coefficient runs the same pass on floats and gives complex
+    coefficients."""
     a, b = g.coeffs, gt.coeffs
     kappas = _kappas(hv, min(len(a), len(b)) - 1)
     if not (is_exact(hv) and all(map(is_exact, a)) and all(map(is_exact, b))):
-        re, im, _ = _surface_sum(_float_parts(a), _float_parts(b),
-                                 _float_parts(kappas), variant)
+        re, im = _surface_sum(_float_parts(a), _float_parts(b),
+                              _float_parts(kappas), variant)
         coeffs = [complex(r, m) for r, m in zip(re, im or itertools.repeat(0.0))]
         return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
     (ar, ai, da), (br, bi, db), (kr, ki, dk) = map(_numerators, (a, b, kappas))
-    re, im, ends = _surface_sum((ar, ai), (br, bi), (kr, ki), variant)
-    ka, kb = {_kind(x) for x in a}, {_kind(x) for x in b}
-    if isinstance(hv, QC) or ka == {2} or kb == {2}:
-        kinds = itertools.repeat(2)
-    elif 2 in ka | kb:
-        kinds = _sum_kinds(a, b, variant, ends)
-    else:
-        kinds = itertools.repeat(1)
-    den = dk * da * db
-    coeffs = [_make(r, m, den) if k == 2 else Fraction(r, den)
-              for k, r, m in zip(kinds, re, im or itertools.repeat(0))]
+    re, im = _surface_sum((ar, ai), (br, bi), (kr, ki), variant)
+    coeffs = _exact_coeffs(re, im, dk * da * db, kappas, a, b)
     return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
 
 
@@ -685,17 +627,20 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     """The first n_terms+1 polynomial terms of the disk product.
 
     Each term of the series is again a polynomial in (z, conj z); the
-    truncation error at |z| <= r decays like r^{2 n_terms}."""
-    def terms():
-        f_bar, g_d = f, g
-        for n in itertools.count():
-            if n:
-                f_bar = pm_step(f_bar, n - 1, "w")
-                g_d = pm_step(g_d, n - 1, "z")
-                if f_bar.is_zero or g_d.is_zero:
-                    return
-            yield f_bar * g_d
-    return _sum_series(_lenient_value(h), terms(), n_terms).value
+    truncation error at |z| <= r decays like r^{2 n_terms}.  The terms end
+    early when a tower dies, and only the divisors of the kappa_n of the
+    terms that exist are formed (:func:`_kappas`)."""
+    hv = _lenient_value(h)
+    f_bar, g_d = f, g
+    terms = [f * g]
+    for n in range(1, n_terms + 1):
+        f_bar = pm_step(f_bar, n - 1, "w")
+        g_d = pm_step(g_d, n - 1, "z")
+        if f_bar.is_zero or g_d.is_zero:
+            break
+        terms.append(f_bar * g_d)
+    return functools.reduce(operator.add, map(operator.mul, terms,
+                                              _kappas(hv, len(terms) - 1)))
 
 
 def star_annulus_poly(g: PolyFn, gt: PolyFn, h) -> PolyFn:

@@ -12,7 +12,7 @@ from wickstar.exact import conj, is_exact, to_complex
 from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
 from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
 from wickstar.sphere import GPoint, MoebiusMap, SpherePoint
-from wickstar.star import StarConfig, _c_divisor, _one_like, _sum_series
+from wickstar.star import StarConfig, StarResult, _c_divisor, _one_like
 
 # unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -98,19 +98,25 @@ def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
     """The exact surface product summed term by term, as a StarResult.
 
     Each term w_n (g^(n)/n!) (gt^(n)/n!) is a PolyFn product, with the
-    Taylor coefficients stepped by ``taylor_tower`` on Fractions, and the
-    summation kernel adds kappa_n times it to the running PolyFn.  It
-    checks ``star._surface_poly``'s one-pass integer sum: the same
-    coefficients of the same kinds, the same term count, and the same
+    Taylor coefficients stepped by ``taylor_tower`` on Fractions, and a
+    loop adds kappa_n times it to the running PolyFn, one term at a time:
+    kappa by the recurrence, each divisor 1 + (n-1) hbar formed only when
+    term n arrives.  It checks ``star._surface_poly``'s one-pass integer
+    sum: the same coefficient values, the same term count, and the same
     error at a pole the sum reaches."""
-    def terms():
-        towers = zip(_poly_weights(variant),
-                     taylor_tower(g, Fraction(1)), taylor_tower(gt, Fraction(1)))
-        for n, (wn, dg, dgt) in enumerate(towers):
-            if n and (dg.is_zero or dgt.is_zero):
-                return
-            yield wn * dg * dgt
-    return _sum_series(hv, terms())
+    one, exact = _one_like(hv), is_exact(hv)
+    kappa, total, used = one, None, 0
+    towers = zip(_poly_weights(variant),
+                 taylor_tower(g, Fraction(1)), taylor_tower(gt, Fraction(1)))
+    for n, (wn, dg, dgt) in enumerate(towers):
+        if n:
+            if dg.is_zero or dgt.is_zero:
+                break
+            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
+        term = wn * dg * dgt * kappa
+        total = term if total is None else total + term
+        used = n + 1
+    return StarResult(total, used, 0.0, "terminated")
 
 
 # ---------------------------------------------------------------------------

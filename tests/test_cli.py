@@ -103,6 +103,11 @@ MALFORMED = {
     "series-rho-nan": ("annulus", {**SERIES, "rho": float("nan")}, IDENT),
     "series-C-infinity": ("annulus", {**SERIES, "C": float("inf")}, IDENT),
     "series-C-nan": ("annulus", {**SERIES, "C": float("nan")}, IDENT),
+    # a series without coefficients, on every surface
+    "series-empty-annulus": ("annulus", {**SERIES, "coeffs": []}, IDENT),
+    "series-empty-punctured": ("punctured", IDENT, {**SERIES, "coeffs": []}),
+    "series-empty-disk": ("disk", Z, {"type": "composed-p",
+                                      "g": {**SERIES, "coeffs": []}}),
 }
 
 
@@ -119,6 +124,32 @@ def test_malformed_input_is_a_domain_error(case, tmp_path):
     code, out = run_cli(*argv)
     assert code == EXIT_DOMAIN
     assert json.loads(out)["kind"] == "domain"
+
+
+def test_empty_polynomial_is_zero():
+    # no coefficients is the zero polynomial, on either surface and mode
+    empty = json.dumps({"type": "poly", "coeffs": []})
+    for surface in ("annulus", "punctured"):
+        for mode in ("truncated", "exact-finite"):
+            code, out = run_cli("star", "eval", "--surface", surface, "--f", empty,
+                                "--g", json.dumps(IDENT), "--hbar", "0.5",
+                                "--point", "0.3", "--mode", mode)
+            assert code == EXIT_OK
+            [res] = json.loads(out)["results"]
+            assert res["value"] == [0.0, 0.0]
+
+
+def test_printed_weight_needs_the_punctured_disk():
+    ident = json.dumps(IDENT)
+    args = ("--hbar", "0.5", "--point", "0.3", "--weight-variant", "printed")
+    for surface, operand in (("annulus", ident), ("disk", json.dumps(Z))):
+        code, out = run_cli("star", "eval", "--surface", surface, "--f", operand,
+                            "--g", operand, *args)
+        assert code == EXIT_DOMAIN
+        assert "--surface punctured" in json.loads(out)["error"]
+    code, _ = run_cli("star", "eval", "--surface", "punctured", "--f", ident,
+                      "--g", ident, *args)
+    assert code == EXIT_OK
 
 
 def test_disk_function_json_variants():

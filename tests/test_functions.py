@@ -210,17 +210,25 @@ def _schoolbook(a, b, size=None):
     return out
 
 
-def _same_scalars(got, want):
+def _widest_kind(*lists):
+    kinds = {type(x) for xs in lists for x in xs}
+    return next(k for k in (QC, Fraction, int) if k in kinds)
+
+
+def _same_values_in_the_widest_kind(got, want, *inputs):
+    # the values of the schoolbook sum, each in the widest kind among the
+    # inputs, whatever kind the schoolbook sum left at that position
     assert got == want
-    assert [type(x) for x in got] == [type(x) for x in want]
+    assert {type(x) for x in got} == {_widest_kind(*inputs)}
 
 
 @settings(max_examples=150, deadline=None)
 @given(a=exact_lists, b=exact_lists)
 def test_exact_polyfn_product_is_the_schoolbook_product(a, b):
-    got = (PolyFn(a) * PolyFn(b)).coeffs
-    want = PolyFn(_schoolbook(PolyFn(a).coeffs, PolyFn(b).coeffs)).coeffs
-    _same_scalars(got, want)
+    pa, pb = PolyFn(a), PolyFn(b)
+    got = (pa * pb).coeffs
+    want = PolyFn(_schoolbook(pa.coeffs, pb.coeffs)).coeffs
+    _same_values_in_the_widest_kind(got, want, pa.coeffs, pb.coeffs)
     assert len(got) == 1 or got[-1] != 0
 
 
@@ -231,7 +239,7 @@ def test_exact_jet_product_is_the_truncated_schoolbook_product(a, b):
     a, b = a[:n], b[:n]
     got = Jet(a) * Jet(b)
     assert got.exact
-    _same_scalars(got.coeffs, _schoolbook(a, b, n))
+    _same_values_in_the_widest_kind(got.coeffs, _schoolbook(a, b, n), a, b)
 
 
 def test_exact_kernel_keeps_the_scalar_type():
@@ -271,6 +279,11 @@ def test_polyfn_calculus():
     assert p.eval(2)[0] == 8
     assert (p + PolyFn([1]) * 2).eval(1)[0] == 3
     assert (PolyFn([0, 1]) * PolyFn([0, 1])).coeffs == [0, 0, 1]
+    # no coefficients is the zero polynomial, as all-zero ones are
+    empty = PolyFn([])
+    assert empty == PolyFn([0, 0]) and empty.is_zero and empty.degree == 0
+    assert empty.eval(0.3) == (0, 0.0)
+    assert (empty * p).is_zero and (empty + p) == p
 
 
 def test_polyfn_exact_coefficients_stay_exact():
@@ -302,6 +315,9 @@ def test_series_tail_certificate():
     for rho, C in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
         with pytest.raises(ValueError):
             SeriesFn(g.coeffs, rho=rho, C=C)
+    # a series has at least its constant coefficient
+    with pytest.raises(ValueError):
+        SeriesFn([], rho=2.0, C=1.0)
 
 
 def test_entire_json_roundtrip():

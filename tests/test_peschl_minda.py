@@ -236,12 +236,22 @@ def test_pullbacks_of_lifts_intertwine_the_disk_product(cls):
 
 
 def test_a_certified_series_enters_no_jet():
-    s = SeriesFn([1, 0.5, 0.125], rho=4.0, C=1.0)
-    f = MoebiusPullback(ComposedP(s), MoebiusMap.disk_automorphism(0.2, 0.3))
-    with pytest.raises(NonRepresentableError):
-        star.star_disk(f, f, 0.35, 0.1j)
-    with pytest.raises(NonRepresentableError):
-        f.pm_sequence(8, 0.1j)
+    # a pullback of a series lift reads the lift's tower at the moved point,
+    # certificate included: its product is the lift's product at phi(z)
+    # within the two reported tails, and it reports the lift's tail
+    s = SeriesFn([1, 0.5 - 0.25j, 0.125, 0, 0, 0], rho=100.0, C=1.0)
+    phi = MoebiusMap.disk_automorphism(0.2, 0.3)
+    cfg = star.StarConfig(max_terms=64, tol=1e-14)
+    for cls in (ComposedP, ComposedQ):
+        f = MoebiusPullback(cls(s), phi)
+        for z in (0.1j, -0.3 + 0.2j):
+            got = star.star_disk(f, f, 0.35, z, cfg)
+            want = star.star_disk(cls(s), cls(s), 0.35, phi.apply(z), cfg)
+            for res in (got, want):
+                assert 0 < res.tail_estimate < math.inf
+            assert abs(got.value - want.value) <= got.tail_estimate + want.tail_estimate
+            assert got.tail_estimate == pytest.approx(want.tail_estimate, rel=1e-12)
+    # the definitional oracle takes no series: a jet would drop its bound
     with pytest.raises(NonRepresentableError):
         pm_definitional(ComposedQ(s), 1, 0.1j)
 

@@ -257,6 +257,12 @@ nonzero = st.one_of(
         lambda x: QC(Fraction(x), Fraction(x / 3)))).filter(bool)
 
 
+def _surface_kind(g, gt, h):
+    """The one kind of every coefficient of an exact surface product: QC
+    when hbar or a coefficient is one, else Fraction, as kappa is."""
+    return QC if any(isinstance(x, QC) for x in (h, *g.coeffs, *gt.coeffs)) else Fraction
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=polynomials, gt=polynomials, variant=st.sampled_from(["annulus", "derived", "printed"]),
        data=st.data())
@@ -274,20 +280,23 @@ def test_one_pass_surface_product_matches_the_term_by_term_sum(g, gt, variant, d
         return
     got = star._surface_poly(g, gt, h, variant)
     assert got.value.coeffs == want.value.coeffs
-    assert list(map(type, got.value.coeffs)) == list(map(type, want.value.coeffs))
+    assert {type(c) for c in got.value.coeffs} == {_surface_kind(g, gt, h)}
     assert (got.terms_used, got.stop_reason) == (want.terms_used, want.stop_reason)
     assert got.terms_used == m + 1
 
 
 def test_one_pass_surface_product_keeps_the_kinds_a_cancelled_sum_drops():
     # at hbar = -1/4 the first two terms cancel at w^4 and w^3, so the
-    # term-by-term sum drops both before the last term adds them back; w^3
-    # then takes its kind from the last term alone, which no QC reaches
+    # term-by-term sum drops both before the last term adds them back, and
+    # w^3 and w^4 take their kind from the last term alone, which no QC
+    # reaches; the one-pass product has the same values, all of one kind
     g, gt = PolyFn([0, QC(1), 1]), PolyFn([0, -1, 1])
     h = Fraction(-1, 4)
     got = star._surface_poly(g, gt, h, "annulus").value.coeffs
-    assert got == surface_poly_by_terms(g, gt, h, "annulus").value.coeffs
-    assert list(map(type, got)) == [QC, QC, QC, Fraction, Fraction]
+    want = surface_poly_by_terms(g, gt, h, "annulus").value.coeffs
+    assert got == want
+    assert list(map(type, want)) == [QC, QC, QC, Fraction, Fraction]
+    assert list(map(type, got)) == [QC] * 5
 
 
 def test_float_surface_product_runs_the_same_pass():
