@@ -613,7 +613,8 @@ def _series_tower(g: "SeriesFn", t, c, values, width) -> Tower:
         steps[:, 0] = g.C
         steps[:, 1:] = np.abs(c[:, None] / n[1:]) / rho_n[:-1]
         np.multiply.accumulate(steps, axis=1, out=steps)
-        q = np.abs(t)[:, None] / rho_n
+        # hypot, not np.abs: it agrees with the abs of SeriesFn.eval to the last place
+        q = np.hypot(t.real, t.imag)[:, None] / rho_n
         bounds = steps * q ** (top - n + 1) / (1 - q)
     outside = q >= 1
     order = None

@@ -1,6 +1,6 @@
 """Desk-scale experiments behind the rigidity statements.
 
-Three experiments:
+Three experiments, all exact:
 
 * :func:`invariant_dimension` -- certified dimension of the subspace of
   the transported f_{p,q} basis on the configuration space that is
@@ -9,7 +9,8 @@ Three experiments:
   p = 1 (mod 4) is at most its rank over Q(i), which bounds the
   dimension from above; the constants bound it from below by 1.
 * :func:`elliptic_invariant_indices` -- the f_{p,q} invariant under an
-  n-fold elliptic rotation of the bivariate disk model.
+  n-fold elliptic rotation of the bivariate disk model: the zero columns
+  of the same difference system, mod a prime with an n-th root of unity.
 * :func:`obstruction_check` -- the annulus and punctured-disk algebras
   admit no uniform-in-hbar isomorphism: matching powers of hbar in
   Psi(f * f) = Psi(f) * Psi(f) forces the transported chart function to
@@ -19,15 +20,16 @@ Three experiments:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import QC, _parts, is_exact, to_complex
+from .exact import QC, _parts, is_exact
 from .functions import PolyFn
-from .sphere import MoebiusMap, SpherePoint, t_gamma_omega
+from .sphere import MoebiusMap
 from .star import Hbar, star_punctured_poly
 
 
@@ -36,33 +38,20 @@ def _check_degree(degree: int):
         raise DomainError(f"the polynomial degree must be >= 0, got {degree}")
 
 
-# ---------------------------------------------------------------------------
-# basis functions on the configuration space
-# ---------------------------------------------------------------------------
-
-
-def fpq_proj(p: int, q: int, z: SpherePoint, w: SpherePoint):
-    """f_{p,q}(z, w) = z^p w^q / (1-zw)^max(p,q) on projective pairs.
-
-    Written projectively the expression is polynomial in (u, v) pairs, so
-    it extends to the points at infinity (poles only on zw = 1)."""
-    m = max(p, q)
-    u1, v1 = to_complex(z.u), to_complex(z.v)
-    u2, v2 = to_complex(w.u), to_complex(w.v)
-    den = (v1 * v2 - u1 * u2) ** m
-    if den == 0:
-        raise DomainError("f_{p,q} undefined on the hypersurface zw = 1")
-    return u1 ** p * u2 ** q * v1 ** (m - p) * v2 ** (m - q) / den
+def _exact(x):
+    """x as an exact value; a float or complex converts exactly, to a dyadic QC."""
+    return x if is_exact(x) else QC(Fraction(x.real), Fraction(x.imag))
 
 
 # ---------------------------------------------------------------------------
-# invariant dimension: an exact certificate from the rank mod p
+# the difference system mod p: the invariant dimension and the elliptic filter
 # ---------------------------------------------------------------------------
 
 # p = 1 (mod 4), so -1 has a square root mod p and Q(i) reduces to F_p
 PRIME = 1_000_000_009
 
 
+@functools.lru_cache(maxsize=None)
 def _sqrt_minus_one(p: int) -> int:
     g = 2
     while pow(g, (p - 1) // 2, p) != p - 1:     # a quadratic non-residue
@@ -70,19 +59,16 @@ def _sqrt_minus_one(p: int) -> int:
     return pow(g, (p - 1) // 4, p)
 
 
-SQRT_MINUS_ONE = _sqrt_minus_one(PRIME)
-
-
-def _mod_p(x) -> int:
+def _mod_p(x, p: int = PRIME) -> int:
     """Image in F_p of an exact Gaussian rational (a + b i)/d,
-    i -> SQRT_MINUS_ONE."""
+    i -> a square root of -1 mod p (p = 1 mod 4)."""
     if not is_exact(x):
         raise DomainError(f"cannot reduce a {type(x).__name__} matrix entry mod p; "
                           "the certificate needs exact (int, Fraction, QC) entries")
     a, b, d = _parts(x)
-    if d % PRIME == 0:
-        raise DomainError(f"{x!r} has no image mod {PRIME}")
-    return (a + SQRT_MINUS_ONE * b) * pow(d, -1, PRIME) % PRIME
+    if d % p == 0:
+        raise DomainError(f"{x!r} has no image mod {p}")
+    return (a + _sqrt_minus_one(p) * b) * pow(d, -1, p) % p
 
 
 def _matrix_mod_p(m: MoebiusMap) -> tuple:
@@ -93,39 +79,50 @@ def _matrix_mod_p(m: MoebiusMap) -> tuple:
     return a, b, c, d
 
 
-def _powers(x: int, n: int) -> list:
+def _powers(x: int, n: int, p: int = PRIME) -> list:
     out = [1]
     for _ in range(n):
-        out.append(out[-1] * x % PRIME)
+        out.append(out[-1] * x % p)
     return out
 
 
-def _act(m, pt) -> tuple:
+def _act(m, pt, p: int = PRIME) -> tuple:
     """A 2x2 matrix mod p acting on a projective pair over F_p."""
     a, b, c, d = m
-    return (a * pt[0] + b * pt[1]) % PRIME, (c * pt[0] + d * pt[1]) % PRIME
+    return (a * pt[0] + b * pt[1]) % p, (c * pt[0] + d * pt[1]) % p
 
 
-def _basis_values_mod_p(degree: int, t_inv, z, w):
-    """f_{p,q}(T^{-1} z, 1/T^{-1} w) mod p for p, q <= degree, row-major,
+def _basis_values_mod_p(degree: int, t_inv, z, w, p: int = PRIME):
+    """f_{i,j}(T^{-1} z, 1/T^{-1} w) mod p for i, j <= degree, row-major,
     at the projective pairs z, w over F_p; None on the hypersurface."""
-    u1, v1 = _act(t_inv, z)
-    v2, u2 = _act(t_inv, w)          # the reciprocal swaps the pair
-    den = (v1 * v2 - u1 * u2) % PRIME
+    u1, v1 = _act(t_inv, z, p)
+    v2, u2 = _act(t_inv, w, p)       # the reciprocal swaps the pair
+    den = (v1 * v2 - u1 * u2) % p
     if den == 0:
         return None
-    pu1, pv1, pu2, pv2 = (_powers(x, degree) for x in (u1, v1, u2, v2))
-    pinv = _powers(pow(den, -1, PRIME), degree)
+    pu1, pv1, pu2, pv2 = (_powers(x, degree, p) for x in (u1, v1, u2, v2))
+    pinv = _powers(pow(den, -1, p), degree, p)
     row = []
-    for p in range(degree + 1):
-        for q in range(degree + 1):
-            m = max(p, q)
-            row.append(pu1[p] * pu2[q] % PRIME * pv1[m - p] % PRIME
-                       * pv2[m - q] % PRIME * pinv[m] % PRIME)
+    for i in range(degree + 1):
+        for j in range(degree + 1):
+            m = max(i, j)
+            row.append(pu1[i] * pu2[j] % p * pv1[m - i] % p
+                       * pv2[m - j] % p * pinv[m] % p)
     return row
 
 
-def _rank_mod_p(rows: list) -> int:
+def _difference_rows(degree: int, t_inv, gens, z, w, p: int = PRIME):
+    """[F_k(gamma P) - F_k(P)] mod p, a row per generator gamma, at the pairs
+    P = (z, w) over F_p (:func:`_basis_values_mod_p`); None on the hypersurface."""
+    base = _basis_values_mod_p(degree, t_inv, z, w, p)
+    moved = [_basis_values_mod_p(degree, t_inv, _act(g, z, p), _act(g, w, p), p)
+             for g in gens]
+    if base is None or None in moved:
+        return None
+    return [[(x - y) % p for x, y in zip(row, base)] for row in moved]
+
+
+def _rank_mod_p(rows: list, p: int = PRIME) -> int:
     """Rank over F_p by Gaussian elimination; the rows are consumed."""
     rank = 0
     n_cols = len(rows[0]) if rows else 0
@@ -134,12 +131,12 @@ def _rank_mod_p(rows: list) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, PRIME)
-        prow = [x * inv % PRIME for x in rows[rank]]
+        inv = pow(rows[rank][col], -1, p)
+        prow = [x * inv % p for x in rows[rank]]
         for i in range(rank + 1, len(rows)):
             f = rows[i][col]
             if f:
-                rows[i] = [(x - f * y) % PRIME for x, y in zip(rows[i], prow)]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         rank += 1
     return rank
 
@@ -183,49 +180,62 @@ def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimensio
     t_inv = _matrix_mod_p(MoebiusMap.cayley(exact=True).inverse())
     gens = [_matrix_mod_p(g) for g in generators]
     rng = random.Random(seed)
-    rows = []
-    points = 0
+    rows, points = [], 0
     while points < n_basis + 4:
         z, w = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(2)]
-        base = _basis_values_mod_p(degree, t_inv, z, w)
-        moved = [_basis_values_mod_p(degree, t_inv, _act(g, z), _act(g, w))
-                 for g in gens]
-        if base is None or None in moved:
-            continue
-        rows.extend([(x - y) % PRIME for x, y in zip(row, base)] for row in moved)
-        points += 1
+        diffs = _difference_rows(degree, t_inv, gens, z, w)
+        if diffs is not None:
+            rows += diffs
+            points += 1
     return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
 
 
-def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
-    """Indices (p, q), p,q <= dmax, whose f_{p,q} is invariant under the
-    n-fold elliptic rotation acting on the bivariate disk model, to a
-    residual of at most 1e-9 over the samples.
+def _prime_factors(n: int) -> set:
+    f = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+    return {f} | _prime_factors(n // f) if f < n else {n} - {1}
 
-    ``samples`` are OmegaPoints, at least one; the expected answer is the
-    congruence filter {(p, q) : p - q divisible by n_fold}."""
-    if n_fold < 2:
-        raise DomainError(f"an elliptic rotation needs n_fold >= 2, got {n_fold}")
+
+@functools.lru_cache(maxsize=None)
+def _rotation_mod_p(n_fold: int) -> tuple:
+    """(p, zeta): the least prime p = 1 (mod lcm(4, n_fold)) above 10^9,
+    which is PRIME whenever lcm(4, n_fold) divides PRIME - 1, and a
+    primitive n_fold-th root of unity zeta mod p."""
+    step = math.lcm(4, n_fold)
+    p = 10 ** 9 // step * step + 1
+    while _prime_factors(p) != {p}:
+        p += step
+    orders = _prime_factors(n_fold)
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // n_fold, p)
+        if all(pow(zeta, n_fold // f, p) != 1 for f in orders):
+            return p, zeta
+
+
+def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
+    """Indices (i, j), i, j <= dmax, whose f_{i,j} is invariant under the
+    n-fold rotation (z, w) -> (zeta z, w/zeta) of the bivariate disk model.
+
+    On (z, 1/w) the rotation is diag(zeta, 1) in both slots, so an index is
+    invariant iff its column of :func:`_difference_rows` is 0 at every
+    sample (OmegaPoints; a float converts exactly), taken mod the least
+    prime p = 1 (mod lcm(4, n_fold)) above 10^9, zeta a primitive n-th root
+    of unity mod p.  f_{i,j} moves by zeta^(i-j), so each index with
+    n_fold | i - j is kept; another is kept only where f_{i,j} vanishes mod p
+    at every sample, with probability <= (deg/p)^samples (Schwartz-Zippel).
+    n_fold > 10^6 is refused, as are samples with no point off zw = 1 mod p."""
+    if not 2 <= n_fold <= 10 ** 6:
+        raise DomainError(f"an elliptic rotation needs 2 <= n_fold <= 10^6, got {n_fold}")
     _check_degree(dmax)
-    if not samples:
-        # the worst residual over no samples is 0: every index would pass
-        raise DomainError("the elliptic filter needs at least one sample point")
-    if n_fold == 2:
-        # negating a float is exact, so invariant indices give residual 0.0
-        gen = MoebiusMap(-1, 0, 0, 1, domain="D")
-    else:
-        gen = MoebiusMap.rotation(2 * math.pi / n_fold)
-    kept = []
-    for p in range(dmax + 1):
-        for q in range(dmax + 1):
-            worst = 0.0
-            for pt in samples:
-                moved = t_gamma_omega(gen, pt)
-                worst = max(worst, abs(fpq_proj(p, q, moved.z, moved.w)
-                                       - fpq_proj(p, q, pt.z, pt.w)))
-            if worst <= 1e-9:
-                kept.append((p, q))
-    return kept
+    p, zeta = _rotation_mod_p(n_fold)
+    rows = []
+    for pt in samples:
+        z = [_mod_p(_exact(x), p) for x in (pt.z.u, pt.z.v)]
+        w = [_mod_p(_exact(x), p) for x in (pt.w.v, pt.w.u)]      # 1/w
+        rows += _difference_rows(dmax, (1, 0, 0, 1), [(zeta, 0, 0, 1)], z, w, p) or []
+    if not rows:
+        raise DomainError(f"the elliptic filter needs a sample point off zw = 1 mod {p}")
+    # column k is the index divmod(k, dmax + 1), row-major
+    return [divmod(k, dmax + 1) for k, col in enumerate(zip(*rows)) if not any(col)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +249,6 @@ class ObstructionReport:
     beta: complex
     residuals: dict = field(default_factory=dict)
     verdict: str = "inconclusive"
-
-
-def _exact_hbar(h):
-    """The sampled hbar as an exact value (a float converts exactly),
-    checked against the poles before any sum runs at it."""
-    if not is_exact(h):
-        h = complex(h)
-        h = QC(Fraction(h.real), Fraction(h.imag))
-    return Hbar.of(h).value
 
 
 def _defect(g: PolyFn, h) -> PolyFn:
@@ -281,7 +282,8 @@ def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
     if radius <= 1:
         raise DomainError("annulus modulus must satisfy R > 1")
     _check_degree(degree)
-    hs = [_exact_hbar(h) for h in hs]
+    # exact, and checked against the poles before any sum runs at it
+    hs = [Hbar.of(_exact(h)).value for h in hs]
     if not hs:
         raise DomainError("need at least one deformation sample")
 

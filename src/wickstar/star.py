@@ -630,6 +630,8 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     truncation error at |z| <= r decays like r^{2 n_terms}.  The terms end
     early when a tower dies, and only the divisors of the kappa_n of the
     terms that exist are formed (:func:`_kappas`)."""
+    if n_terms < 0:
+        raise ValueError("the number of terms must be >= 0")
     hv = _lenient_value(h)
     f_bar, g_d = f, g
     terms = [f * g]

@@ -7,7 +7,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from wickstar.errors import FloatRangeError, NonRepresentableError
+from wickstar.errors import DomainError, FloatRangeError, NonRepresentableError
 from wickstar.exact import conj, is_exact, to_complex
 from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
 from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
@@ -212,3 +212,25 @@ def sample_gpoints_by_draws(rng, n: int):
             continue
         out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the float basis f_{p,q}: the oracle of the exact values that the rigidity
+# experiments reduce mod p
+# ---------------------------------------------------------------------------
+
+
+def fpq_proj(p: int, q: int, z: SpherePoint, w: SpherePoint):
+    """f_{p,q}(z, w) = z^p w^q / (1-zw)^max(p,q) on projective pairs, in
+    floats.  The reference for ``rigidity._basis_values_mod_p``, whose
+    exact values it approximates.
+
+    Written projectively the expression is polynomial in (u, v) pairs, so
+    it extends to the points at infinity (poles only on zw = 1)."""
+    m = max(p, q)
+    u1, v1 = to_complex(z.u), to_complex(z.v)
+    u2, v2 = to_complex(w.u), to_complex(w.v)
+    den = (v1 * v2 - u1 * u2) ** m
+    if den == 0:
+        raise DomainError("f_{p,q} undefined on the hypersurface zw = 1")
+    return u1 ** p * u2 ** q * v1 ** (m - p) * v2 ** (m - q) / den

@@ -87,12 +87,14 @@ MALFORMED = {
     "spec-degree-null": {"experiment": "invariant-dimension",
                          "generators": "two-hyperbolic", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
-    # no samples would leave every index with residual 0
+    # no samples would keep every index
     "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
     "spec-invariant-degree-negative": {"experiment": "invariant-dimension",
                                        "generators": "two-hyperbolic", "degree": -1},
     "spec-elliptic-degree-negative": {"experiment": "elliptic-indices", "n_fold": 2,
                                       "degree": -1},
+    # a float rotation by 6e-10 kept non-invariant indices
+    "spec-n_fold-too-large": {"experiment": "elliptic-indices", "n_fold": 10 ** 10},
     "spec-obstruction-degree-negative": {"experiment": "obstruction", "R": 2.0,
                                          "hbar_grid": [[0.05, 0.0]], "degree": -2},
     "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
@@ -244,7 +246,7 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
                                 "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
-    # the elliptic filter's tolerance is fixed, not a spec key
+    # the elliptic filter has no tolerance
     spec.write_text(json.dumps({"experiment": "elliptic-indices", "n_fold": 2,
                                 "tol": 1e-9}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))

@@ -1,19 +1,21 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import fpq_proj
 
 import wickstar.rigidity as rigidity
 import wickstar.star as star
 from wickstar.errors import DomainError
 from wickstar.exact import QC
 from wickstar.functions import BasisFpq, PolyFn
-from wickstar.rigidity import (PRIME, SQRT_MINUS_ONE, elliptic_invariant_indices,
-                               fpq_proj, _defect, invariant_dimension,
-                               obstruction_check)
+from wickstar.rigidity import (PRIME, elliptic_invariant_indices,
+                               _defect, invariant_dimension, obstruction_check)
 from wickstar.sampling import rng_for, sample_omega_points
-from wickstar.sphere import MoebiusMap, SpherePoint
+from wickstar.sphere import MoebiusMap, OmegaPoint, SpherePoint
 from wickstar.star import star_punctured_poly
 
 OBSTRUCTION_GRID = [0.05, -0.05, 0.08j, -0.08j]
@@ -42,7 +44,8 @@ def test_projective_basis_extends_to_infinity():
 
 
 def test_invariant_dimension_refuses_float_generators():
-    assert PRIME % 4 == 1 and SQRT_MINUS_ONE ** 2 % PRIME == PRIME - 1
+    for p in (PRIME, SECOND_PRIME):
+        assert p % 4 == 1 and rigidity._sqrt_minus_one(p) ** 2 % p == p - 1
     with pytest.raises(DomainError):
         invariant_dimension([MoebiusMap.scaling(2.0)], 1, seed=0)
     with pytest.raises(DomainError):
@@ -58,10 +61,14 @@ def test_invariant_dimension_small_case():
     assert cert.bounds == (1, 1)
 
 
-def _transported_basis_exact(degree, z, w):
+CAYLEY_INVERSE = MoebiusMap.cayley(exact=True).inverse()
+# the elliptic filter's prime for n_fold = 5, the least p = 1 (mod 20) above 10^9
+SECOND_PRIME = 1_000_000_021
+
+
+def _transported_basis_exact(degree, z, w, t_inv=CAYLEY_INVERSE):
     """f_{p,q}(T^-1 z, 1/T^-1 w) in exact QC arithmetic, or None on the
-    hypersurface."""
-    t_inv = MoebiusMap.cayley(exact=True).inverse()
+    hypersurface; T^-1 = t_inv, the inverse Cayley map by default."""
     a = t_inv.apply_point(z)
     b = t_inv.apply_point(w).reciprocal()
     den = a.v * b.v - a.u * b.u
@@ -110,6 +117,35 @@ def test_modular_rank_equals_the_rank_over_gaussian_rationals(generators, degree
         assert cert.dimension == 1
 
 
+def _pair_mod_p(pt, p):
+    return tuple(rigidity._mod_p(x, p) for x in (pt.u, pt.v))
+
+
+@pytest.mark.parametrize("p", [PRIME, SECOND_PRIME])
+def test_basis_values_mod_p_are_the_images_of_the_exact_values(p):
+    # the transported basis, and with the identity for T^-1 and w given
+    # as 1/w the plain f_{i,j}(z, w) of the elliptic filter, mod either
+    # prime, at Gaussian-rational projective points
+    identity = MoebiusMap.identity(exact=True)
+    rng = random.Random(p)
+    checked = 0
+    while checked < 12:
+        z, w = [SpherePoint(QC(rng.randint(-9, 9), rng.randint(-9, 9)),
+                            QC(rng.randint(1, 9), rng.randint(-9, 9))) for _ in range(2)]
+        for t_inv, w_in in ((CAYLEY_INVERSE, w), (identity, w.reciprocal())):
+            exact = _transported_basis_exact(3, z, w_in, t_inv)
+            if exact is None:
+                continue
+            t_mod = tuple(rigidity._mod_p(x, p) for x in (t_inv.a, t_inv.b, t_inv.c, t_inv.d))
+            got = rigidity._basis_values_mod_p(3, t_mod, _pair_mod_p(z, p),
+                                               _pair_mod_p(w_in, p), p)
+            assert got == [rigidity._mod_p(x, p) for x in exact]
+            checked += 1
+            if t_inv is identity:
+                floats = [fpq_proj(i, j, z, w) for i in range(4) for j in range(4)]
+                assert floats == pytest.approx([x.to_complex() for x in exact], rel=1e-12)
+
+
 @pytest.mark.parametrize("degree,count", [(1, 2), (2, 5), (3, 8)])
 def test_rotation_upper_bound_is_the_congruence_count(degree, count):
     # the disk rotation z -> -z moved to the configuration space by the
@@ -128,14 +164,43 @@ def test_identity_generator_is_inconclusive():
     assert cert.dimension is None
 
 
-def test_elliptic_congruence_filter():
-    pts = sample_omega_points(rng_for(3), 30)
-    kept = elliptic_invariant_indices(2, 2, pts)
-    assert set(kept) == {(p, q) for p in range(3) for q in range(3)
-                         if (p - q) % 2 == 0}
-    kept3 = elliptic_invariant_indices(3, 2, pts)
-    assert set(kept3) == {(p, q) for p in range(3) for q in range(3)
-                          if (p - q) % 3 == 0}
+def _near_hypersurface(seed, n):
+    """n points of the disk model with 1e-3 <= |1 - zw| <= 1e-2, where
+    f_{p,q} is as large as (1e-3)^-max(p, q)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        z = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi))
+        d = cmath.rect(rng.uniform(1e-3, 1e-2), rng.uniform(0, 2 * math.pi))
+        out.append(OmegaPoint.of(z, (1 + d) / z))
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 6])
+@pytest.mark.parametrize("n_fold", [2, 3, 4, 5, 7, 11])
+def test_elliptic_congruence_filter(n_fold, degree):
+    # the second prime serves n_fold = 5 and 11; the samples near the
+    # hypersurface make the invariants large
+    pts = sample_omega_points(rng_for(3), 20) + _near_hypersurface(n_fold, 20)
+    assert elliptic_invariant_indices(n_fold, degree, pts) == [
+        (p, q) for p in range(degree + 1) for q in range(degree + 1)
+        if (p - q) % n_fold == 0]
+
+
+def test_elliptic_filter_keeps_the_invariants_near_the_hypersurface():
+    # |1 - zw| = 1e-3 at the one sample
+    pt = OmegaPoint.of(0.9995 * cmath.exp(0.3j), 0.9995 * cmath.exp(-0.3j))
+    assert elliptic_invariant_indices(3, 2, [pt]) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_elliptic_filter_needs_a_sample_off_the_hypersurface_mod_p():
+    # no sample, or none off zw = 1 mod p: zw = 1 + PRIME here
+    on_mod_p = OmegaPoint.of(2, Fraction(1 + PRIME, 2))
+    for samples in ([], [on_mod_p]):
+        with pytest.raises(DomainError, match="off zw = 1"):
+            elliptic_invariant_indices(2, 2, samples)
+    # mod the second prime that sample is an ordinary point
+    assert elliptic_invariant_indices(5, 1, [on_mod_p]) == [(0, 0), (1, 1)]
 
 
 def test_obstruction_verdicts():

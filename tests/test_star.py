@@ -192,6 +192,14 @@ def test_symbolic_truncation_agrees_with_numeric_path():
     assert trunc.eval_diag(0.3 + 0.2j) == pytest.approx(res.value, abs=1e-10)
 
 
+def test_truncation_refuses_a_negative_term_count():
+    # as c_n refuses a negative index; the first term alone is n_terms = 0
+    w, z = BiPoly.w(True), BiPoly.z(True)
+    assert star_disk_poly_truncated(w, z, 0.5, 0) == w * z
+    with pytest.raises(ValueError):
+        star_disk_poly_truncated(w, z, 0.5, -1)
+
+
 # the surface products ----------------------------------------------------------
 
 
