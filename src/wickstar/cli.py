@@ -44,13 +44,10 @@ def _cpair(x) -> list:
 
 
 def _parse_complex(text: str) -> complex:
+    """A finite number or [re, im], read as :func:`json_complex` reads the
+    operands."""
     v = json.loads(text)
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise DomainError(f"cannot parse complex number from {text!r}; "
-                      "expected a number or [re, im]")
+    return json_complex([v, 0] if type(v) in (int, float) else v)
 
 
 def disk_function_from_json(obj: dict):

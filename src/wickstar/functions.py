@@ -6,6 +6,12 @@ a mandatory geometric tail certificate |a_k| <= C / rho^k for k > M.
 A truncated series never silently drops its truncation error: every
 evaluation returns (value, bound).
 
+A coefficient list takes its arithmetic from its scalar kind alone: exact
+(int, Fraction, QC) or float.  Polynomials and jets share one truncated
+product (:func:`_mul`), which convolves integer numerators when every
+coefficient is exact and sums term by term otherwise, and a jet's
+reciprocal is one power-series recurrence for both kinds.
+
 The float sums read closed-form towers, one row per point of a batch
 (:class:`Tower`): :func:`entire_tower` gives the Taylor
 coefficients of u -> g(t + c u) for each entire-function shape, and
@@ -20,6 +26,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import inf, lcm
+from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
@@ -29,15 +36,9 @@ from .exact import QC, _make, _parts, conj, is_exact, to_complex
 
 
 # ---------------------------------------------------------------------------
-# truncated Taylor jets, and the exact convolution kernel they share with
-# the exact polynomials
+# truncated Taylor jets, and the truncated product they share with the
+# polynomials
 # ---------------------------------------------------------------------------
-
-def _float_coeffs(coeffs) -> np.ndarray:
-    if isinstance(coeffs, np.ndarray):
-        return coeffs
-    return np.array([to_complex(c) for c in coeffs], dtype=complex)
-
 
 def _kind(x) -> int:
     """0 for int, 1 for Fraction, 2 for QC: the wider kind wins a product."""
@@ -56,18 +57,25 @@ def _numerators(coeffs: list):
             [b * (den // d) for _, b, d in parts], den)
 
 
-def _mul_exact(a: list, b: list, size: int | None = None) -> list:
-    """Cauchy product of two exact coefficient lists, truncated to its
-    first ``size`` coefficients when ``size`` is given.
+def _mul(a: list, b: list, size: int | None = None) -> list:
+    """Cauchy product of two coefficient lists, truncated to its first
+    ``size`` coefficients when ``size`` is given.
 
-    The denominators are cleared once, the integer (or Gaussian-integer)
-    numerators are convolved on ints, and each output coefficient is
-    rebuilt once (:func:`_exact_coeffs`)."""
+    When every coefficient is exact, the denominators are cleared once,
+    the integer (or Gaussian-integer) numerators are convolved on ints,
+    and each output coefficient is rebuilt once (:func:`_exact_coeffs`).
+    Otherwise it is the schoolbook sum, term by term in order."""
     full = len(a) + len(b) - 1
     size = full if size is None else min(size, full)
-    ar, ai, da = _numerators(a)
-    br, bi, db = _numerators(b)
-    return _exact_coeffs(*_convolve(ar, ai, br, bi, size), da * db, a, b)
+    if all(map(is_exact, a)) and all(map(is_exact, b)):
+        ar, ai, da = _numerators(a)
+        br, bi, db = _numerators(b)
+        return _exact_coeffs(*_convolve(ar, ai, br, bi, size), da * db, a, b)
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[:size - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def _exact_coeffs(re: list, im, den: int, *inputs) -> list:
@@ -104,7 +112,7 @@ def _convolve(ar: list, ai: list, br: list, bi: list, size: int):
     return re, None
 
 
-def _reciprocal_exact(a: list) -> list:
+def _reciprocal(a: list) -> list:
     """Coefficients of 1/a by the recurrence b_n = -b_0 sum_k a_k b_{n-k}."""
     b0 = QC(1) / a[0] if isinstance(a[0], QC) else Fraction(1) / a[0]
     out = [b0]
@@ -116,41 +124,25 @@ def _reciprocal_exact(a: list) -> list:
     return out
 
 
-def _reciprocal_float(a: np.ndarray) -> np.ndarray:
-    """Coefficients of 1/a by Newton doubling b <- b (2 - a b): each step
-    doubles the number of correct coefficients, two convolutions a step."""
-    b = np.array([1 / a[0]])
-    m = 1
-    while m < len(a):
-        m = min(2 * m, len(a))
-        e = -np.convolve(a[:m], b)[:m]
-        e[0] += 2
-        b = np.convolve(b, e)[:m]
-    return b
-
-
 class Jet:
     """Truncated Taylor expansion sum_k c_k u^k, exact in the scalar type.
 
-    The scalar type alone picks the arithmetic.  When every coefficient is
-    exact (QC, Fraction, int) they stay in a list; products run the
-    truncated integer convolution and reciprocals the Python recurrence.
-    Otherwise the jet is a float jet: its coefficients are a complex128
-    numpy array, products are truncated np.convolve calls and reciprocals
-    Newton doubling over convolutions.  An operation that mixes the two
-    kinds gives a float jet."""
+    The coefficients are a list, and their scalar type alone picks the
+    arithmetic.  When every coefficient is exact (QC, Fraction, int) they
+    stay exact: products run the truncated integer convolution (:func:`_mul`)
+    and reciprocals the power-series recurrence (:func:`_reciprocal`).
+    Otherwise every coefficient is a Python complex, and the same two
+    functions run on floats.  An operation that mixes the two kinds gives
+    a float jet."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        if isinstance(coeffs, np.ndarray):
-            coeffs = coeffs.astype(complex, copy=False)
-        else:
-            coeffs = list(coeffs)
-            if not all(is_exact(c) for c in coeffs):
-                coeffs = _float_coeffs(coeffs)
-        if not len(coeffs):
+        coeffs = list(coeffs)
+        if not coeffs:
             raise ValueError("jet needs at least the constant coefficient")
+        if not all(map(is_exact, coeffs)):
+            coeffs = [to_complex(c) for c in coeffs]
         self.coeffs = coeffs
 
     @property
@@ -159,44 +151,32 @@ class Jet:
 
     @property
     def exact(self) -> bool:
-        """True for a list of exact coefficients, False for a float jet."""
-        return not isinstance(self.coeffs, np.ndarray)
+        """True for exact coefficients, False for a float jet."""
+        return is_exact(self.coeffs[0])
 
     @staticmethod
     def constant(x, order: int) -> "Jet":
-        if is_exact(x):
-            return Jet([x] + [x * 0] * order)
-        out = np.zeros(order + 1, dtype=complex)
-        out[0] = x
-        return Jet(out)
+        return Jet([x] + [x * 0] * order)
 
     @staticmethod
     def variable(x0, order: int) -> "Jet":
         """Jet of u -> x0 + u."""
         jet = Jet.constant(x0, order)
         if order > 0:
-            jet.coeffs[1] = x0 * 0 + 1
+            jet.coeffs[1] = jet.coeffs[0] * 0 + 1
         return jet
 
     def _operands(self, other: "Jet"):
-        """The two coefficient sequences, as lists when both jets are
-        exact and as complex arrays otherwise."""
+        """The two coefficient lists, which must be of one order."""
         if other.order != self.order:
             raise ValueError("jet order mismatch")
-        if self.exact and other.exact:
-            return self.coeffs, other.coeffs
-        return _float_coeffs(self.coeffs), _float_coeffs(other.coeffs)
+        return self.coeffs, other.coeffs
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = self._operands(other)
-            return Jet(a + b if isinstance(a, np.ndarray) else [x + y for x, y in zip(a, b)])
+            return Jet([x + y for x, y in zip(*self._operands(other))])
         c = self.coeffs
-        if self.exact:
-            return Jet([c[0] + other] + c[1:])
-        out = c.copy()
-        out[0] += to_complex(other)
-        return Jet(out)
+        return Jet([c[0] + other] + c[1:])
 
     __radd__ = __add__
 
@@ -207,17 +187,13 @@ class Jet:
         return -self + other
 
     def __neg__(self):
-        return Jet([-a for a in self.coeffs] if self.exact else -self.coeffs)
+        return Jet([-a for a in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if self.exact:
-                return Jet([a * other for a in self.coeffs])
-            return Jet(self.coeffs * to_complex(other))
+            return Jet([a * other for a in self.coeffs])
         a, b = self._operands(other)
-        if isinstance(a, np.ndarray):
-            return Jet(np.convolve(a, b)[:len(a)])
-        return Jet(_mul_exact(a, b, len(a)))
+        return Jet(_mul(a, b, len(a)))
 
     __rmul__ = __mul__
 
@@ -225,14 +201,12 @@ class Jet:
         a = self.coeffs
         if a[0] == 0:
             raise ZeroDivisionError("jet has vanishing constant term")
-        return Jet(_reciprocal_exact(a) if self.exact else _reciprocal_float(a))
+        return Jet(_reciprocal(a))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        if self.exact:
-            return Jet([a / other for a in self.coeffs])
-        return Jet(self.coeffs / to_complex(other))
+        return Jet([a / other for a in self.coeffs])
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -249,9 +223,8 @@ class Jet:
         return Jet(out)
 
     def tolist(self, start: int = 0) -> list:
-        """[c_n for n = start..order] as Python scalars."""
-        tail = self.coeffs[start:]
-        return tail if self.exact else tail.tolist()
+        """[c_n for n = start..order]."""
+        return self.coeffs[start:]
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
@@ -350,14 +323,7 @@ class PolyFn(EntireFn):
     def __mul__(self, other):
         if not isinstance(other, PolyFn):
             return PolyFn([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if all(map(is_exact, a)) and all(map(is_exact, b)):
-            return PolyFn(_mul_exact(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return PolyFn(out)
+        return PolyFn(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -539,7 +505,8 @@ def _coefficient_table(coeffs: tuple, rows: int) -> np.ndarray:
     """The shift table of a polynomial in one variable with these
     coefficients, to ``rows`` rows.  Read-only, as every caller shares
     it."""
-    table = shift_table(_float_coeffs(coeffs)[:, None], rows)
+    table = shift_table(np.array([to_complex(c) for c in coeffs], dtype=complex)[:, None],
+                        rows)
     table.setflags(write=False)
     return table
 
@@ -646,10 +613,12 @@ def json_field(obj: dict, key: str, kind, default=None):
 
 
 def json_complex(p) -> complex:
-    """A complex number written as [re, im]."""
+    """A complex number written as [re, im], with parts in the float range:
+    json reads NaN, Infinity and ints of any size."""
     if not (isinstance(p, list) and len(p) == 2
-            and all(type(x) in (int, float) for x in p)):
-        raise DomainError(f"expected a complex number [re, im], got {p!r}")
+            and all(type(x) in (int, float) and abs(x) <= float_info.max for x in p)):
+        raise DomainError(f"expected a complex number [re, im] with finite parts, "
+                          f"got {p!r}")
     return complex(p[0], p[1])
 
 

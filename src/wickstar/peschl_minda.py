@@ -78,7 +78,8 @@ _OUTSIDE_DISK = "point must lie in the open unit disk"
 
 
 def _check_disk(z):
-    if abs(to_complex(z)) >= 1:
+    # not (< 1): a NaN fails every comparison
+    if not abs(to_complex(z)) < 1:
         raise DomainError(_OUTSIDE_DISK)
 
 
@@ -199,7 +200,7 @@ class DiskFunction:
         faults at order 0 (and is built at 0), so a batch raises what
         its first failing point would raise alone."""
         zs = [to_complex(z) for z in zs]
-        outside = [abs(z) >= 1 for z in zs]
+        outside = [not abs(z) < 1 for z in zs]
         tower = self._tower([_ambient(0j if out else z, bar) for z, out in zip(zs, outside)],
                             nmax + 1, bar)
         if not any(outside):

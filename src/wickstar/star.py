@@ -57,9 +57,10 @@ against kappa_0..kappa_m (:func:`_kappas`), and the exact surface
 products of polynomials take their one integer pass (above).
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
-:class:`Hbar` guards the poles: exactly for rational-complex values, and
-for floats by the relative test that the sums apply to each divisor
-1 + k hbar (:func:`_c_divisor`); a non-finite float is refused too.
+:class:`Hbar` guards the poles by one rule for every scalar kind, the test
+that the sums apply to each divisor 1 + k hbar (:func:`_c_divisor`): exact
+for an exact hbar, relative for a float; a non-finite float is refused
+too.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
-from .exact import QC, is_exact, to_complex
+from .exact import QC, _make, is_exact, to_complex
 from .functions import (BiPoly, PolyFn, Tower, _convolve, _exact_coeffs, _numerators,
                         entire_tower)
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
@@ -90,40 +91,25 @@ from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _pole_of(value):
-    """Name of the pole the value hits ("0" or "-1/k"), else None; a
-    non-finite float raises DomainError."""
-    if is_exact(value):
-        if isinstance(value, QC):
-            re, im = value.re, value.im
-        else:
-            re, im = Fraction(value), Fraction(0)
-        if re == 0 and im == 0:
-            return "0"
-        if im == 0 and re < 0:
-            q = -1 / Fraction(re)
-            if q.denominator == 1:
-                return f"-1/{q.numerator}"
-        return None
-    h = complex(value)
-    if not cmath.isfinite(h):
-        raise DomainError(f"deformation parameter {value!r} is not finite")
-    if h == 0:
-        return "0"
-    k = _float_pole(h)
-    return None if k is None else f"-1/{k}"
+def _pole_of(hv):
+    """The k of the pole -1/k that hbar hits, 0 for the pole 0, else None;
+    a non-finite float raises DomainError.
 
-
-def _float_pole(h: complex):
-    """The k whose divisor 1 + k hbar fails the float pole test of
-    :func:`_c_divisor`, else None.  Only the k nearest the real part of
-    -1/hbar can: a failing divisor puts k within 1e-14 (k + 1/|hbar|) of
-    -1/hbar."""
-    x = (-1 / h).real
-    if 0.5 <= x < cmath.inf:
+    Only the k nearest the real part of -1/hbar can be hit, and it is hit
+    when its divisor 1 + k hbar fails the test of :func:`_c_divisor`:
+    exactly 0 for an exact hbar, within 1e-14 (1 + k |hbar|) for a float,
+    which puts k within 1e-14 (k + 1/|hbar|) of -1/hbar."""
+    exact = is_exact(hv)
+    if not (exact or cmath.isfinite(complex(hv))):
+        raise DomainError(f"deformation parameter {hv!r} is not finite")
+    if hv == 0:
+        return 0
+    one = _one_like(hv)
+    x = -(one / hv).real
+    if 0 < x < cmath.inf:
         k = round(x)
         try:
-            _c_divisor(1.0, h, k, False)
+            _c_divisor(one, hv, k, exact)
         except DomainError:
             return k
     return None
@@ -137,8 +123,8 @@ class Hbar:
     def __init__(self, value):
         pole = _pole_of(value)
         if pole is not None:
-            raise DomainError(
-                f"deformation parameter {value!r} hits the excluded pole {pole}")
+            raise DomainError(f"deformation parameter {value!r} hits the excluded "
+                              f"pole {f'-1/{pole}' if pole else 0}")
         self.value = value
 
     @staticmethod
@@ -151,7 +137,8 @@ class Hbar:
 
 def _one_like(hv):
     if isinstance(hv, QC):
-        return QC(1)
+        # from its parts: QC(1) goes through Fraction and costs ~7x as much
+        return _make(1, 0, 1)
     if is_exact(hv):
         return Fraction(1)
     return complex(1)
@@ -166,7 +153,7 @@ def _lenient_value(h):
     low degree) is a legitimate evaluation even when the full coefficient
     family has a pole further out."""
     v = h.value if isinstance(h, Hbar) else h
-    if _pole_of(v) == "0":
+    if _pole_of(v) == 0:
         raise DomainError(
             f"deformation parameter {v!r} hits the excluded pole 0")
     return v
@@ -286,7 +273,7 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
 
     Poles stay lazy: a row raises at the pole -1/k only when it reaches
     term k + 1, whose kappa divides by 1 + k hbar; the only k that can
-    fail the float pole test is read off hbar once (:func:`_float_pole`).
+    fail the float pole test is read off hbar once (:func:`_pole_of`).
     A row whose towers fault (``faults[p] = (n, ...)``) at a term it
     reaches raises that error, or the pole's, whichever its terms meet
     first; the first row that raises decides, as in a loop over the
@@ -295,7 +282,7 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
     overflowed) raises FloatRangeError.  Callers ignore numpy's float
     errors: the entries a raising row leaves behind may be NaN."""
     size, width = terms.shape
-    pole = _float_pole(hv)
+    pole = _pole_of(hv)
     kappa = _kappa_row(hv, width)
     kt = terms * kappa
     total = np.add.accumulate(kt, axis=1)
@@ -339,7 +326,7 @@ def _kappa_row(hv: complex, width: int) -> np.ndarray:
     :func:`_kappas`, step for step, up to the pole: past the term whose
     kappa divides by the pole's 1 + k hbar the entries are NaN, and no sum
     reads them (:func:`_sum_rows`).  Read-only, as every caller shares it."""
-    pole = _float_pole(hv)
+    pole = _pole_of(hv)
     top = width - 1 if pole is None else min(width - 1, pole)
     row = np.full(width, complex("nan"))
     row[:top + 1] = _kappas(hv, top)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stdout
@@ -77,7 +78,8 @@ IDENT = {"type": "poly", "coeffs": [[0, 0], [1, 0]]}
 Z = {"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]}
 SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "C": 1.0}
 
-# a spec (dict) for rigidity, or (surface, f, g) for star eval
+# a spec (dict) for rigidity, or (surface, f, g) for star eval, optionally
+# with a dict of options that replace --hbar 0.5 --point 0.3 or add others
 MALFORMED = {
     "spec-missing-n_fold": {"experiment": "elliptic-indices"},
     "spec-missing-R": {"experiment": "obstruction", "hbar_grid": [[0.05, 0.0]],
@@ -110,6 +112,17 @@ MALFORMED = {
     "series-empty-punctured": ("punctured", IDENT, {**SERIES, "coeffs": []}),
     "series-empty-disk": ("disk", Z, {"type": "composed-p",
                                       "g": {**SERIES, "coeffs": []}}),
+    # ħ and the points are read as the operands are: no booleans, and no
+    # NaN, Infinity or int past the float range, which json reads
+    "hbar-true": ("annulus", IDENT, IDENT, {"--hbar": "true"}),
+    "hbar-pair-with-true": ("annulus", IDENT, IDENT, {"--hbar": "[0.5, true]"}),
+    "point-true": ("annulus", IDENT, IDENT, {"--point": "true"}),
+    "point-nan-disk": ("disk", Z, Z, {"--point": "NaN"}),
+    "point-nan-annulus": ("annulus", IDENT, IDENT, {"--point": "NaN"}),
+    "point-infinity-punctured": ("punctured", IDENT, IDENT, {"--point": "Infinity"}),
+    "point-int-past-float-range": ("annulus", IDENT, IDENT, {"--point": "1" + "0" * 400}),
+    "poly-coeff-nan-exact": ("annulus", {"type": "poly", "coeffs": [[float("nan"), 0]]},
+                             IDENT, {"--mode": "exact-finite"}),
 }
 
 
@@ -120,9 +133,10 @@ def test_malformed_input_is_a_domain_error(case, tmp_path):
         spec.write_text(json.dumps(case), encoding="utf-8")
         argv = ["rigidity", "--spec", str(spec)]
     else:
-        surface, f, g = case
+        surface, f, g, *options = case
+        options = {"--hbar": "0.5", "--point": "0.3", **(options[0] if options else {})}
         argv = ["star", "eval", "--surface", surface, "--f", json.dumps(f),
-                "--g", json.dumps(g), "--hbar", "0.5", "--point", "0.3"]
+                "--g", json.dumps(g), *itertools.chain(*options.items())]
     code, out = run_cli(*argv)
     assert code == EXIT_DOMAIN
     assert json.loads(out)["kind"] == "domain"

@@ -47,6 +47,15 @@ def test_strict_guard_rejects_every_pole():
               -0.25, 0.0 + 0j):
         with pytest.raises(DomainError):
             Hbar(h)
+    # every scalar kind names the same pole: an exact hbar exactly, a float
+    # one within the rounding slack of its divisor 1 + k hbar
+    for k in (1, 3, 20, 10**20):
+        for h in (Fraction(-1, k), QC(Fraction(-1, k)), -1 / k, complex(-1 / k, 1e-16 / k)):
+            with pytest.raises(DomainError, match=f"excluded pole -1/{k}$"):
+                Hbar(h)
+            assert star._pole_of(h) == k
+        Hbar(QC(Fraction(-1, k), Fraction(1, 10**30)))
+    assert star._pole_of(Fraction(-1, 10**20)) == star._pole_of(-1e-20) == 10**20
     Hbar(Fraction(1, 2))
     Hbar(QC(-1, 1))    # off the real pole ray
     Hbar(-0.3)         # negative but not a reciprocal integer
@@ -82,14 +91,20 @@ def test_hbar_and_the_sums_share_one_float_pole_rule():
         Hbar(h)
         res = star_disk(zbar, z, h, 0.5, budget)
         assert res.terms_used == 65 and math.isfinite(abs(res.value))
-    for h, k in ((-0.25, 4), (-1.0 / 3.0, 3), (-0.05, 20)):
-        with pytest.raises(DomainError, match=f"-1/{k}"):
+    for k in (4, 3, 20):
+        for h in (-1 / k, Fraction(-1, k), QC(Fraction(-1, k))):
+            with pytest.raises(DomainError, match=f"-1/{k}"):
+                Hbar(h)
+            # the sum reaches the divisor 1 + k hbar at term k + 1
+            res = star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k, tol=0))
+            assert res.terms_used == k + 1
+            with pytest.raises(DomainError, match=f"-1/{k}"):
+                star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k + 1, tol=0))
+    # a pole past any term count: both kinds name it, and the sums run
+    for h in (Fraction(-1, 10**20), -1e-20):
+        with pytest.raises(DomainError, match=f"-1/{10**20}$"):
             Hbar(h)
-        # the sum reaches the divisor 1 + k hbar at term k + 1
-        res = star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k, tol=0))
-        assert res.terms_used == k + 1
-        with pytest.raises(DomainError, match=f"-1/{k}"):
-            star_disk(zbar, z, h, 0.5, StarConfig(max_terms=k + 1, tol=0))
+        assert star_disk(zbar, z, h, 0.5, budget).terms_used == 65
     with pytest.raises(DomainError, match="pole 0"):
         Hbar(0.0)
     for h in (float("nan"), complex(0.5, float("inf"))):
@@ -171,6 +186,13 @@ def test_disk_product_rejects_points_outside_the_disk():
     f = PolyDisk(BiPoly.z())
     with pytest.raises(DomainError):
         star_disk(f, f, 0.5, 1.1)
+    # a NaN fails |z| >= 1 as it fails |z| < 1: both modes refuse it
+    zbar, z = PolyDisk(BiPoly.w()), PolyDisk(BiPoly.z())
+    for p in (complex("nan"), complex(0.1, float("nan"))):
+        with pytest.raises(DomainError, match="open unit disk"):
+            star_disk(zbar, z, 0.5, p)
+        with pytest.raises(DomainError, match="open unit disk"):
+            star_disk(z, zbar, 0.5, p, EXACT)
 
 
 def test_symbolic_disk_product_terminates_on_split_operands():
