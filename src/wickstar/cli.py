@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 
 from .errors import DomainError, WickstarError
-from .functions import BiPoly, entire_from_json, json_complex, json_field
+from .functions import BiPoly, entire_from_json, json_complex, json_field, json_real
 from .peschl_minda import ComposedP, ComposedQ, PolyDisk
 from .rigidity import (elliptic_invariant_indices, invariant_dimension,
                        obstruction_check)
@@ -175,7 +175,7 @@ def cmd_rigidity(args) -> int:
         body = {"experiment": kind, "n_fold": n_fold,
                 "invariant_indices": [list(k) for k in kept]}
     else:
-        radius = float(json_field(spec, "R", (int, float)))
+        radius = json_real(spec, "R")
         hs = [json_complex(p) for p in json_field(spec, "hbar_grid", list)]
         degree = json_field(spec, "degree", int)
         rep = obstruction_check(radius, hs, degree)

@@ -12,24 +12,18 @@ product (:func:`_mul`), which convolves integer numerators when every
 coefficient is exact and sums term by term otherwise, and a jet's
 reciprocal is one power-series recurrence for both kinds.
 
-The float sums read closed-form towers, one row per point of a batch
-(:class:`Tower`): :func:`entire_tower` gives the Taylor
-coefficients of u -> g(t + c u) for each entire-function shape, and
-:func:`shift_table`, :func:`shifted_rows` and :func:`moebius_compose`
-give those of a polynomial composed with a Moebius map.
+Everything here runs on Python scalars.  The closed-form towers that the
+float sums read, arrays over a batch of points, are in
+:mod:`wickstar.towers`, the one module that imports numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 from fractions import Fraction
 from math import inf, lcm
 from sys import float_info
-from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, SeriesOrderError
 from .exact import QC, _make, _parts, conj, is_exact, to_complex
@@ -418,186 +412,6 @@ class SeriesFn(EntireFn):
         return f"SeriesFn(order={self.max_order}, rho={self.rho}, C={self.C})"
 
 
-# ---------------------------------------------------------------------------
-# closed-form towers over a batch of points
-# ---------------------------------------------------------------------------
-
-
-class Tower(NamedTuple):
-    """Taylor coefficients over a batch of points, in closed form.
-
-    ``values[p, n]`` is the n-th coefficient at point p.  ``bounds`` bounds
-    the error of each value the way ``SeriesFn.eval`` does, or is None
-    when the values carry none.  ``faults`` is None when every row reaches
-    the width; otherwise ``faults[p]`` is None or ``(n, stage, error)``:
-    coefficient n and later cannot be formed at point p, because the
-    derivative of order n does not exist (stage 0) or cannot be evaluated
-    there (stage 1).  A tower narrower than asked for faults in every
-    row."""
-    values: np.ndarray
-    bounds: np.ndarray | None = None
-    faults: list | None = None
-
-
-@functools.lru_cache(maxsize=16)
-def _exponents(n: int) -> np.ndarray:
-    out = np.arange(n, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
-# Every array below is formed by elementwise operations and reductions
-# along one axis, never by a matrix product, whose summation order can
-# depend on the shape of the batch: a point's row is the same number
-# whatever batch it rides in.
-
-
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0, ..., x^{n-1} for every entry of the 1-D array x: shape
-    (len(x), n).  numpy raises a complex number to an integer power below
-    100 by repeated squaring, and above through exp and log."""
-    return x[:, None] ** _exponents(n)
-
-
-def _binomials(m: int):
-    """(C(n+j, n), n+j) for 0 <= n, j <= m, with the binomial 0 where
-    n + j > m and the index clipped to m there: the Taylor shift of a
-    polynomial of degree m.  Pascal's rule in floats is exact below 2^53.
-    Built per shift table: the tables themselves are memoized."""
-    pascal = np.zeros((m + 1, m + 1))
-    pascal[:, 0] = 1.0
-    with np.errstate(over="ignore"):
-        for i in range(1, m + 1):
-            pascal[i, 1:i + 1] = pascal[i - 1, :i] + pascal[i - 1, 1:i + 1]
-    k = np.arange(m + 1)
-    idx = k[:, None] + k[None, :]
-    keep = idx <= m
-    idx = np.where(keep, idx, m)
-    return np.where(keep, pascal[idx, k[:, None]], 0.0), idx
-
-
-def shift_table(coeffs: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """The Taylor shift of a polynomial p(Z, w) = sum_{i, e} A[i, e] Z^i w^e
-    given by its complex coefficients A (K, E), as the matrix
-    S[n, j E + e] = C(n+j, n) A[n+j, e] for n < rows (default K): then
-    p^(n)(t, w)/n! = sum_{j, e} S[n, j E + e] t^j w^e, with p^(n) the n-th
-    derivative in Z (:func:`shifted_rows`)."""
-    k_top, e_top = coeffs.shape
-    binom, idx = _binomials(k_top - 1)
-    rows = k_top if rows is None else rows
-    return (binom[:rows, :, None] * coeffs[idx[:rows]]).reshape(rows, k_top * e_top)
-
-
-def shifted_rows(table: np.ndarray, t: np.ndarray, delta: np.ndarray,
-                 w: np.ndarray | None = None, e_top: int = 1) -> np.ndarray:
-    """delta^n p^(n)(t, w)/n! for the polynomial of the shift table (with
-    E = e_top exponents of w, at the points w) at each point: shape
-    (P, rows), the Taylor coefficients of u -> p(t + delta u, w)."""
-    rows, size = table.shape
-    tp = _powers(t, size // e_top)
-    if e_top > 1:
-        tp = (tp[:, :, None] * _powers(w, e_top)[:, None, :]).reshape(len(t), size)
-    return np.add.reduce(tp[:, None, :] * table, axis=-1) * _powers(delta, rows)
-
-
-@functools.lru_cache(maxsize=64)
-def _coefficient_table(coeffs: tuple, rows: int) -> np.ndarray:
-    """The shift table of a polynomial in one variable with these
-    coefficients, to ``rows`` rows.  Read-only, as every caller shares
-    it."""
-    table = shift_table(np.array([to_complex(c) for c in coeffs], dtype=complex)[:, None],
-                        rows)
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _compose_table(k_top: int, width: int):
-    """(B, idx) with B[k, n] = C(n-1, k-1) for 1 <= k <= n, B[0, 0] = 1
-    and 0 elsewhere, and idx[k, n] = max(n - k, 0).  B comes from a
-    cumprod in n of (n-1)/(n-k), so it overflows to inf only where the
-    binomial does.  Read-only, as every caller shares it."""
-    n = np.arange(width)
-    k = np.arange(k_top)[:, None]
-    with np.errstate(over="ignore"):
-        b = np.where(n > k, (n - 1) / np.maximum(n - k, 1), 1.0)
-        np.multiply.accumulate(b, axis=1, out=b)
-    b = np.where((n >= k) & (k >= 1), b, 0.0).astype(complex)
-    b[0, 0] = 1.0
-    idx = np.maximum(n - k, 0)
-    for a in (b, idx):
-        a.setflags(write=False)
-    return b, idx
-
-
-def moebius_compose(e: np.ndarray, r: np.ndarray, width: int) -> np.ndarray:
-    """Coefficients 0..width-1 of sum_k e_k v^k, v = u/(1 - r u), for the
-    rows e (P, K) and the 1-D array of ratios r: a_0 = e_0 and
-    a_n = sum_{k=1}^{min(n, K-1)} e_k C(n-1, k-1) r^{n-k}."""
-    k_top = min(e.shape[1], width)
-    b, idx = _compose_table(k_top, width)
-    return np.add.reduce(e[:, :k_top, None] * b * _powers(r, width)[:, idx], axis=1)
-
-
-def entire_tower(g: EntireFn, t: np.ndarray, c: np.ndarray, width: int) -> Tower:
-    """c^n g^(n)(t)/n!, n < width, at each pair of the 1-D complex arrays
-    t and c: the Taylor coefficients of u -> g(t + c u), in closed form.
-
-    * PolyFn: the binomial Taylor shift C(k, n) a_k t^{k-n} times c^n,
-      zero past the degree.
-    * ExpFn: amp e^{st} (sc)^n/n!, by a cumprod of sc/n.
-    * SeriesFn: the shift of the stored part, to order min(width - 1, M),
-      with the bound its certificate gives to each derivative: g^(n)/n!
-      times c^n has the certificate (C_n, rho/2^n), C_n = C prod_{i<n}
-      |c/(i+1)|/(rho/2^i), and at t the bound C_n q^{M-n+1}/(1 - q),
-      q = |t|/(rho/2^n).  Row p faults at the first n with q >= 1, and
-      every row at M + 1 when the width asks for it.
-    No n! or c^n is formed alone."""
-    if isinstance(g, ExpFn):
-        s = to_complex(g.scale)
-        steps = np.empty((len(t), width), dtype=complex)
-        steps[:, 0] = to_complex(g.amp) * np.exp(s * t)
-        steps[:, 1:] = (s * c)[:, None] / _exponents(width)[1:]
-        np.multiply.accumulate(steps, axis=1, out=steps)
-        return Tower(steps)
-    m = min(len(g.coeffs) - 1, width - 1)
-    values = shifted_rows(_coefficient_table(tuple(g.coeffs), m + 1), t, c)
-    if isinstance(g, PolyFn):
-        out = np.zeros((len(t), width), dtype=complex)
-        out[:, :m + 1] = values
-        return Tower(out)
-    return _series_tower(g, t, c, values, width)
-
-
-def _series_tower(g: "SeriesFn", t, c, values, width) -> Tower:
-    """The tower of a SeriesFn from the values of its stored part: the
-    bounds and faults its certificate gives (:func:`entire_tower`)."""
-    top = g.max_order
-    n = np.arange(values.shape[1])
-    rho_n = g.rho / 2.0 ** n
-    with np.errstate(all="ignore"):
-        steps = np.empty(values.shape)
-        steps[:, 0] = g.C
-        steps[:, 1:] = np.abs(c[:, None] / n[1:]) / rho_n[:-1]
-        np.multiply.accumulate(steps, axis=1, out=steps)
-        # hypot, not np.abs: it agrees with the abs of SeriesFn.eval to the last place
-        q = np.hypot(t.real, t.imag)[:, None] / rho_n
-        bounds = steps * q ** (top - n + 1) / (1 - q)
-    outside = q >= 1
-    order = None
-    if width > top + 1:
-        order = (top + 1, 0, SeriesOrderError(
-            f"series of usable order {top} cannot supply derivative order "
-            f"{top + 1}; extend the series to order >= {top + 1}"))
-    faults = [order] * len(t)
-    for p in np.flatnonzero(outside.any(axis=1)).tolist():
-        k = int(outside[p].argmax())
-        faults[p] = (k, 1, DomainError(
-            f"|t| = {abs(t[p]):.6g} outside the certified radius "
-            f"rho = {rho_n[k]:.6g} of derivative order {k}"))
-    return Tower(values, bounds, faults if any(faults) else None)
-
-
 # JSON mini-language ---------------------------------------------------------
 
 
@@ -622,6 +436,16 @@ def json_complex(p) -> complex:
     return complex(p[0], p[1])
 
 
+def json_real(obj: dict, key: str) -> float:
+    """obj[key], a JSON number in the float range, as a float: json reads
+    NaN, Infinity and ints of any size."""
+    value = json_field(obj, key, (int, float))
+    if not abs(value) <= float_info.max:
+        raise DomainError(f"field {key!r} must be a finite number in the float range, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def entire_from_json(obj: dict) -> EntireFn:
     """{"type":"poly","coeffs":[[re,im],...]} | {"type":"exp","scale":[re,im]}
     | {"type":"series","coeffs":[...],"rho":r,"C":c}"""
@@ -634,8 +458,7 @@ def entire_from_json(obj: dict) -> EntireFn:
         return ExpFn(json_complex(json_field(obj, "scale", list)))
     if kind == "series":
         return SeriesFn([json_complex(p) for p in json_field(obj, "coeffs", list)],
-                        rho=float(json_field(obj, "rho", (int, float))),
-                        C=float(json_field(obj, "C", (int, float))))
+                        rho=json_real(obj, "rho"), C=json_real(obj, "C"))
     raise DomainError(f"unknown function type {kind!r}")
 
 

@@ -16,6 +16,9 @@ is (1, conj z, z, 1).  A variant multiplies the matrix of the map it puts
 in front into the one it is handed: no operand is conjugated.  The
 towers are read at float points (``pm_tower``, and ``pm_sequence``/
 ``pm_bar_sequence`` for one point); an exact point is read as its float.
+The arrays are formed in :mod:`wickstar.towers`, which the ``_tower``
+methods import on their first call; the exact symbolic towers below need
+no numpy.
 
 The closed form: write M(u) = M(0) + delta v with v = u/(1 - r u),
 M(0) = b/d, r = -c/d and delta = det/d^2.  For a polynomial p in the
@@ -40,7 +43,7 @@ a_n = sum_{k=1}^{deg} e_k delta^k C(n-1, k-1) r^{n-k}  (n >= 1).
   one slot frozen the chart is a Moebius map (``chart_matrix``), and its
   product with T_z (or T_{conj z}) has c = 0, so r = 0: the chart is
   t + delta u and a_n = delta^n g^(n)(t)/n!, the entire-function tower
-  of :func:`wickstar.functions.entire_tower`, shared with the surface
+  of :func:`wickstar.towers.entire_tower`, shared with the surface
   products.  A series g carries its tail bound into every entry, and a
   row faults where the series cannot give an order.  Under a pullback by
   phi the ambient map is phi o T_z = T_{phi(z)} o rotation, so the chart
@@ -52,14 +55,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .exact import conj, is_exact, to_complex
-from .functions import (BiPoly, EntireFn, Tower, entire_tower, moebius_compose,
-                        shift_table, shifted_rows)
+from .functions import BiPoly, EntireFn
 from .sphere import MoebiusMap
+
+if TYPE_CHECKING:
+    from .towers import Tower
 
 
 def p_aux(z):
@@ -211,18 +215,11 @@ class DiskFunction:
             for out, fault in zip(outside, faults)])
 
     def _row(self, nmax, z, bar):
-        """(values, bounds) of orders 0..nmax at the one point z, read as a
-        float, the bounds 0 where the tower carries none; raises the error
-        of the row when it cannot reach nmax."""
+        """(values, bounds) of orders 0..nmax at the one point z
+        (:func:`wickstar.towers.one_row`)."""
         _check_order(nmax)
-        # past a float's range an entry is inf, as in scalar arithmetic
-        with np.errstate(all="ignore"):
-            tower = self.pm_tower(nmax, [z], bar)
-        fault = tower.faults[0] if tower.faults else None
-        if fault is not None and fault[0] <= nmax:
-            raise fault[2]
-        bounds = np.zeros(nmax + 1) if tower.bounds is None else tower.bounds[0]
-        return tower.values[0], bounds
+        import wickstar.towers as towers
+        return towers.one_row(self, nmax, z, bar)
 
     def pm_sequence(self, nmax: int, z, start: int = 0):
         """D^n f(z)/n! for n = start..nmax."""
@@ -261,8 +258,8 @@ class PolyDisk(DiskFunction):
         # [E_0, E_1, ...] with E_n = D^n F/n!, extended on demand
         self._pm_tower = [f]
         self._pm_bar_tower = [f]
-        # bar -> the float shift table of F (:meth:`_shift`), built on
-        # first use
+        # bar -> the float shift table of F with the varying slot first
+        # (:func:`wickstar.towers.bipoly_table`), built on first use
         self._shifts = {}
 
     def value(self, z):
@@ -275,26 +272,15 @@ class PolyDisk(DiskFunction):
     def pm_bar_poly(self, n: int) -> BiPoly:
         return _tower_to(self._pm_bar_tower, n, "w")
 
-    def _shift(self, bar):
-        """(shift table, E) of F with the varying slot first."""
-        out = self._shifts.get(bar)
-        if out is None:
-            terms = [((j, i) if bar else (i, j), a) for (i, j), a in self.f.coeffs.items()]
-            dense = np.zeros((max((k for (k, _), _ in terms), default=0) + 1,
-                              max((e for (_, e), _ in terms), default=0) + 1), dtype=complex)
-            for (k, e), a in terms:
-                dense[k, e] = to_complex(a)
-            out = self._shifts[bar] = shift_table(dense), dense.shape[1]
-        return out
-
     def _tower(self, frames, width, bar):
         # the Taylor coefficients of u -> F(M(0) + delta u, w0), composed
         # with v = u/(1 - r u)
-        table, e_top = self._shift(bar)
-        t, delta, r = np.array([_chart(m) for m, _ in frames], dtype=complex).T
-        e = shifted_rows(table, t, delta, np.array([w for _, w in frames], dtype=complex),
-                         e_top)
-        return Tower(moebius_compose(e, r, width))
+        import wickstar.towers as towers
+        table = self._shifts.get(bar)
+        if table is None:
+            table = self._shifts[bar] = towers.bipoly_table(self.f.coeffs, bar)
+        return towers.moebius_tower(table, [_chart(m) for m, _ in frames],
+                                    [w for _, w in frames], width)
 
 
 class _Composed(DiskFunction):
@@ -322,9 +308,10 @@ class _Composed(DiskFunction):
     def _tower(self, frames, width, bar):
         # the Taylor coefficients of u -> g(M(0) + delta u); r is 0, or
         # rounding under a pullback
-        t, delta, _ = np.array([_chart(_matmul(self.chart_matrix(w0, bar), m))
-                                for m, w0 in frames], dtype=complex).T
-        return entire_tower(self.g, t, delta, width)
+        import wickstar.towers as towers
+        t, delta, _ = towers.chart_rows([_chart(_matmul(self.chart_matrix(w0, bar), m))
+                                         for m, w0 in frames])
+        return towers.entire_tower(self.g, t, delta, width)
 
 
 class ComposedP(_Composed):

@@ -3,23 +3,25 @@
 All samplers take a numpy Generator so a single seed pins the whole run;
 regions deliberately stay away from chart blow-up zones (disk samples
 default to |z| <= 0.8, annulus moduli are log-uniform strictly inside
-(1/R, R))."""
+(1/R, R)).  numpy is imported inside the samplers, so that importing this
+module (as ``wickstar.cli`` does) loads no numpy; the first sample does."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .sphere import GPoint, OmegaPoint, SpherePoint
 
 
-def rng_for(seed: int) -> np.random.Generator:
+def rng_for(seed: int):
+    """The numpy Generator of this seed."""
+    import numpy as np
     return np.random.default_rng(seed)
 
 
 def sample_disk(rng, n: int, rmax: float = 0.8):
     """n points of the open disk, area-uniform within |z| <= rmax."""
+    import numpy as np
     r = rmax * np.sqrt(rng.random(n))
     th = 2 * math.pi * rng.random(n)
     return [complex(x) for x in r * np.exp(1j * th)]
@@ -28,6 +30,7 @@ def sample_disk(rng, n: int, rmax: float = 0.8):
 def sample_annulus(rng, n: int, radius: float):
     """n points of A_R, log-uniform in modulus over the middle 0.9 of
     (1/R, R) in log scale."""
+    import numpy as np
     u = 0.9 * math.log(radius) * (2 * rng.random(n) - 1)
     th = 2 * math.pi * rng.random(n)
     return [complex(x) for x in np.exp(u) * np.exp(1j * th)]
@@ -35,6 +38,7 @@ def sample_annulus(rng, n: int, radius: float):
 
 def sample_punctured(rng, n: int):
     """n points of D*, log-uniform in modulus over [1e-3, 0.9]."""
+    import numpy as np
     u = rng.uniform(math.log(1e-3), math.log(0.9), n)
     th = 2 * math.pi * rng.random(n)
     return [complex(x) for x in np.exp(u) * np.exp(1j * th)]
@@ -42,6 +46,7 @@ def sample_punctured(rng, n: int):
 
 def sample_half_plane(rng, n: int):
     """n points of the upper half plane."""
+    import numpy as np
     x = 2.0 * rng.standard_normal(n)
     y = np.exp(0.7 * rng.standard_normal(n))
     return [complex(a, b) for a, b in zip(x, y)]

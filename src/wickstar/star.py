@@ -36,16 +36,17 @@ and kappa_0..kappa_m share one denominator.  Every coefficient of an
 exact result takes one kind, the widest among its inputs: int < Fraction
 < QC.
 
-Float products are summed over a batch of points at once.  Each operand
-gives a closed-form tower, an array with one row per point: on the disk
+Float products are summed over a batch of points at once, by the float
+engine of :mod:`wickstar.towers`, which a float branch imports on its
+first call; this module imports no numpy.  Each operand gives a
+closed-form tower, an array with one row per point: on the disk
 (``DiskFunction.pm_tower``) a polynomial or a pullback of one has
 a_n = sum_k e_k delta^k C(n-1, k-1) r^{n-k} from the Moebius matrix of
 its map, and a lift the entire-function tower c^n g^(n)(t)/n!, which the
-surfaces use too (:func:`entire_tower`: a binomial Taylor shift for a
-polynomial or a series, which carries its certificate into every entry,
-and a cumprod for an exponential).  Their product is the
-(points, max_terms + 1) term array, and one array kernel
-(:func:`_sum_rows`) sums every row: kappa is formed once per hbar and
+surfaces use too (a binomial Taylor shift for a polynomial or a series,
+which carries its certificate into every entry, and a cumprod for an
+exponential).  Their product is the (points, max_terms + 1) term array,
+and one array kernel sums every row: kappa is formed once per hbar and
 width, each row's partial sums are one cumsum, and each row stops,
 reports its tail and raises exactly as a sum taken one term at a time
 would; a row whose sum or tail is not finite raises FloatRangeError.  A
@@ -69,26 +70,20 @@ import cmath
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb
 
-import numpy as np
-
-from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
+from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, _make, is_exact, to_complex
-from .functions import (BiPoly, PolyFn, Tower, _convolve, _exact_coeffs, _numerators,
-                        entire_tower)
+from .functions import BiPoly, PolyFn, _convolve, _exact_coeffs, _numerators
 from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
 
 
 # ---------------------------------------------------------------------------
 # deformation parameter
 # ---------------------------------------------------------------------------
-
-
-# unit roundoff of IEEE double precision
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _pole_of(hv):
@@ -252,128 +247,22 @@ class StarResult:
 
 
 # ---------------------------------------------------------------------------
-# the summation kernel
+# points
 # ---------------------------------------------------------------------------
-
-
-def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
-              tol: float) -> list:
-    """sum_n kappa_n t_n for every row of the float term array ``terms``
-    (P, width), one StarResult per row.
-
-    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar) is formed once for all
-    rows (:func:`_kappa_row`), and each row's partial sums are one cumsum.
-    Row p stops at the first n >= 2 where three successive terms fall
-    below tol * max(1, |sum|) ("tol"), else at n = max_terms ("budget").
-    Its tail estimate is the last three terms, plus
-    sum_k |kappa_k| bounds[p, k], plus the rounding bound
-    gamma_m sum_k |kappa_k t_k| of m terms summed in turn,
-    gamma_m = m u/(1 - m u) with u = 2^-53 (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., section 4.2).
-
-    Poles stay lazy: a row raises at the pole -1/k only when it reaches
-    term k + 1, whose kappa divides by 1 + k hbar; the only k that can
-    fail the float pole test is read off hbar once (:func:`_pole_of`).
-    A row whose towers fault (``faults[p] = (n, ...)``) at a term it
-    reaches raises that error, or the pole's, whichever its terms meet
-    first; the first row that raises decides, as in a loop over the
-    points.  A narrower array than max_terms + 1 faults in every row.  A
-    row whose sum or tail up to its stop is not finite (a term it reaches
-    overflowed) raises FloatRangeError.  Callers ignore numpy's float
-    errors: the entries a raising row leaves behind may be NaN."""
-    size, width = terms.shape
-    pole = _pole_of(hv)
-    kappa = _kappa_row(hv, width)
-    kt = terms * kappa
-    total = np.add.accumulate(kt, axis=1)
-    mag = np.abs(kt)
-    mass = np.add.accumulate(mag, axis=1)
-    err = None if bounds is None else np.add.accumulate(np.abs(kappa) * bounds, axis=1)
-    if width > 2:
-        pair = np.maximum(mag[:, :-1], mag[:, 1:])
-        small = (np.maximum(pair[:, :-1], pair[:, 1:])
-                 < tol * np.maximum(np.abs(total[:, 2:]), 1.0))
-        firsts = small.argmax(axis=1).tolist()
-    out = []
-    for p in range(size):
-        hit = width > 2 and small.item(p, firsts[p])
-        stop = firsts[p] + 2 if hit else max_terms
-        fault = faults[p] if faults else None
-        end = stop if fault is None or fault[0] > stop else fault[0] - 1
-        if pole is not None and pole < end:
-            raise _pole_error(pole)
-        if end < stop:
-            raise fault[2]
-        row = mag[p]
-        tail = ((row.item(stop - 2) if stop > 1 else 0.0) + row.item(stop - 1)
-                + row.item(stop))
-        if err is not None:
-            tail += err.item(p, stop)
-        gamma = (stop + 1) * _UNIT_ROUNDOFF
-        tail += gamma / (1 - gamma) * mass.item(p, stop)
-        value = total.item(p, stop)
-        if not (cmath.isfinite(value) and isfinite(tail)):
-            raise FloatRangeError(
-                f"the float star sum leaves the range of double precision within "
-                f"{stop + 1} terms")
-        out.append(StarResult(value, stop + 1, tail, "tol" if hit else "budget"))
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _kappa_row(hv: complex, width: int) -> np.ndarray:
-    """[kappa_0, ..., kappa_{width-1}] at a float hbar by the recurrence of
-    :func:`_kappas`, step for step, up to the pole: past the term whose
-    kappa divides by the pole's 1 + k hbar the entries are NaN, and no sum
-    reads them (:func:`_sum_rows`).  Read-only, as every caller shares it."""
-    pole = _pole_of(hv)
-    top = width - 1 if pole is None else min(width - 1, pole)
-    row = np.full(width, complex("nan"))
-    row[:top + 1] = _kappas(hv, top)
-    row.setflags(write=False)
-    return row
 
 
 def _points(z):
     """(the points as a list, batched): a 1-D sequence is a batch, anything
-    else one point."""
-    if isinstance(z, (list, tuple)) or (isinstance(z, np.ndarray) and z.ndim == 1):
+    else one point.  An ndarray can only come from a loaded numpy, so an
+    exact call never imports it."""
+    if isinstance(z, (list, tuple)):
         return list(z), True
-    if isinstance(z, np.ndarray) and z.ndim:
-        raise ValueError("points must be a scalar or a 1-D sequence")
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(z, np.ndarray) and z.ndim:
+        if z.ndim > 1:
+            raise ValueError("points must be a scalar or a 1-D sequence")
+        return list(z), True
     return [z], False
-
-
-def _merge_faults(fa, fb, stage_first: bool):
-    """Per row, the fault of two towers that a term meets first: the lower
-    order, then the first operand, or with ``stage_first`` the lower stage
-    (every derivative is taken before either is evaluated)."""
-    if fa is None or fb is None:
-        return fa or fb
-
-    def key(fault, operand):
-        n, stage, _ = fault
-        return (n, stage, operand) if stage_first else (n, operand, stage)
-
-    out = []
-    for x, y in zip(fa, fb):
-        pick = [(key(f, k), f) for k, f in enumerate((x, y)) if f is not None]
-        out.append(min(pick, key=lambda e: e[0])[1] if pick else None)
-    return out
-
-
-def _product_rows(a: Tower, b: Tower, weights=None):
-    """(terms, bounds) of w_n a_n b_n over the common width of two towers,
-    with the bound |w_n| (|a_n| eb_n + |b_n| ea_n + ea_n eb_n)."""
-    width = min(a.values.shape[1], b.values.shape[1])
-    x, y = a.values[:, :width], b.values[:, :width]
-    terms = x * y if weights is None else weights[:, :width] * x * y
-    if a.bounds is None and b.bounds is None:
-        return terms, None
-    ea = np.zeros(x.shape) if a.bounds is None else a.bounds[:, :width]
-    eb = np.zeros(y.shape) if b.bounds is None else b.bounds[:, :width]
-    bounds = np.abs(x) * eb + np.abs(y) * ea + ea * eb
-    return terms, bounds if weights is None else np.abs(weights[:, :width]) * bounds
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +293,9 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
     if cfg.mode == "exact-finite":
         out = [_exact_disk(f, g, p) for p in points]
     else:
-        # a row that leaves the float range, or runs past its pole or fault,
-        # may hold any value: it raises
-        with np.errstate(all="ignore"):
-            rows = _disk_rows(f, g, [to_complex(p) for p in points], cfg.max_terms)
-            out = _sum_rows(to_complex(hv), *rows, cfg.max_terms, cfg.tol)
+        import wickstar.towers as towers
+        out = towers.disk_sums(f, g, to_complex(hv), [to_complex(p) for p in points],
+                               cfg.max_terms, cfg.tol)
     return out if batched else out[0]
 
 
@@ -420,15 +307,6 @@ def _exact_disk(f, g, z) -> StarResult:
             "exact-finite mode requires polynomial disk functions")
     _require_termination(f.f, g.f)
     return StarResult(f.value(z) * g.value(z), 1, 0.0, "terminated")
-
-
-def _disk_rows(f, g, zs: list, max_terms: int):
-    """(terms, bounds, faults) of the disk product at the points zs, for
-    :func:`_sum_rows`: one tower per operand, a row per point, the first
-    operand taking Dbar.  A point outside the disk faults at order 0."""
-    a = f.pm_tower(max_terms, zs, bar=True)
-    b = g.pm_tower(max_terms, zs)
-    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults, False))
 
 
 # ---------------------------------------------------------------------------
@@ -548,34 +426,10 @@ def _star_entire(g, gt, h, w, cfg, variant):
         res = _surface_poly(g, gt, hv, variant)
         out = [replace(res, value=res.value.eval(p)[0]) for p in points]
     else:
-        # as in star_disk
-        with np.errstate(all="ignore"):
-            rows = _surface_rows(g, gt, [to_complex(p) for p in points], cfg.max_terms,
-                                 variant)
-            out = _sum_rows(to_complex(hv), *rows, cfg.max_terms, cfg.tol)
+        import wickstar.towers as towers
+        out = towers.surface_sums(g, gt, to_complex(hv), [to_complex(p) for p in points],
+                                  cfg.max_terms, cfg.tol, variant)
     return out if batched else out[0]
-
-
-def _surface_rows(g, gt, points: list, max_terms: int, variant: str):
-    """(terms, bounds, faults) of a surface product at the points, for
-    :func:`_sum_rows`: the towers of g and gt at (w, r), a row per point."""
-    ws = np.array(points, dtype=complex)
-    width = max_terms + 1
-    weights = None
-    if variant == "printed":
-        # the printed weights 1, w^2, w^2, ...: wrong from n = 2 on, kept
-        # only so the coherence checks can show it
-        r = np.ones(len(ws), dtype=complex)
-        weights = np.repeat((ws * ws)[:, None], width, axis=1)
-        weights[:, 0] = 1
-    else:
-        # a geometric weight rho^n is split as r^n r^n with r^2 = rho, and
-        # r rides in both towers (Taylor coefficients of u -> g(w + r u)),
-        # so no power of rho is formed alone, to overflow while the towers
-        # underflow
-        r = np.sqrt(ws * ws - 1) if variant == "annulus" else ws
-    a, b = entire_tower(g, ws, r, width), entire_tower(gt, ws, r, width)
-    return (*_product_rows(a, b, weights), _merge_faults(a.faults, b.faults, True))
 
 
 def star_annulus(g, gt, h, w, cfg: StarConfig | None = None):

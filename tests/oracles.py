@@ -22,7 +22,7 @@ def taylor_tower(g, c=1):
     """Yield g_n = c^n g^(n)/n!, n = 0, 1, ...: g_n(t) is the n-th Taylor
     coefficient of u -> g(t + c u).  Each step is g_n = g_{n-1}' (c/n), so
     neither n! nor c^n is formed; c = Fraction(1) keeps polynomials exact.
-    The stepped oracle of ``functions.entire_tower``: a SeriesFn raises
+    The stepped oracle of ``towers.entire_tower``: a SeriesFn raises
     SeriesOrderError past its order and DomainError outside the radius of
     a derivative, when the term is asked for."""
     for n in itertools.count():
@@ -130,7 +130,7 @@ def sum_series_loop(hv, terms, max_terms: int, tol: float):
     divisor, the stop test of three successive terms below
     tol * max(1, |sum|), and the tail of the last three terms, the bounds
     err_n and the rounding bound gamma_m sum_k |kappa_k t_k|.  The
-    reference of ``star._sum_rows``.  Returns (value, terms used, tail
+    reference of ``towers._sum_rows``.  Returns (value, terms used, tail
     estimate, stop reason, sum_k |kappa_k t_k|); a value or tail that is
     not finite raises FloatRangeError."""
     one, exact = _one_like(hv), is_exact(hv)

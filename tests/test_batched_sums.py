@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 from oracles import (sample_gpoints_by_draws, star_disk_by_terms, star_surface_by_terms,
                      sum_series_loop, taylor_tower)
 
-from wickstar import star
+from wickstar import star, towers
 from wickstar.cli import main
 from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
                              WickstarError)
 from wickstar.exact import QC
-from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn, entire_tower
+from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, MoebiusPullback, PolyDisk
 from wickstar.sampling import rng_for, sample_gpoints
 from wickstar.sphere import MoebiusMap
 from wickstar.star import StarConfig, star_annulus, star_disk, star_punctured
+from wickstar.towers import entire_tower
 
 coeffs = st.complex_numbers(max_magnitude=2.0)
 # a generic deformation parameter, or one within 1e-3 of a pole -1/k
@@ -114,7 +115,7 @@ def _check_rows(h, rows, cfg, batch, solo):
         want = _outcome(lambda: sum_series_loop(hv, _loop_row(terms, bounds, faults, p),
                                                 cfg.max_terms, cfg.tol))
         with np.errstate(all="ignore"):
-            got = _outcome(lambda: star._sum_rows(
+            got = _outcome(lambda: towers._sum_rows(
                 hv, terms[p:p + 1], None if bounds is None else bounds[p:p + 1],
                 faults[p:p + 1] if faults else None, cfg.max_terms, cfg.tol))
         if isinstance(want, type) or isinstance(got, type):
@@ -139,7 +140,7 @@ def test_disk_kernel_matches_the_loop_row_by_row(f, g, h, cfg, zs):
         return star_disk(f, g, h, [zs[p]] if batched else zs[p], cfg)
 
     with np.errstate(all="ignore"):
-        rows = star._disk_rows(f, g, zs, cfg.max_terms)
+        rows = towers._disk_rows(f, g, zs, cfg.max_terms)
     _check_rows(h, rows, cfg, lambda: star_disk(f, g, h, zs, cfg), solo)
 
 
@@ -153,7 +154,7 @@ def test_surface_kernel_matches_the_loop_row_by_row(g, gt, h, cfg, variant, ws):
         return op(g, gt, h, [ws[p]] if batched else ws[p], cfg)
 
     with np.errstate(all="ignore"):
-        rows = star._surface_rows(g, gt, ws, cfg.max_terms, variant)
+        rows = towers._surface_rows(g, gt, ws, cfg.max_terms, variant)
     _check_rows(h, rows, cfg, lambda: op(g, gt, h, ws, cfg), solo)
 
 

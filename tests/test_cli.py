@@ -121,6 +121,11 @@ MALFORMED = {
     "point-nan-annulus": ("annulus", IDENT, IDENT, {"--point": "NaN"}),
     "point-infinity-punctured": ("punctured", IDENT, IDENT, {"--point": "Infinity"}),
     "point-int-past-float-range": ("annulus", IDENT, IDENT, {"--point": "1" + "0" * 400}),
+    # a real field past the float range is refused, not an internal error
+    "series-rho-int-past-float-range": ("annulus", {**SERIES, "rho": 10 ** 400}, IDENT),
+    "series-C-int-past-float-range": ("annulus", {**SERIES, "C": 10 ** 400}, IDENT),
+    "spec-R-int-past-float-range": {"experiment": "obstruction", "R": 10 ** 400,
+                                    "hbar_grid": [[0.05, 0.0]], "degree": 3},
     "poly-coeff-nan-exact": ("annulus", {"type": "poly", "coeffs": [[float("nan"), 0]]},
                              IDENT, {"--mode": "exact-finite"}),
 }

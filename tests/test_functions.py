@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
 from wickstar.functions import (BasisFpq, BiPoly, ExpFn, Jet, PolyFn,
-                                SeriesFn, entire_from_json, moebius_compose,
-                                moebius_jet)
+                                SeriesFn, entire_from_json, moebius_jet)
 from wickstar.peschl_minda import _chart, _matmul
 from wickstar.sphere import MoebiusMap
+from wickstar.towers import moebius_compose
 
 
 # jets -----------------------------------------------------------------------
