@@ -16,6 +16,7 @@ outputs are UTF-8 JSON; complex numbers serialize as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -191,7 +192,10 @@ def cmd_rigidity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so :func:`main` can be called repeatedly in-process."""
     parser = argparse.ArgumentParser(
         prog="wickstar",
         description="Star products on the disk, annuli and the punctured "
@@ -217,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["derived", "printed"],
                         help="weight of the punctured-disk product; "
                              "'printed' needs --surface punctured")
-    p_eval.set_defaults(func=cmd_star_eval)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", action="append",
@@ -231,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["printed-weight"],
                           help="test fixture: deliberately mis-weight the "
                                "punctured product to show the checks catch it")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_rig = sub.add_parser("rigidity", help="run a rigidity experiment")
     p_rig.add_argument("--spec", required=True,
@@ -239,15 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "two-hyperbolic-d3 (invariant dimension, certified "
                             "by the rank of the difference system mod a prime), "
                             "elliptic-N2-d2, annulus-punctured-obstruction")
-    p_rig.set_defaults(func=cmd_rigidity)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handlers are read when main runs, not when the parser was built,
+    # so a handler replaced since (a tracer's wrapper) is the one that runs
+    handlers = {"star": cmd_star_eval, "verify": cmd_verify, "rigidity": cmd_rigidity}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except (DomainError, ValueError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}))
         return EXIT_DOMAIN

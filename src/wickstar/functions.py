@@ -615,6 +615,11 @@ class BiPoly:
         return out
 
     def eval(self, z, w):
+        if not self.coeffs:
+            return z * 0
+        if ((isinstance(z, QC) or isinstance(w, QC)) and is_exact(z) and is_exact(w)
+                and all(map(is_exact, self.coeffs.values()))):
+            return self._eval_exact(z, w)
         # one power per distinct exponent, shared by the terms that use it
         zp, wp = {}, {}
         acc = None
@@ -627,9 +632,24 @@ class BiPoly:
                 wj = wp[j] = w ** j
             term = a * zi * wj
             acc = term if acc is None else acc + term
-        if acc is None:
-            return z * 0
         return acc
+
+    def _eval_exact(self, z, w) -> QC:
+        """F(z, w) at exact points, one of them a QC, with exact coefficients:
+        the sum of the Gaussian-integer numerators over the common
+        denominator D dz^I dw^J (I, J the degrees), reduced once."""
+        coeffs = self.coeffs
+        ar, ai, den = _numerators(list(coeffs.values()))
+        zs, dz = _scaled_powers(z, max(i for i, _ in coeffs))
+        ws, dw = _scaled_powers(w, max(j for _, j in coeffs))
+        re = im = 0
+        for (i, j), x, y in zip(coeffs, ar, ai):
+            p, q = zs[i]
+            u, v = ws[j]
+            s, t = p * u - q * v, p * v + q * u
+            re += x * s - y * t
+            im += x * t + y * s
+        return _make(re, im, den * dz * dw)
 
     def eval_diag(self, z):
         """Value of the disk function: F(z, conj z)."""
@@ -654,6 +674,23 @@ class BiPoly:
         out = BiPoly()
         out.coeffs = {(j, i): conj(a) for (i, j), a in self.coeffs.items()}
         return out
+
+
+def _scaled_powers(x, top: int):
+    """The powers x^k, k = 0..top, of an exact x = (a + b i)/d over the one
+    denominator d^top: the int pairs of (a + b i)^k d^(top - k), and d^top."""
+    a, b, d = _parts(x)
+    pows = [(1, 0)]
+    for _ in range(top):
+        r, m = pows[-1]
+        pows.append((r * a - m * b, r * b + m * a))
+    if d != 1:
+        scale = 1
+        for k in range(top, -1, -1):
+            r, m = pows[k]
+            pows[k] = (r * scale, m * scale)
+            scale *= d
+    return pows, d ** top
 
 
 # ---------------------------------------------------------------------------

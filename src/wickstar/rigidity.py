@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import QC, _parts, is_exact
 from .functions import PolyFn
-from .sphere import MoebiusMap
+from .sphere import MoebiusMap, check_modulus
 from .star import Hbar, star_punctured_poly
 
 
@@ -279,8 +279,7 @@ def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
     some sample, and the constant 1 none; then the verdict is
     "obstructed".  The residuals are, per family, the smallest over the
     candidates of the largest defect coefficient over the samples."""
-    if radius <= 1:
-        raise DomainError("annulus modulus must satisfy R > 1")
+    check_modulus(radius)
     _check_degree(degree)
     # exact, and checked against the poles before any sum runs at it
     hs = [Hbar.of(_exact(h)).value for h in hs]

@@ -291,11 +291,17 @@ def danielewski_chart(p: GPoint):
 # -- covering maps (float-only: they involve exp/log) ----------------
 
 
+def check_modulus(radius) -> None:
+    """Refuse an annulus modulus R that is not a finite number above 1
+    (NaN fails every comparison, so it is refused too)."""
+    if not 1 < radius < math.inf:
+        raise DomainError(f"annulus modulus must be a finite number R > 1, got {radius!r}")
+
+
 def covering_disk_to_annulus(radius: float, z: complex) -> complex:
     """Universal covering D -> A_R,
     pi_R(z) = exp((2i log R / pi) log((1+z)/(1-z)))."""
-    if radius <= 1:
-        raise DomainError("annulus modulus must satisfy R > 1")
+    check_modulus(radius)
     z = complex(z)
     if abs(z) >= 1:
         raise DomainError("covering is defined on the open unit disk")
@@ -315,8 +321,7 @@ def covering_half_to_annulus(radius: float, z: complex) -> complex:
     """Universal covering H -> A_R,
     pi(z) = exp((2i log R / pi) log(z/i)); deck generator z -> cz with
     log c = pi^2 / log R."""
-    if radius <= 1:
-        raise DomainError("annulus modulus must satisfy R > 1")
+    check_modulus(radius)
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("covering is defined on the upper half plane")
@@ -357,6 +362,5 @@ def moebius_multiplier_at(m: MoebiusMap, p: SpherePoint) -> complex:
 
 def annulus_deck_multiplier(radius: float) -> float:
     """Deck-group scaling constant c with log c = pi^2 / log R."""
-    if radius <= 1:
-        raise DomainError("annulus modulus must satisfy R > 1")
+    check_modulus(radius)
     return math.exp(math.pi ** 2 / math.log(radius))

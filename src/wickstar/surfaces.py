@@ -20,7 +20,7 @@ from .errors import DomainError, NonRepresentableError
 from .exact import to_complex
 from .functions import BasisFpq, EntireFn
 from .peschl_minda import ComposedP, ComposedQ, DiskFunction
-from .sphere import GPoint, MoebiusMap, gamma_hat
+from .sphere import GPoint, MoebiusMap, check_modulus, gamma_hat
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,7 @@ from .sphere import GPoint, MoebiusMap, gamma_hat
 
 def chart_f_R(radius: float, z) -> complex:
     """f_R(z) = -i tan(pi/(2 log R) log|z|) on the annulus 1/R < |z| < R."""
-    if radius <= 1:
-        raise DomainError("annulus modulus must satisfy R > 1")
+    check_modulus(radius)
     r = abs(to_complex(z))
     if not (1 / radius < r < radius):
         raise DomainError(f"|z| = {r:.6g} outside the open annulus (1/R, R)")
@@ -57,8 +56,7 @@ class AnnulusElement:
     __slots__ = ("radius", "g")
 
     def __init__(self, radius: float, g: EntireFn):
-        if radius <= 1:
-            raise DomainError("annulus modulus must satisfy R > 1")
+        check_modulus(radius)
         self.radius = float(radius)
         self.g = g
 

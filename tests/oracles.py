@@ -31,6 +31,18 @@ def taylor_tower(g, c=1):
         yield g
 
 
+def bipoly_eval_by_terms(f, z, w):
+    """F(z, w) as the terms a_ij z^i w^j summed in turn, one scalar product
+    at a time, and ``z * 0`` for the zero polynomial: the oracle of
+    ``BiPoly.eval`` at exact points, which sums Gaussian-integer numerators
+    over one denominator instead."""
+    acc = None
+    for (i, j), a in f.coeffs.items():
+        term = a * z ** i * w ** j
+        acc = term if acc is None else acc + term
+    return z * 0 if acc is None else acc
+
+
 # ---------------------------------------------------------------------------
 # the definitional Peschl-Minda jets: the oracle of the closed-form towers
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import wickstar
+from wickstar import cli
 from wickstar.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_NONCONVERGED,
                           EXIT_OK, disk_function_from_json, main)
 from wickstar.suites import run_suites
@@ -289,3 +295,76 @@ def test_rigidity_invariant_dimension_report():
 def test_rigidity_csv_option_is_gone():
     with pytest.raises(SystemExit):
         run_cli("rigidity", "--spec", "two-hyperbolic-d3", "--csv", "out.csv")
+
+
+# one parser per process --------------------------------------------------------
+
+
+def test_handlers_are_looked_up_when_main_runs(monkeypatch):
+    # this call builds the parser that later calls reuse, before any patch
+    assert run_cli("verify", "--suite", "cn", "--seed", "1")[0] == EXIT_OK
+    calls = []
+
+    def stub(name, field):
+        def handler(args):
+            calls.append((name, getattr(args, field)))
+            return EXIT_OK
+        return handler
+
+    monkeypatch.setattr(cli, "cmd_verify", stub("verify", "seed"))
+    monkeypatch.setattr(cli, "cmd_rigidity", stub("rigidity", "spec"))
+    for argv in (["verify", "--seed", "3"], ["rigidity", "--spec", "a"],
+                 ["verify", "--seed", "4"], ["rigidity", "--spec", "b"]):
+        assert main(argv) == EXIT_OK
+    assert calls == [("verify", 3), ("rigidity", "a"), ("verify", 4), ("rigidity", "b")]
+
+
+def test_reused_parser_keeps_no_state_between_calls():
+    code, out = run_cli("verify", "--suite", "cn", "--seed", "7")
+    assert code == EXIT_OK
+    assert {c["name"] for c in json.loads(out)["checks"]} == \
+        {"cn-recurrence-vs-product", "cn-domain-guard", "cn-value"}
+    code, out = run_cli("verify", "--suite", "unit", "--seed", "7")
+    assert code == EXIT_OK
+    assert {c["name"] for c in json.loads(out)["checks"]} == {"disk-unit", "surface-unit"}
+    # the --point lists of one call do not carry over to the next
+    ident = json.dumps(IDENT)
+    args = ("star", "eval", "--surface", "annulus", "--f", ident, "--g", ident,
+            "--hbar", "0.5")
+    code, out = run_cli(*args, "--point", "0.3", "--point", "0.4")
+    assert code == EXIT_OK and len(json.loads(out)["results"]) == 2
+    code, out = run_cli(*args, "--point", "0.5")
+    assert code == EXIT_OK
+    assert [r["point"] for r in json.loads(out)["results"]] == [[0.5, 0.0]]
+
+
+def _fresh_process(argv):
+    env = dict(os.environ)
+    src = str(Path(wickstar.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", "wickstar", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_in_process_calls_behave_as_a_fresh_process():
+    bad = ["verify", "--seed", "not-a-number"]
+    good = ["verify", "--suite", "deck", "--seed", "5"]
+    # a bad argv after a good one, and a good one after the bad one
+    first = _in_process(good)
+    got_bad = _in_process(bad)
+    got_good = _in_process(good)
+    assert got_bad[0] == 2 and "invalid int value" in got_bad[2]
+    assert got_bad == _fresh_process(bad)
+    assert got_good == first == _fresh_process(good)
+    assert got_good[0] == EXIT_OK

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bipoly_eval_by_terms
 
 from wickstar.errors import DomainError, SeriesOrderError
 from wickstar.exact import QC, to_complex
@@ -364,20 +365,23 @@ def test_bipoly_diagonal_evaluation_and_conjugation():
     assert f.swap_conj().swap_conj() == f
 
 
-def test_bipoly_eval_equals_the_termwise_sum_exactly():
-    rng = random.Random(5)
+_qc_points = st.builds(QC, _fracs, _fracs)
+_bipolys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           st.one_of(*exact_scalars.values()), max_size=10)
 
-    def q():
-        return QC(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-                  Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
 
-    for _ in range(20):
-        f = BiPoly({(rng.randint(0, 4), rng.randint(0, 4)): q()
-                    for _ in range(rng.randint(1, 12))})
-        z, w = q(), q()
-        termwise = sum((a * z ** i * w ** j for (i, j), a in f.coeffs.items()), QC(0))
-        assert f.eval(z, w) == termwise
-        assert f.eval_diag(z) == f.eval(z, z.conjugate())
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_bipolys, z=_qc_points,
+       w=st.one_of(st.none(), _qc_points, exact_scalars["int"], _fracs))
+def test_bipoly_eval_equals_the_termwise_sum_exactly(coeffs, z, w):
+    # on the diagonal when w is None, else off it with the QC in either slot
+    f = BiPoly(coeffs)
+    assert f.eval_diag(z) == f.eval(z, z.conjugate())
+    for x, y in [(z, z.conjugate())] if w is None else [(z, w), (w, z)]:
+        got, want = f.eval(x, y), bipoly_eval_by_terms(f, x, y)
+        assert got == want and type(got) is type(want)
+        # the zero polynomial gives x * 0, whatever the other slot is
+        assert type(got) is QC or (f.is_zero and type(got) is type(x))
 
 
 def test_bipoly_jet_evaluation_freezes_second_slot():

@@ -5,9 +5,11 @@ import pytest
 from wickstar.errors import DomainError, NonRepresentableError
 from wickstar.functions import BasisFpq, PolyFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, p_aux, q_aux
+from wickstar.rigidity import obstruction_check
 from wickstar.sampling import sample_disk, sample_gpoints
-from wickstar.sphere import (MoebiusMap, covering_disk_to_annulus,
-                             covering_disk_to_punctured)
+from wickstar.sphere import (MoebiusMap, annulus_deck_multiplier,
+                             covering_disk_to_annulus, covering_disk_to_punctured,
+                             covering_half_to_annulus)
 from wickstar.surfaces import (AnnulusElement, FpqCombo, PuncturedElement,
                                chart_f_0, chart_f_R, gamma_hat_invariant, iso_psi,
                                lift_to_disk, scaling_kernel, transport_T,
@@ -25,6 +27,25 @@ def test_annulus_chart_domain_and_values():
             chart_f_R(2.0, bad)
     with pytest.raises(DomainError):
         chart_f_R(0.8, 1.0)
+
+
+# every entry point that takes the annulus modulus R
+MODULUS_USES = {
+    "covering_disk_to_annulus": lambda r: covering_disk_to_annulus(r, 0.3),
+    "covering_half_to_annulus": lambda r: covering_half_to_annulus(r, 1j),
+    "annulus_deck_multiplier": annulus_deck_multiplier,
+    "chart_f_R": lambda r: chart_f_R(r, 1.0),
+    "AnnulusElement": lambda r: AnnulusElement(r, PolyFn([1])),
+    "obstruction_check": lambda r: obstruction_check(r, [0.05], 2),
+}
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1.0])
+@pytest.mark.parametrize("use", MODULUS_USES.values(), ids=MODULUS_USES.keys())
+def test_annulus_modulus_is_a_finite_number_above_one(use, radius):
+    with pytest.raises(DomainError):
+        use(radius)
+    use(2.0)
 
 
 def test_punctured_chart_domain_and_values():
