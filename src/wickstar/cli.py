@@ -23,11 +23,10 @@ import sys
 from importlib import resources
 
 from .errors import DomainError, WickstarError
-from .functions import BiPoly, entire_from_json, json_complex, json_field, json_real
+from .functions import BiPoly, entire_from_json, json_complex, json_field
 from .peschl_minda import ComposedP, ComposedQ, PolyDisk
 from .rigidity import (elliptic_invariant_indices, invariant_dimension,
                        obstruction_check)
-from .sampling import rng_for, sample_omega_points
 from .sphere import MoebiusMap
 from .star import StarConfig, star_annulus, star_disk, star_punctured
 from .suites import SUITES, run_suites
@@ -140,7 +139,7 @@ def _two_hyperbolic_generators():
 _SPEC_KEYS = {
     "invariant-dimension": ("generators", "degree", "seed"),
     "elliptic-indices": ("n_fold", "degree", "samples", "seed"),
-    "obstruction": ("R", "hbar_grid", "degree"),
+    "obstruction": ("hbar_grid", "degree"),
 }
 
 
@@ -171,17 +170,14 @@ def cmd_rigidity(args) -> int:
         degree = json_field(spec, "degree", int, 2)
         samples = json_field(spec, "samples", int, 40)
         seed = json_field(spec, "seed", int, 0)
-        pts = sample_omega_points(rng_for(seed), samples)
-        kept = elliptic_invariant_indices(n_fold, degree, pts)
+        kept = elliptic_invariant_indices(n_fold, degree, samples, seed)
         body = {"experiment": kind, "n_fold": n_fold,
                 "invariant_indices": [list(k) for k in kept]}
     else:
-        radius = json_real(spec, "R")
         hs = [json_complex(p) for p in json_field(spec, "hbar_grid", list)]
         degree = json_field(spec, "degree", int)
-        rep = obstruction_check(radius, hs, degree)
-        body = {"experiment": kind, "alpha": _cpair(rep.alpha),
-                "beta": _cpair(rep.beta), "residuals": rep.residuals,
+        rep = obstruction_check(hs, degree)
+        body = {"experiment": kind, "residuals": rep.residuals,
                 "verdict": rep.verdict}
     print(json.dumps(body, indent=2))
     return EXIT_OK

@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import QC, _parts, is_exact
 from .functions import PolyFn
-from .sphere import MoebiusMap, check_modulus
+from .sphere import MoebiusMap
 from .star import Hbar, star_punctured_poly
 
 
@@ -141,6 +141,18 @@ def _rank_mod_p(rows: list, p: int = PRIME) -> int:
     return rank
 
 
+def _sampled_rows(count: int, degree: int, t_inv, gens, seed: int, p: int = PRIME) -> list:
+    """The rows of :func:`_difference_rows` at ``count`` projective pairs over
+    F_p off the hypersurface, each coordinate int(p * random()) < p from
+    random.Random(seed): random() alone has a stream promised across versions."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count * len(gens):
+        z0, z1, w0, w1 = (int(p * rng.random()) for _ in range(4))
+        rows += _difference_rows(degree, t_inv, gens, (z0, z1), (w0, w1), p) or []
+    return rows
+
+
 @dataclass(frozen=True)
 class InvariantDimension:
     """Certified bounds on the dimension of the invariant span.
@@ -172,21 +184,13 @@ def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimensio
     F_{p,q}(z, w) = f_{p,q}(T^{-1} z, 1/(T^{-1} w)) with the exact Cayley map T.
 
     The difference system [F_k(gamma P) - F_k(P)] is evaluated mod PRIME at
-    |basis| + 4 random projective points per generator, drawn from ``seed``;
-    points where a denominator vanishes mod p are skipped.  Generator
-    entries must be exact; a float entry raises DomainError."""
+    |basis| + 4 random projective pairs over F_p (:func:`_sampled_rows`).
+    Generator entries must be exact; a float entry raises DomainError."""
     _check_degree(degree)
     n_basis = (degree + 1) ** 2
     t_inv = _matrix_mod_p(MoebiusMap.cayley(exact=True).inverse())
     gens = [_matrix_mod_p(g) for g in generators]
-    rng = random.Random(seed)
-    rows, points = [], 0
-    while points < n_basis + 4:
-        z, w = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(2)]
-        diffs = _difference_rows(degree, t_inv, gens, z, w)
-        if diffs is not None:
-            rows += diffs
-            points += 1
+    rows = _sampled_rows(n_basis + 4, degree, t_inv, gens, seed)
     return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
 
 
@@ -211,29 +215,26 @@ def _rotation_mod_p(n_fold: int) -> tuple:
             return p, zeta
 
 
-def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
+def elliptic_invariant_indices(n_fold: int, dmax: int, samples: int, seed: int):
     """Indices (i, j), i, j <= dmax, whose f_{i,j} is invariant under the
     n-fold rotation (z, w) -> (zeta z, w/zeta) of the bivariate disk model.
 
     On (z, 1/w) the rotation is diag(zeta, 1) in both slots, so an index is
-    invariant iff its column of :func:`_difference_rows` is 0 at every
-    sample (OmegaPoints; a float converts exactly), taken mod the least
-    prime p = 1 (mod lcm(4, n_fold)) above 10^9, zeta a primitive n-th root
-    of unity mod p.  f_{i,j} moves by zeta^(i-j), so each index with
-    n_fold | i - j is kept; another is kept only where f_{i,j} vanishes mod p
-    at every sample, with probability <= (deg/p)^samples (Schwartz-Zippel).
-    n_fold > 10^6 is refused, as are samples with no point off zw = 1 mod p."""
+    invariant iff its column of :func:`_difference_rows` is 0 at all
+    ``samples`` pairs of :func:`_sampled_rows`, mod the least prime
+    p = 1 (mod lcm(4, n_fold)) above 10^9, zeta a primitive n-th root of
+    unity mod p.  f_{i,j} moves by zeta^(i-j), so each index with
+    n_fold | i - j is kept; another only where f_{i,j}, of numerator degree
+    <= 2 dmax, vanishes at every sample, with probability about
+    (2 dmax/p)^samples at most (Schwartz-Zippel).  n_fold > 10^6 is
+    refused, and so is samples < 1, which would keep every index."""
     if not 2 <= n_fold <= 10 ** 6:
         raise DomainError(f"an elliptic rotation needs 2 <= n_fold <= 10^6, got {n_fold}")
     _check_degree(dmax)
+    if samples < 1:
+        raise DomainError(f"the elliptic filter needs samples >= 1, got {samples}")
     p, zeta = _rotation_mod_p(n_fold)
-    rows = []
-    for pt in samples:
-        z = [_mod_p(_exact(x), p) for x in (pt.z.u, pt.z.v)]
-        w = [_mod_p(_exact(x), p) for x in (pt.w.v, pt.w.u)]      # 1/w
-        rows += _difference_rows(dmax, (1, 0, 0, 1), [(zeta, 0, 0, 1)], z, w, p) or []
-    if not rows:
-        raise DomainError(f"the elliptic filter needs a sample point off zw = 1 mod {p}")
+    rows = _sampled_rows(samples, dmax, (1, 0, 0, 1), [(zeta, 0, 0, 1)], seed, p)
     # column k is the index divmod(k, dmax + 1), row-major
     return [divmod(k, dmax + 1) for k, col in enumerate(zip(*rows)) if not any(col)]
 
@@ -245,10 +246,8 @@ def elliptic_invariant_indices(n_fold: int, dmax: int, samples):
 
 @dataclass
 class ObstructionReport:
-    alpha: complex
-    beta: complex
-    residuals: dict = field(default_factory=dict)
-    verdict: str = "inconclusive"
+    residuals: dict
+    verdict: str
 
 
 def _defect(g: PolyFn, h) -> PolyFn:
@@ -259,7 +258,7 @@ def _defect(g: PolyFn, h) -> PolyFn:
     return star_punctured_poly(g, g, h) - g2 - h * (g2 - 1)
 
 
-def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
+def obstruction_check(hs, degree: int) -> ObstructionReport:
     """Reproduce the power-matching argument that no single linear map can
     intertwine the annulus and punctured-disk products for every hbar.
 
@@ -278,8 +277,8 @@ def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
     2 <= m <= degree, and alpha t + beta must leave a nonzero defect at
     some sample, and the constant 1 none; then the verdict is
     "obstructed".  The residuals are, per family, the smallest over the
-    candidates of the largest defect coefficient over the samples."""
-    check_modulus(radius)
+    candidates of the largest defect coefficient over the samples.  No
+    product here involves the annulus modulus."""
     _check_degree(degree)
     # exact, and checked against the poles before any sum runs at it
     hs = [Hbar.of(_exact(h)).value for h in hs]
@@ -314,5 +313,4 @@ def obstruction_check(radius: float, hs, degree: int) -> ObstructionReport:
         verdict = "obstructed"
     else:
         verdict = "inconclusive"
-    return ObstructionReport(alpha=0j, beta=1 + 0j,
-                             residuals=residuals, verdict=verdict)
+    return ObstructionReport(residuals=residuals, verdict=verdict)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from sys import float_info
 
 from .errors import DomainError
 from .exact import QC, conj, is_exact, to_complex
@@ -292,10 +293,12 @@ def danielewski_chart(p: GPoint):
 
 
 def check_modulus(radius) -> None:
-    """Refuse an annulus modulus R that is not a finite number above 1
-    (NaN fails every comparison, so it is refused too)."""
-    if not 1 < radius < math.inf:
-        raise DomainError(f"annulus modulus must be a finite number R > 1, got {radius!r}")
+    """Refuse an annulus modulus R that is not a number above 1 in the
+    float range: an int past it overflows log R and exp (NaN fails every
+    comparison, so it is refused too)."""
+    if not 1 < radius <= float_info.max:
+        raise DomainError(f"annulus modulus must be a number 1 < R <= {float_info.max!r}, "
+                          f"got {radius!r}")
 
 
 def covering_disk_to_annulus(radius: float, z: complex) -> complex:

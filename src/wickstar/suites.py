@@ -324,14 +324,24 @@ def suite_deck(rng):
 
 
 def suite_danielewski(rng):
+    u = 2.0 ** -53
     worst = 0.0
     pts = sample_gpoints(rng, 1000)
     for p in pts:
         a, b, c = danielewski_chart(p)
-        worst = max(worst, abs(b * b - 4 * a * c - 1))
+        scale = u * (abs(b) ** 2 + 4 * abs(a) * abs(c) + 1)
+        worst = max(worst, abs(b * b - 4 * a * c - 1) / scale)
     return [_check("danielewski-chart",
-                   "the pair chart lands on the surface b^2 - 4ac = 1",
-                   worst, 1e-12, len(pts))]
+                   "the pair chart lands on the surface b^2 - 4ac = 1: the float "
+                   "residual, in units of u(|b|^2 + 4|a||c| + 1) with u = 2^-53, is at "
+                   "most 24. To first order a complex sum errs by u, a product by "
+                   "2 sqrt(2) u (Higham, Lemma 3.5) and a Smith quotient by 7u, so "
+                   "a = 1/(z-w), b = (z+w)/(z-w) and c = zw/(z-w) err by 8u, 9u and "
+                   "(8 + 2 sqrt(2))u; b^2 errs by (18 + 2 sqrt(2))u|b|^2, 4ac by "
+                   "(16 + 4 sqrt(2))u 4|a||c|, and the two subtractions by u each; "
+                   "every coefficient is below 22, and 24 leaves room for the higher "
+                   "orders",
+                   worst, 24, len(pts))]
 
 
 def suite_psi(rng):

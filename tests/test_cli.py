@@ -88,22 +88,20 @@ SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "
 # with a dict of options that replace --hbar 0.5 --point 0.3 or add others
 MALFORMED = {
     "spec-missing-n_fold": {"experiment": "elliptic-indices"},
-    "spec-missing-R": {"experiment": "obstruction", "hbar_grid": [[0.05, 0.0]],
-                       "degree": 3},
-    "spec-hbar-not-a-pair": {"experiment": "obstruction", "R": 2.0,
-                             "hbar_grid": [0.05], "degree": 3},
+    "spec-hbar-not-a-pair": {"experiment": "obstruction", "hbar_grid": [0.05], "degree": 3},
     "spec-degree-null": {"experiment": "invariant-dimension",
                          "generators": "two-hyperbolic", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
     # no samples would keep every index
     "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
+    "spec-samples-negative": {"experiment": "elliptic-indices", "n_fold": 2, "samples": -3},
     "spec-invariant-degree-negative": {"experiment": "invariant-dimension",
                                        "generators": "two-hyperbolic", "degree": -1},
     "spec-elliptic-degree-negative": {"experiment": "elliptic-indices", "n_fold": 2,
                                       "degree": -1},
     # a float rotation by 6e-10 kept non-invariant indices
     "spec-n_fold-too-large": {"experiment": "elliptic-indices", "n_fold": 10 ** 10},
-    "spec-obstruction-degree-negative": {"experiment": "obstruction", "R": 2.0,
+    "spec-obstruction-degree-negative": {"experiment": "obstruction",
                                          "hbar_grid": [[0.05, 0.0]], "degree": -2},
     "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
     "exp-missing-scale": ("annulus", IDENT, {"type": "exp"}),
@@ -130,6 +128,7 @@ MALFORMED = {
     # a real field past the float range is refused, not an internal error
     "series-rho-int-past-float-range": ("annulus", {**SERIES, "rho": 10 ** 400}, IDENT),
     "series-C-int-past-float-range": ("annulus", {**SERIES, "C": 10 ** 400}, IDENT),
+    # the obstruction reads no annulus modulus, so "R" is an unknown key
     "spec-R-int-past-float-range": {"experiment": "obstruction", "R": 10 ** 400,
                                     "hbar_grid": [[0.05, 0.0]], "degree": 3},
     "poly-coeff-nan-exact": ("annulus", {"type": "poly", "coeffs": [[float("nan"), 0]]},
@@ -240,12 +239,14 @@ def test_rigidity_bundled_specs():
 
     code, out = run_cli("rigidity", "--spec", "annulus-punctured-obstruction")
     assert code == EXIT_OK
-    assert json.loads(out)["verdict"] == "obstructed"
+    body = json.loads(out)
+    assert set(body) == {"experiment", "residuals", "verdict"}
+    assert body["verdict"] == "obstructed"
 
 
 def test_rigidity_obstruction_rejects_a_pole_in_the_grid(tmp_path):
     spec = tmp_path / "pole.json"
-    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 1,
+    spec.write_text(json.dumps({"experiment": "obstruction", "degree": 1,
                                 "hbar_grid": [[-0.5, 0]]}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "pole -1/2" in json.loads(out)["error"]
@@ -267,10 +268,15 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
     for key in ("'degre'", "'svd_tol'", "'samples'"):
         assert key in error
     # a key that one kind reads is still unknown to another
-    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 3,
+    spec.write_text(json.dumps({"experiment": "obstruction", "degree": 3,
                                 "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
+    # the obstruction reads no annulus modulus
+    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 3,
+                                "hbar_grid": [[0.05, 0.0]]}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN and "'R'" in json.loads(out)["error"]
     # the elliptic filter has no tolerance
     spec.write_text(json.dumps({"experiment": "elliptic-indices", "n_fold": 2,
                                 "tol": 1e-9}), encoding="utf-8")

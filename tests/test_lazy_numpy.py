@@ -1,6 +1,7 @@
 """numpy loads with the first float product or sample: ``import wickstar``,
-the exact-finite products and the rigidity experiments decided exactly or
-mod p run in an interpreter that never imports it."""
+the exact-finite products and the rigidity experiments, decided exactly
+or mod p on points drawn over F_p, run in an interpreter that never
+imports it."""
 
 import io
 import json
@@ -43,6 +44,7 @@ EXACT = [
     ["star", "eval", "--surface", "punctured", "--f", SQUARE, "--g", SQUARE,
      "--hbar", "0.25", "--point", "[0.3, 0.4]", "--mode", "exact-finite"],
     ["rigidity", "--spec", "two-hyperbolic-d3"],
+    ["rigidity", "--spec", "elliptic-N2-d2"],
     ["rigidity", "--spec", "annulus-punctured-obstruction"],
 ]
 FLOAT = ["star", "eval", "--surface", "disk", "--f", ZBAR_Z, "--g", Z, "--hbar", "0.5",

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import wickstar.suites as suites
+from wickstar.suites import run_suites
 from wickstar.errors import DomainError
 from wickstar.sampling import sample_disk, sample_gpoints, sample_half_plane
 from wickstar.sphere import (GPoint, MoebiusMap, OmegaPoint,
@@ -117,6 +119,30 @@ def test_danielewski_chart_lands_on_the_surface(rng):
         assert abs(b * b - 4 * a * c - 1) < 1e-10
     with pytest.raises(DomainError):
         danielewski_chart(GPoint(SpherePoint.infinity(), SpherePoint.finite(0)))
+
+
+def _danielewski_report(seed):
+    (check,) = run_suites(names=["danielewski"], seed=seed)["checks"]
+    return check
+
+
+@pytest.mark.parametrize("seed", [9, 20, 23, 46, 54])
+def test_danielewski_check_passes_where_a_literal_tolerance_failed(seed):
+    # residuals of 1.0e-12 to 1.8e-12 here failed the old absolute 1e-12
+    check = _danielewski_report(seed)
+    assert check["status"] == "pass" and check["samples"] == 1000
+    # the report prints the scaled residual it compares with 24
+    assert 0 < check["max_residual"] <= 24
+
+
+def test_danielewski_check_catches_a_relative_error_in_b(monkeypatch):
+    def skewed(p):
+        a, b, c = danielewski_chart(p)
+        return a, b * (1 + 1e-13), c
+
+    monkeypatch.setattr(suites, "danielewski_chart", skewed)
+    for seed in (1, 9):
+        assert _danielewski_report(seed)["status"] == "fail"
 
 
 def test_coverings_land_in_their_targets(rng):
