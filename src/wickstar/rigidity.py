@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import QC, _parts, is_exact
 from .functions import PolyFn
+from .sampling import _integer, rng_for
 from .sphere import MoebiusMap
 from .star import Hbar, star_punctured_poly
 
@@ -144,11 +144,11 @@ def _rank_mod_p(rows: list, p: int = PRIME) -> int:
 def _sampled_rows(count: int, degree: int, t_inv, gens, seed: int, p: int = PRIME) -> list:
     """The rows of :func:`_difference_rows` at ``count`` projective pairs over
     F_p off the hypersurface, each coordinate int(p * random()) < p from
-    random.Random(seed): random() alone has a stream promised across versions."""
-    rng = random.Random(seed)
+    ``rng_for(seed)``: random() alone has a stream promised across versions."""
+    rng = rng_for(seed)
     rows = []
     while len(rows) < count * len(gens):
-        z0, z1, w0, w1 = (int(p * rng.random()) for _ in range(4))
+        z0, z1, w0, w1 = (_integer(rng, 0, p) for _ in range(4))
         rows += _difference_rows(degree, t_inv, gens, (z0, z1), (w0, w1), p) or []
     return rows
 

@@ -11,7 +11,7 @@ from wickstar.errors import DomainError, FloatRangeError, NonRepresentableError
 from wickstar.exact import conj, is_exact, to_complex
 from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
 from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
-from wickstar.sphere import GPoint, MoebiusMap, SpherePoint
+from wickstar.sphere import MoebiusMap, SpherePoint
 from wickstar.star import StarConfig, StarResult, _c_divisor, _one_like
 
 # unit roundoff of IEEE double precision
@@ -211,19 +211,6 @@ def star_surface_by_terms(g, gt, h, w, cfg: StarConfig, variant: str):
     terms = (_float_term(*gn.eval(w), *gtn.eval(w), wn)
              for wn, gn, gtn in zip(weights, taylor_tower(g, r), taylor_tower(gt, r)))
     return sum_series_loop(to_complex(h), terms, cfg.max_terms, cfg.tol)
-
-
-def sample_gpoints_by_draws(rng, n: int):
-    """``sampling.sample_gpoints`` with one draw per number: its reference
-    for the points and the generator state."""
-    out = []
-    while len(out) < n:
-        z = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        w = complex(2.0 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        if abs(z - w) < 0.05:
-            continue
-        out.append(GPoint(SpherePoint.finite(z), SpherePoint.finite(w)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from wickstar.exact import QC
 from wickstar.functions import BiPoly, PolyFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
                                    PolyDisk)
-from wickstar.sampling import rng_for, sample_disk, sample_gpoints
-from wickstar.sphere import (MoebiusMap, annulus_deck_multiplier,
-                             covering_disk_to_annulus,
+from wickstar.sampling import _integer, rng_for, sample_disk, sample_gpoints
+from wickstar.sphere import (GPoint, MoebiusMap, SpherePoint,
+                             annulus_deck_multiplier, covering_disk_to_annulus,
                              covering_disk_to_punctured,
                              covering_half_to_annulus, danielewski_chart)
 from wickstar.peschl_minda import p_aux, q_aux
-from wickstar.rigidity import elliptic_invariant_indices, obstruction_check
+from wickstar.rigidity import _exact, elliptic_invariant_indices, obstruction_check
 from wickstar.sampling import sample_half_plane
 from wickstar.star import (Hbar, StarConfig, c_n, c_n_direct, star_annulus,
                            star_annulus_poly, star_disk, star_disk_poly_exact,
@@ -63,6 +63,13 @@ def _commutator_closed_form(h, z):
         total += term
         m += 1
     return h * (1 - x) ** 2 * total
+
+
+def _exact_gpoints(pts):
+    """The GPoints at the exact values of float ones: a float is a dyadic
+    rational."""
+    return [GPoint(*(SpherePoint.finite(_exact(x.value())) for x in (p.z, p.w)))
+            for p in pts]
 
 
 def _terminates(f, g):
@@ -188,16 +195,16 @@ def test_04_conformal_invariance_of_the_disk_product():
     h = 0.5
     worst = 0.0
     for _ in range(50):
-        coeffs_f = {(int(rng.integers(0, 4)), int(rng.integers(0, 4))):
-                    complex(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+        coeffs_f = {(_integer(rng, 0, 4), _integer(rng, 0, 4)):
+                    complex(_integer(rng, -2, 3), _integer(rng, -2, 3))
                     for _ in range(4)}
-        coeffs_g = {(int(rng.integers(0, 4)), int(rng.integers(0, 4))):
-                    complex(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+        coeffs_g = {(_integer(rng, 0, 4), _integer(rng, 0, 4)):
+                    complex(_integer(rng, -2, 3), _integer(rng, -2, 3))
                     for _ in range(4)}
         f = PolyDisk(BiPoly(coeffs_f) + 1)
         g = PolyDisk(BiPoly(coeffs_g) + 1)
-        a = 0.15 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        phi = MoebiusMap.disk_automorphism(a, float(rng.uniform(0, 6.28)))
+        a = 0.15 * complex(2 * rng.random() - 1, 2 * rng.random() - 1)
+        phi = MoebiusMap.disk_automorphism(a, 6.28 * rng.random())
         z = sample_disk(rng, 1, rmax=0.7)[0]
         lhs = star_disk(MoebiusPullback(f, phi), MoebiusPullback(g, phi),
                         h, z, cfg).value
@@ -212,8 +219,8 @@ def test_05_annulus_closed_form_and_commutativity():
         assert star_annulus_poly(t, t, h).coeffs == [-h, h * 0, 1 + h]
     rng = rng_for(5)
     for _ in range(8):
-        g = PolyFn([Fraction(int(rng.integers(-3, 4))) for _ in range(5)])
-        gt = PolyFn([Fraction(int(rng.integers(-3, 4))) for _ in range(5)])
+        g = PolyFn([Fraction(_integer(rng, -3, 4)) for _ in range(5)])
+        gt = PolyFn([Fraction(_integer(rng, -3, 4)) for _ in range(5)])
         h = Fraction(1, 2)
         assert star_annulus_poly(g, gt, h) == star_annulus_poly(gt, g, h)
 
@@ -224,8 +231,8 @@ def test_06_punctured_closed_form_and_commutativity():
         assert star_punctured_poly(t, t, h).coeffs == [h * 0, h * 0, 1 + h]
     rng = rng_for(6)
     for _ in range(8):
-        g = PolyFn([Fraction(int(rng.integers(-3, 4))) for _ in range(5)])
-        gt = PolyFn([Fraction(int(rng.integers(-3, 4))) for _ in range(5)])
+        g = PolyFn([Fraction(_integer(rng, -3, 4)) for _ in range(5)])
+        gt = PolyFn([Fraction(_integer(rng, -3, 4)) for _ in range(5)])
         h = Fraction(1, 3)
         assert star_punctured_poly(g, gt, h) == star_punctured_poly(gt, g, h)
 
@@ -281,8 +288,8 @@ def test_09_modulus_change_is_a_morphism():
     r_from, r_to = 2.0, 3.0
     worst = 0.0
     for _ in range(5):
-        g = PolyFn([int(rng.integers(-3, 4)) for _ in range(4)])
-        gt = PolyFn([int(rng.integers(-3, 4)) for _ in range(4)])
+        g = PolyFn([_integer(rng, -3, 4) for _ in range(4)])
+        gt = PolyFn([_integer(rng, -3, 4) for _ in range(4)])
         prod = star_annulus_poly(g, gt, h)
         moved = iso_psi(AnnulusElement(r_from, prod), r_to)
         for _ in range(10):
@@ -299,16 +306,16 @@ def test_09_modulus_change_is_a_morphism():
 
 
 def test_10_invariance_predicates_on_the_configuration_space():
-    pts = sample_gpoints(rng_for(10), 60)
+    # the kernel identities are rational: they hold exactly at the exact
+    # values of the sampled floats
+    pts = _exact_gpoints(sample_gpoints(rng_for(10), 60))
     g = PolyFn([0, 1, 1])
-    r1 = gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2.0),
-                             pts, 1e-12)
-    r2 = gamma_hat_invariant(translation_kernel(g),
-                             MoebiusMap.translation(1.0), pts, 1e-12)
-    assert r1.passed and r1.max_residual < 1e-12
-    assert r2.passed and r2.max_residual < 1e-12
+    r1 = gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2), pts, 0)
+    r2 = gamma_hat_invariant(translation_kernel(g), MoebiusMap.translation(1), pts, 0)
+    assert r1.passed and r1.max_residual == 0 and r1.samples == 60
+    assert r2.passed and r2.max_residual == 0 and r2.samples == 60
     witness = gamma_hat_invariant(lambda p: p.z.value(),
-                                  MoebiusMap.scaling(2.0), pts, 1e-12)
+                                  MoebiusMap.scaling(2), pts, 0)
     assert not witness.passed
 
 
@@ -335,9 +342,14 @@ def test_13_no_uniform_isomorphism_between_the_surface_algebras():
 
 
 def test_14_pair_chart_lands_on_the_surface():
-    for p in sample_gpoints(rng_for(14), 1000):
+    u = 2.0 ** -53
+    pts = sample_gpoints(rng_for(14), 1000)
+    for p, exact in zip(pts, _exact_gpoints(pts)):
         a, b, c = danielewski_chart(p)
-        assert abs(b * b - 4 * a * c - 1) < 1e-12
+        # the forward-error bound that danielewski-chart derives
+        assert abs(b * b - 4 * a * c - 1) <= 24 * u * (abs(b) ** 2 + 4 * abs(a) * abs(c) + 1)
+        a, b, c = danielewski_chart(exact)
+        assert b * b - 4 * a * c == 1
 
 
 def test_15_verification_reports_are_byte_identical():

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (sample_gpoints_by_draws, star_disk_by_terms, star_surface_by_terms,
-                     sum_series_loop, taylor_tower)
+from oracles import star_disk_by_terms, star_surface_by_terms, sum_series_loop, taylor_tower
 
 from wickstar import star, towers
 from wickstar.cli import main
@@ -20,7 +19,6 @@ from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
 from wickstar.exact import QC
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, MoebiusPullback, PolyDisk
-from wickstar.sampling import rng_for, sample_gpoints
 from wickstar.sphere import MoebiusMap
 from wickstar.star import StarConfig, star_annulus, star_disk, star_punctured
 from wickstar.towers import entire_tower
@@ -285,26 +283,6 @@ def test_star_eval_sums_all_points_in_one_call(monkeypatch, capsys):
     assert code == 0
     assert calls == [[0.3, 0.1 + 0.2j, 0j]]
     assert len(json.loads(capsys.readouterr().out)["results"]) == 3
-
-
-@pytest.mark.parametrize("seed, n", [(0, 1), (5, 60), (14, 1000), (3, 333)])
-def test_gpoints_drawn_in_blocks_match_the_draws_one_by_one(seed, n):
-    rng, ref = rng_for(seed), rng_for(seed)
-    got, want = sample_gpoints(rng, n), sample_gpoints_by_draws(ref, n)
-    assert [(p.z.value(), p.w.value()) for p in got] == \
-        [(p.z.value(), p.w.value()) for p in want]
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_gpoint_rejections_redraw_only_what_is_missing():
-    # seed 31 rejects a pair among its first 20 candidates: the second
-    # round draws only the missing ones, in the draw-by-draw order
-    pairs = (2.0 * rng_for(31).standard_normal(80)).reshape(-1, 4)
-    assert any(abs(complex(a, b) - complex(c, d)) < 0.05 for a, b, c, d in pairs)
-    rng, ref = rng_for(31), rng_for(31)
-    assert [(p.z.value(), p.w.value()) for p in sample_gpoints(rng, 20)] == \
-        [(p.z.value(), p.w.value()) for p in sample_gpoints_by_draws(ref, 20)]
-    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("h", [Fraction(1), Fraction(1, 2), QC(1, 1), QC(-3, 1), 0.7 + 0.3j])

@@ -95,6 +95,11 @@ MALFORMED = {
     # no samples would keep every index
     "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
     "spec-samples-negative": {"experiment": "elliptic-indices", "n_fold": 2, "samples": -3},
+    # random.Random(-1) repeats the stream of random.Random(1)
+    "spec-invariant-seed-negative": {"experiment": "invariant-dimension",
+                                     "generators": "two-hyperbolic", "seed": -1},
+    "spec-elliptic-seed-negative": {"experiment": "elliptic-indices", "n_fold": 2,
+                                    "seed": -1},
     "spec-invariant-degree-negative": {"experiment": "invariant-dimension",
                                        "generators": "two-hyperbolic", "degree": -1},
     "spec-elliptic-degree-negative": {"experiment": "elliptic-indices", "n_fold": 2,
@@ -195,6 +200,12 @@ def test_verify_passes_and_is_byte_deterministic():
     assert report["metadata"]["seed"] == 42
     assert all(c["status"] == "pass" for c in report["checks"])
     assert all(c["runtime_ms"] == 0 for c in report["checks"])
+
+
+def test_verify_refuses_a_negative_seed():
+    code, out = run_cli("verify", "--seed", "-1")
+    assert code == EXIT_DOMAIN
+    assert json.loads(out) == {"kind": "domain", "error": "a seed is an integer >= 0, got -1"}
 
 
 def test_verify_timing_is_per_check():

@@ -1,6 +1,7 @@
-"""numpy loads with the first float product or sample: ``import wickstar``,
-the exact-finite products and the rigidity experiments, decided exactly
-or mod p on points drawn over F_p, run in an interpreter that never
+"""numpy loads with the first float product alone: ``import wickstar``,
+the exact-finite products, the rigidity experiments, decided exactly or
+mod p on points drawn over F_p, and the exact ``verify`` suites, whose
+draws come from the standard library, run in an interpreter that never
 imports it."""
 
 import io
@@ -46,6 +47,7 @@ EXACT = [
     ["rigidity", "--spec", "two-hyperbolic-d3"],
     ["rigidity", "--spec", "elliptic-N2-d2"],
     ["rigidity", "--spec", "annulus-punctured-obstruction"],
+    ["verify", "--suite", "unit", "--suite", "cn", "--suite", "commutativity"],
 ]
 FLOAT = ["star", "eval", "--surface", "disk", "--f", ZBAR_Z, "--g", Z, "--hbar", "0.5",
          "--point", "0.3", "--point", "[0.2, -0.4]"]

@@ -219,7 +219,7 @@ def test_elliptic_filter_needs_a_sample_off_the_hypersurface_mod_p(monkeypatch):
         on_hypersurface.append(rows is None)
         return rows
 
-    monkeypatch.setattr(rigidity.random, "Random", Scripted)
+    monkeypatch.setattr(random, "Random", Scripted)
     monkeypatch.setattr(rigidity, "_difference_rows", spy)
     assert elliptic_invariant_indices(3, 2, samples=1, seed=0) == [(0, 0), (1, 1), (2, 2)]
     assert on_hypersurface == [True, False]

@@ -13,6 +13,7 @@ from wickstar.exact import QC
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, MoebiusPullback, PolyDisk,
                                    pm_bar_bipoly, pm_bipoly)
+from wickstar.sampling import _integer
 from wickstar.sphere import MoebiusMap
 from wickstar.star import (Hbar, StarConfig, c_n, c_n_direct, c_sequence,
                            star_annulus, star_annulus_poly, star_disk,
@@ -253,8 +254,8 @@ def test_cubic_identities_on_both_surfaces():
 
 def test_surface_products_commute_symbolically(rng):
     for _ in range(5):
-        g = PolyFn([int(rng.integers(-3, 4)) for _ in range(5)])
-        gt = PolyFn([int(rng.integers(-3, 4)) for _ in range(5)])
+        g = PolyFn([_integer(rng, -3, 4) for _ in range(5)])
+        gt = PolyFn([_integer(rng, -3, 4) for _ in range(5)])
         h = Fraction(1, 2)
         assert star_annulus_poly(g, gt, h) == star_annulus_poly(gt, g, h)
         assert star_punctured_poly(g, gt, h) == star_punctured_poly(gt, g, h)
@@ -522,13 +523,13 @@ def test_termination_rule_agrees_with_the_towers_on_random_polynomials(rng):
     def random_bipoly(shape):
         rows = range(1) if shape == "anti" else range(4)
         cols = range(1) if shape == "holo" else range(4)
-        return BiPoly({(i, j): QC(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        return BiPoly({(i, j): QC(_integer(rng, -3, 4), _integer(rng, -3, 4))
                        for i in rows for j in cols if rng.random() < 0.6})
 
     shapes = ("holo", "anti", "full", "full")
     for _ in range(20):
-        f = random_bipoly(shapes[int(rng.integers(4))])
-        g = random_bipoly(shapes[int(rng.integers(4))])
+        f = random_bipoly(shapes[_integer(rng, 0, 4)])
+        g = random_bipoly(shapes[_integer(rng, 0, 4)])
         _assert_rule_matches_towers(f, g)
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import wickstar.suites as suites
 from wickstar.errors import DomainError, NonRepresentableError
 from wickstar.functions import BasisFpq, PolyFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, p_aux, q_aux
@@ -13,6 +14,7 @@ from wickstar.surfaces import (AnnulusElement, FpqCombo, PuncturedElement,
                                chart_f_0, chart_f_R, gamma_hat_invariant, iso_psi,
                                lift_to_disk, scaling_kernel, transport_T,
                                translation_kernel, z2_involution)
+from wickstar.suites import run_suites
 
 
 # charts -----------------------------------------------------------------------
@@ -165,6 +167,32 @@ def test_invariant_kernels_and_witness(rng):
     witness = gamma_hat_invariant(lambda p: p.z.value(),
                                   MoebiusMap.scaling(2.0), pts, 1e-12)
     assert not witness.passed
+
+
+def _invariance_report(seed):
+    return {c["name"]: c for c in run_suites(names=["invariance"], seed=seed)["checks"]}
+
+
+@pytest.mark.parametrize("seed", [23, 415, 937])
+def test_translation_check_passes_where_a_literal_tolerance_failed(seed):
+    # residuals of 1.3e-12 to 3.3e-12 here fail an absolute 1e-12
+    report = _invariance_report(seed)
+    check = report["translation-invariant-kernel"]
+    # the report prints the scaled residual it compares with 2
+    assert check["status"] == "pass" and 0 < check["max_residual"] <= 2
+    # scaling by 2 is exact, and so is every step of the kernel
+    assert report["scaling-invariant-kernel"]["max_residual"] == 0
+
+
+def test_translation_check_catches_a_kernel_moved_by_1e_12(monkeypatch):
+    def moved(g):
+        kernel = translation_kernel(g)
+        # the translation moves Re z by 1, and so this kernel by 1e-12
+        return lambda p: kernel(p) + 1e-12 * p.z.value().real
+
+    monkeypatch.setattr(suites, "translation_kernel", moved)
+    for seed in (0, 23):
+        assert _invariance_report(seed)["translation-invariant-kernel"]["status"] == "fail"
 
 
 def test_invariance_sweep_collects_pointwise_failures():
