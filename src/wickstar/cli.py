@@ -119,15 +119,20 @@ def cmd_verify(args) -> int:
 
 
 def _load_experiment_spec(name_or_path: str) -> dict:
-    if os.path.exists(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return json.load(fh)
+    """The spec at a path, else the bundled spec of that name; one that
+    cannot be found or read (a directory, say) is an input error."""
     try:
+        if os.path.exists(name_or_path):
+            with open(name_or_path, encoding="utf-8") as fh:
+                return json.load(fh)
         ref = resources.files("wickstar").joinpath("specs", f"{name_or_path}.json")
         return json.loads(ref.read_text(encoding="utf-8"))
     except (FileNotFoundError, ModuleNotFoundError):
         raise DomainError(f"experiment spec {name_or_path!r} is neither a "
                           "file nor a bundled spec name")
+    except OSError as exc:
+        raise DomainError(f"cannot read experiment spec {name_or_path!r}: "
+                          f"{exc.strerror or exc}")
 
 
 def _two_hyperbolic_generators():
@@ -137,7 +142,7 @@ def _two_hyperbolic_generators():
 
 # the keys each experiment kind reads, besides "experiment"
 _SPEC_KEYS = {
-    "invariant-dimension": ("generators", "degree", "seed"),
+    "invariant-dimension": ("degree", "seed"),
     "elliptic-indices": ("n_fold", "degree", "samples", "seed"),
     "obstruction": ("hbar_grid", "degree"),
 }
@@ -156,9 +161,6 @@ def cmd_rigidity(args) -> int:
                           f"experiment {kind!r}, which reads "
                           f"{', '.join(_SPEC_KEYS[kind])}")
     if kind == "invariant-dimension":
-        if spec.get("generators") != "two-hyperbolic":
-            raise DomainError("only the 'two-hyperbolic' generator set is "
-                              "bundled in this version")
         degree = json_field(spec, "degree", int, 3)
         seed = json_field(spec, "seed", int, 0)
         cert = invariant_dimension(_two_hyperbolic_generators(), degree, seed)

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every class derives from :class:`WickstarError`.  The input errors are
+also ``ValueError``s, and the CLI reports them with exit code 2;
+:class:`FloatRangeError` is an ``OverflowError``, which it reports with
+exit code 4.  An input that lies outside a domain, or that has no
+representation an operation needs, raises :class:`DomainError`."""
 
 
 class WickstarError(Exception):
@@ -8,13 +14,8 @@ class WickstarError(Exception):
 class DomainError(WickstarError, ValueError):
     """Input lies outside the mathematical domain of an operation
     (point outside the surface, deformation parameter at a pole,
-    singular Moebius matrix, ...)."""
-
-
-class NonRepresentableError(WickstarError, ValueError):
-    """An operation requires a representation the input does not admit
-    (a value that is not a finite f_{p,q} combination, or a Taylor jet of
-    a certified series, which would drop its tail bound)."""
+    singular Moebius matrix, a value that is not a finite f_{p,q}
+    combination, ...)."""
 
 
 class SeriesOrderError(WickstarError, ValueError):

@@ -13,6 +13,7 @@ design.
 
 from __future__ import annotations
 
+import cmath
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -186,11 +187,15 @@ class QC:
     # -- comparison --------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, (float, complex)):
+            # exactly, as a Fraction compares with a float: NaN and the
+            # infinities equal no QC
+            if not cmath.isfinite(other):
+                return False
+            other = _exact(other)
         if isinstance(other, _EXACT):
             # both sides in lowest terms
             return _parts(other) == (self._a, self._b, self._d)
-        if isinstance(other, complex):
-            return self.to_complex() == other
         return NotImplemented
 
     def __hash__(self):
@@ -244,6 +249,12 @@ _EXACT = (QC, int, Fraction)
 
 def is_exact(x) -> bool:
     return isinstance(x, _EXACT)
+
+
+def _exact(x):
+    """x as an exact value; a finite float or complex converts exactly, to a
+    dyadic QC."""
+    return x if is_exact(x) else QC(Fraction(x.real), Fraction(x.imag))
 
 
 def to_complex(x) -> complex:

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 from .errors import DomainError
 from .exact import conj, is_exact, to_complex
 from .functions import BiPoly, EntireFn
-from .sphere import MoebiusMap
+from .sphere import _OUTSIDE_DISK, MoebiusMap, _matmul
 
 if TYPE_CHECKING:
     from .towers import Tower
@@ -76,15 +76,6 @@ def q_aux(z):
     """q(z) = |1 - z|^2 / (1 - |z|^2), the punctured-disk chart pulled back."""
     zb = conj(z)
     return (1 - z) * (1 - zb) / (1 - z * zb)
-
-
-_OUTSIDE_DISK = "point must lie in the open unit disk"
-
-
-def _check_disk(z):
-    # not (< 1): a NaN fails every comparison
-    if not abs(to_complex(z)) < 1:
-        raise DomainError(_OUTSIDE_DISK)
 
 
 def _check_order(n):
@@ -151,13 +142,6 @@ def pm_bar_bipoly(f: BiPoly, n: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 # disk-function variants
 # ---------------------------------------------------------------------------
-
-
-def _matmul(m, n):
-    """The 2x2 product m n of matrices (a, b, c, d): the Moebius map m o n."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _ambient(z, bar):

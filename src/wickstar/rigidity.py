@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import QC, _parts, is_exact
+from .exact import _exact, _parts, is_exact
 from .functions import PolyFn
 from .sampling import _integer, rng_for
 from .sphere import MoebiusMap
@@ -36,11 +36,6 @@ from .star import Hbar, star_punctured_poly
 def _check_degree(degree: int):
     if degree < 0:
         raise DomainError(f"the polynomial degree must be >= 0, got {degree}")
-
-
-def _exact(x):
-    """x as an exact value; a float or complex converts exactly, to a dyadic QC."""
-    return x if is_exact(x) else QC(Fraction(x.real), Fraction(x.imag))
 
 
 # ---------------------------------------------------------------------------

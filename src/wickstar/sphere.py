@@ -23,6 +23,25 @@ def _is_zero(x, tol=0.0):
     return x == 0
 
 
+_OUTSIDE_DISK = "point must lie in the open unit disk"
+
+
+def _check_disk(z):
+    # not (< 1): a NaN fails every comparison
+    if not abs(to_complex(z)) < 1:
+        raise DomainError(_OUTSIDE_DISK)
+
+
+def _matmul(m, n):
+    """The 2x2 product m n of matrices (a, b, c, d): the Moebius map m o n."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_PROJ_TOL = 1e-300  # proj_eq's float tolerance, relative to the scale
+
+
 class SpherePoint:
     """Point of the Riemann sphere as a projective pair (u, v), u/v."""
 
@@ -64,12 +83,12 @@ class SpherePoint:
     def reciprocal(self) -> "SpherePoint":
         return SpherePoint(self.v, self.u)
 
-    def proj_eq(self, other: "SpherePoint", tol: float = 1e-12) -> bool:
+    def proj_eq(self, other: "SpherePoint") -> bool:
         cross = self.u * other.v - other.u * self.v
         if is_exact(cross):
             return cross == 0
         scale = max(abs(self.u * other.v), abs(other.u * self.v), 1.0)
-        return abs(cross) <= tol * scale
+        return abs(cross) <= _PROJ_TOL * scale
 
     def __repr__(self):
         if self.is_infinite:
@@ -153,8 +172,7 @@ class MoebiusMap:
     @staticmethod
     def disk_automorphism(a: complex, theta: float = 0.0) -> "MoebiusMap":
         """phi(z) = e^{i theta} (z - a)/(1 - conj(a) z), |a| < 1."""
-        if abs(a) >= 1:
-            raise DomainError("disk automorphism needs |a| < 1")
+        _check_disk(a)
         e = cmath.exp(1j * theta)
         return MoebiusMap(e, -e * a, -a.conjugate(), 1, domain="D")
 
@@ -174,12 +192,9 @@ class MoebiusMap:
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product; (self o other)(z) = self(other(z))."""
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
         domain = self.domain if self.domain == other.domain else None
-        return MoebiusMap(a, b, c, d, domain=domain)
+        return MoebiusMap(*_matmul((self.a, self.b, self.c, self.d),
+                                   (other.a, other.b, other.c, other.d)), domain=domain)
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a, domain=self.domain)
@@ -207,7 +222,7 @@ class GPoint:
     __slots__ = ("z", "w")
 
     def __init__(self, z: SpherePoint, w: SpherePoint):
-        if z.proj_eq(w, tol=1e-300):
+        if z.proj_eq(w):
             raise DomainError("GPoint requires z != w")
         self.z = z
         self.w = w
@@ -305,18 +320,16 @@ def covering_disk_to_annulus(radius: float, z: complex) -> complex:
     """Universal covering D -> A_R,
     pi_R(z) = exp((2i log R / pi) log((1+z)/(1-z)))."""
     check_modulus(radius)
+    _check_disk(z)
     z = complex(z)
-    if abs(z) >= 1:
-        raise DomainError("covering is defined on the open unit disk")
     # (1+z)/(1-z) has positive real part on D, so the principal log is safe
     return cmath.exp(2j * math.log(radius) / math.pi * cmath.log((1 + z) / (1 - z)))
 
 
 def covering_disk_to_punctured(z: complex) -> complex:
     """Universal covering D -> D*, pi_0(z) = exp(-(1+z)/(1-z))."""
+    _check_disk(z)
     z = complex(z)
-    if abs(z) >= 1:
-        raise DomainError("covering is defined on the open unit disk")
     return cmath.exp(-(1 + z) / (1 - z))
 
 
@@ -326,7 +339,7 @@ def covering_half_to_annulus(radius: float, z: complex) -> complex:
     log c = pi^2 / log R."""
     check_modulus(radius)
     z = complex(z)
-    if z.imag <= 0:
+    if not (z.imag > 0 and cmath.isfinite(z)):
         raise DomainError("covering is defined on the upper half plane")
     # z/i = -iz has positive real part on H: principal log is safe
     return cmath.exp(2j * math.log(radius) / math.pi * cmath.log(z / 1j))

@@ -78,7 +78,8 @@ from math import comb
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, _make, is_exact, to_complex
 from .functions import BiPoly, PolyFn, _convolve, _exact_coeffs, _numerators
-from .peschl_minda import DiskFunction, PolyDisk, _check_disk, pm_step
+from .peschl_minda import DiskFunction, PolyDisk, pm_step
+from .sphere import _check_disk
 
 
 # ---------------------------------------------------------------------------

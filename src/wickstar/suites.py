@@ -35,7 +35,7 @@ from .surfaces import (AnnulusElement, chart_f_0, chart_f_R,
 class CheckResult:
     name: str
     statement: str
-    status: str          # "pass" | "fail" | "flagged"
+    status: str          # "pass" | "fail"
     max_residual: float
     samples: int
     runtime_ms: int = 0

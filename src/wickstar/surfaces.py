@@ -15,10 +15,11 @@ of ComposedP / ComposedQ shape, which is where the star products live.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from .errors import DomainError, NonRepresentableError
+from .errors import DomainError
 from .exact import to_complex
-from .functions import BasisFpq, EntireFn
+from .functions import BasisFpq, BiPoly, EntireFn
 from .peschl_minda import ComposedP, ComposedQ, DiskFunction
 from .sphere import GPoint, MoebiusMap, check_modulus, gamma_hat
 
@@ -120,18 +121,8 @@ class FpqCombo:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for (p, q), a in (terms.items() if isinstance(terms, dict) else terms):
-                if a == 0:
-                    continue
-                key = (int(p), int(q))
-                v = d.get(key, 0) + a
-                if v == 0:
-                    d.pop(key, None)
-                else:
-                    d[key] = v
-        self.terms = d
+        # a sparse sum over (p, q), merged as a BiPoly's over (i, j)
+        self.terms = BiPoly(terms).coeffs
 
     @staticmethod
     def of(x) -> "FpqCombo":
@@ -139,7 +130,7 @@ class FpqCombo:
             return x
         if isinstance(x, BasisFpq):
             return FpqCombo({(x.p, x.q): 1})
-        raise NonRepresentableError(
+        raise DomainError(
             f"{type(x).__name__} is not a finite f_pq combination")
 
     def eval(self, z, w):
@@ -149,14 +140,7 @@ class FpqCombo:
         return acc
 
     def __add__(self, other):
-        d = dict(self.terms)
-        for k, a in FpqCombo.of(other).terms.items():
-            v = d.get(k, 0) + a
-            if v == 0:
-                d.pop(k, None)
-            else:
-                d[k] = v
-        return FpqCombo(d)
+        return FpqCombo((BiPoly(self.terms) + BiPoly(FpqCombo.of(other).terms)).coeffs)
 
     def scale(self, a) -> "FpqCombo":
         return FpqCombo({k: a * v for k, v in self.terms.items()})
@@ -196,19 +180,12 @@ def z2_involution(x) -> FpqCombo:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class InvarianceReport:
-    __slots__ = ("max_residual", "passed", "samples", "errors")
-
-    def __init__(self, max_residual, passed, samples, errors):
-        self.max_residual = max_residual
-        self.passed = passed
-        self.samples = samples
-        self.errors = errors
-
-    def __repr__(self):
-        return (f"InvarianceReport(max_residual={self.max_residual:.3e}, "
-                f"passed={self.passed}, samples={self.samples}, "
-                f"errors={len(self.errors)})")
+    max_residual: float
+    passed: bool
+    samples: int
+    errors: list
 
 
 def gamma_hat_invariant(f, gamma: MoebiusMap, samples, tol: float) -> InvarianceReport:

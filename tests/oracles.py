@@ -7,11 +7,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from wickstar.errors import DomainError, FloatRangeError, NonRepresentableError
-from wickstar.exact import conj, is_exact, to_complex
+from wickstar.errors import DomainError, FloatRangeError
+from wickstar.exact import _exact, conj, is_exact, to_complex
 from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
 from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
-from wickstar.sphere import MoebiusMap, SpherePoint
+from wickstar.sphere import GPoint, MoebiusMap, SpherePoint
 from wickstar.star import StarConfig, StarResult, _c_divisor, _one_like
 
 # unit roundoff of IEEE double precision
@@ -48,41 +48,45 @@ def bipoly_eval_by_terms(f, z, w):
 # ---------------------------------------------------------------------------
 
 
-def _operand_jet(f, x: Jet, w0, bar: bool) -> Jet:
-    """Jet of u -> F(x(u), w0), or with ``bar`` of u -> F(w0, x(u)), for
-    the bivariate extension F of the disk operand f, walked from outside:
-    each map is applied to the jet x by jet division."""
-    if isinstance(f, PolyDisk):
-        return f.f.eval_jet(x, w0, "w" if bar else "z")
+def _operand_jet(f, m: MoebiusMap, x: Jet, w0, bar: bool) -> Jet:
+    """Jet of u -> F(m(u), w0), or with ``bar`` of u -> F(w0, m(u)), for
+    the bivariate extension F of the disk operand f and the variable jet
+    x = u: the maps of the operand are composed into m from outside, and
+    the composite is applied to x by one jet division.  Applying each map
+    to the jet in turn would leave each entry with the rounding of the
+    largest one, which terms near a pole of hbar magnify past the rounding
+    of the sum."""
     if isinstance(f, MoebiusPullback):
         # (Z, W) -> (phi(Z), psi(W)), psi(w) = 1/phi(1/w) = (dw + c)/(bw + a)
         phi = f.phi
         psi = MoebiusMap(phi.d, phi.c, phi.b, phi.a)
         inner, frozen = (psi, phi) if bar else (phi, psi)
         w = (frozen.a * w0 + frozen.b) / (frozen.c * w0 + frozen.d)
-        return _operand_jet(f.inner, moebius_jet(inner, x), w, bar)
+        return _operand_jet(f.inner, inner.compose(m), x, w, bar)
+    if isinstance(f, PolyDisk):
+        return f.f.eval_jet(moebius_jet(m, x), w0, "w" if bar else "z")
     if isinstance(f, _Composed):
-        t = moebius_jet(MoebiusMap(*f.chart_matrix(w0, bar)), x)
+        t = moebius_jet(MoebiusMap(*f.chart_matrix(w0, bar)).compose(m), x)
         if isinstance(f.g, PolyFn):
             return f.g.eval_jet(t)
         if isinstance(f.g, ExpFn):
             return (t * f.g.scale).exp() * f.g.amp
-        raise NonRepresentableError(f"a jet of a {type(f.g).__name__} drops its tail bound")
+        raise DomainError(f"a jet of a {type(f.g).__name__} drops its tail bound")
     raise TypeError(f"no definitional jet for {type(f).__name__}")
 
 
 def definitional_jet(f, z, order: int, bar: bool = False) -> Jet:
     """The jet of u -> F(T_z(u), conj z) to ``order``, or with ``bar`` of
     u -> F(z, T_{conj z}(u)): its n-th coefficient is D^n f(z)/n!, or
-    Dbar^n f(z)/n!, by definition.  T_z(u) = (u + z)/(conj(z) u + 1) is
-    applied to Jet.variable(0) by jet division, and the operand's maps
-    after it; at a Gaussian-rational z with exact operands every
+    Dbar^n f(z)/n!, by definition.  T_z(u) = (u + z)/(conj(z) u + 1),
+    after the operand's maps, is applied to Jet.variable(0) by jet
+    division; at a Gaussian-rational z with exact operands every
     coefficient is exact."""
     zb = conj(z)
     zero = z * 0
     one = zero + 1
     t_z = MoebiusMap(one, zb, z, one) if bar else MoebiusMap(one, z, zb, one)
-    return _operand_jet(f, moebius_jet(t_z, Jet.variable(zero, order)), z if bar else zb, bar)
+    return _operand_jet(f, t_z, Jet.variable(zero, order), z if bar else zb, bar)
 
 
 def pm_definitional(f, n: int, z):
@@ -217,6 +221,14 @@ def star_surface_by_terms(g, gt, h, w, cfg: StarConfig, variant: str):
 # the float basis f_{p,q}: the oracle of the exact values that the rigidity
 # experiments reduce mod p
 # ---------------------------------------------------------------------------
+
+
+def exact_gpoints(pts):
+    """The GPoints at the exact values of float ones: a float is a dyadic
+    rational.  The kernel identities are rational, so they hold exactly
+    there."""
+    return [GPoint(*(SpherePoint.finite(_exact(x.value())) for x in (p.z, p.w)))
+            for p in pts]
 
 
 def fpq_proj(p: int, q: int, z: SpherePoint, w: SpherePoint):

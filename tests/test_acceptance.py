@@ -18,6 +18,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from oracles import exact_gpoints
 
 from wickstar.cli import main
 from wickstar.errors import DomainError, NonTerminatingError
@@ -26,12 +27,11 @@ from wickstar.functions import BiPoly, PolyFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
                                    PolyDisk)
 from wickstar.sampling import _integer, rng_for, sample_disk, sample_gpoints
-from wickstar.sphere import (GPoint, MoebiusMap, SpherePoint,
-                             annulus_deck_multiplier, covering_disk_to_annulus,
-                             covering_disk_to_punctured,
+from wickstar.sphere import (MoebiusMap, annulus_deck_multiplier,
+                             covering_disk_to_annulus, covering_disk_to_punctured,
                              covering_half_to_annulus, danielewski_chart)
 from wickstar.peschl_minda import p_aux, q_aux
-from wickstar.rigidity import _exact, elliptic_invariant_indices, obstruction_check
+from wickstar.rigidity import elliptic_invariant_indices, obstruction_check
 from wickstar.sampling import sample_half_plane
 from wickstar.star import (Hbar, StarConfig, c_n, c_n_direct, star_annulus,
                            star_annulus_poly, star_disk, star_disk_poly_exact,
@@ -63,13 +63,6 @@ def _commutator_closed_form(h, z):
         total += term
         m += 1
     return h * (1 - x) ** 2 * total
-
-
-def _exact_gpoints(pts):
-    """The GPoints at the exact values of float ones: a float is a dyadic
-    rational."""
-    return [GPoint(*(SpherePoint.finite(_exact(x.value())) for x in (p.z, p.w)))
-            for p in pts]
 
 
 def _terminates(f, g):
@@ -308,7 +301,7 @@ def test_09_modulus_change_is_a_morphism():
 def test_10_invariance_predicates_on_the_configuration_space():
     # the kernel identities are rational: they hold exactly at the exact
     # values of the sampled floats
-    pts = _exact_gpoints(sample_gpoints(rng_for(10), 60))
+    pts = exact_gpoints(sample_gpoints(rng_for(10), 60))
     g = PolyFn([0, 1, 1])
     r1 = gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2), pts, 0)
     r2 = gamma_hat_invariant(translation_kernel(g), MoebiusMap.translation(1), pts, 0)
@@ -344,7 +337,7 @@ def test_13_no_uniform_isomorphism_between_the_surface_algebras():
 def test_14_pair_chart_lands_on_the_surface():
     u = 2.0 ** -53
     pts = sample_gpoints(rng_for(14), 1000)
-    for p, exact in zip(pts, _exact_gpoints(pts)):
+    for p, exact in zip(pts, exact_gpoints(pts)):
         a, b, c = danielewski_chart(p)
         # the forward-error bound that danielewski-chart derives
         assert abs(b * b - 4 * a * c - 1) <= 24 * u * (abs(b) ** 2 + 4 * abs(a) * abs(c) + 1)

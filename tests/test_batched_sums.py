@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import star_disk_by_terms, star_surface_by_terms, sum_series_loop, taylor_tower
+from oracles import (definitional_jet, star_disk_by_terms, star_surface_by_terms,
+                     sum_series_loop, taylor_tower)
 
 from wickstar import star, towers
 from wickstar.cli import main
@@ -156,13 +157,25 @@ def test_surface_kernel_matches_the_loop_row_by_row(g, gt, h, cfg, variant, ws):
     _check_rows(h, rows, cfg, lambda: op(g, gt, h, ws, cfg), solo)
 
 
+# z-bar^2 and the pullback of z, at hbar within 1e-3 of the poles -1/6 and
+# -1/5, where |kappa_n| reaches 1e6: a tower entry rounded at the scale of
+# its tower's largest entry, not of its own, moves the sum past 1e-13 mass
+NEAR_POLE_F = PolyDisk(BiPoly({(0, 2): 1}))
+NEAR_POLE_G = MoebiusPullback(PolyDisk(BiPoly({(1, 0): 1})),
+                              MoebiusMap(1, -0.59375, -0.59375, 1, domain="D"))
+NEAR_POLE_HBARS = (-0.16599215560068337, -0.19932548893401672)
+NEAR_POLE_CFG = StarConfig(max_terms=14, tol=0.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(f=disk_operands, g=disk_operands, h=hbars, cfg=configs, z=disk_points)
+@example(f=NEAR_POLE_F, g=NEAR_POLE_G, h=NEAR_POLE_HBARS[0], cfg=NEAR_POLE_CFG, z=0.75)
+@example(f=NEAR_POLE_F, g=NEAR_POLE_G, h=NEAR_POLE_HBARS[1], cfg=NEAR_POLE_CFG, z=0.75)
 def test_disk_products_match_the_old_float_sums(f, g, h, cfg, z):
     # the closed-form towers against the jets and the stepped Taylor
     # towers: the same stop and error, and the value to the rounding of
-    # the terms, which the two tower algorithms leave within a few units
-    # in the last place of a tower's largest entry, not of each entry.  A
+    # the sum.  The oracle composes an operand's maps before its one jet
+    # division, so each entry of both towers is rounded at its own scale.  A
     # series tower is compared in its own test below: its Horner sums and
     # the shift differ at the scale of their cancellation.
     want = _outcome(lambda: star_disk_by_terms(f, g, h, z, cfg))
@@ -176,6 +189,47 @@ def test_disk_products_match_the_old_float_sums(f, g, h, cfg, z):
     if not series:
         assert abs(got.value - value) <= 1e-13 * max(abs(value), mass) + TINY
         assert abs(got.tail_estimate - tail) <= 1e-13 * max(tail, mass) + TINY
+
+
+def _mp(x):
+    """An exact scalar (int, Fraction or QC) in mpmath, at the working
+    precision."""
+    import mpmath
+    return mpmath.mpc(mpmath.mpf(x.real.numerator) / x.real.denominator,
+                      mpmath.mpf(x.imag.numerator) / x.imag.denominator)
+
+
+@pytest.mark.parametrize("h", NEAR_POLE_HBARS)
+def test_disk_kernel_near_a_pole_matches_a_40_digit_sum(h):
+    # the towers exact, the definitional jets at the exact values of the
+    # float point and of the pullback's entries, and the sum of
+    # kappa_n t_n in 40-digit arithmetic at the exact value of hbar.  A
+    # float recurrence divides by the rounded 1 + k hbar; near the pole
+    # -1/k that rounding is a large relative error (8e-15 for 1 + 5 hbar
+    # at the second hbar), which every later kappa_n carries: the
+    # allowance adds it, term by term, to 1e-15 relative.
+    mpmath = pytest.importorskip("mpmath")
+    got = star_disk(NEAR_POLE_F, NEAR_POLE_G, h, 0.75, NEAR_POLE_CFG)
+    assert (got.terms_used, got.stop_reason) == (15, "budget")
+    phi = NEAR_POLE_G.phi
+    exact_g = MoebiusPullback(NEAR_POLE_G.inner, MoebiusMap(
+        *(QC(Fraction(x)) for x in (phi.a, phi.b, phi.c, phi.d)), domain="D"))
+    z = QC(Fraction(0.75))
+    a = definitional_jet(NEAR_POLE_F, z, 14, bar=True).coeffs
+    b = definitional_jet(exact_g, z, 14).coeffs
+    with mpmath.workdps(40):
+        hv, kappa, total = mpmath.mpf(h), mpmath.mpf(1), mpmath.mpf(0)
+        drift = moved = mpmath.mpf(0)
+        for n, (an, bn) in enumerate(zip(a, b)):
+            if n:
+                den = 1 + (n - 1) * hv
+                drift += abs((1 + (n - 1) * h) - den) / abs(den)
+                kappa = kappa * n * hv / den
+            term = kappa * _mp(an * bn)
+            total += term
+            moved += abs(term) * drift
+        want = complex(total)
+    assert abs(got.value - want) <= 1e-15 * abs(want) + float(moved)
 
 
 @settings(max_examples=80, deadline=None)

@@ -89,19 +89,16 @@ SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "
 MALFORMED = {
     "spec-missing-n_fold": {"experiment": "elliptic-indices"},
     "spec-hbar-not-a-pair": {"experiment": "obstruction", "hbar_grid": [0.05], "degree": 3},
-    "spec-degree-null": {"experiment": "invariant-dimension",
-                         "generators": "two-hyperbolic", "degree": None},
+    "spec-degree-null": {"experiment": "invariant-dimension", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
     # no samples would keep every index
     "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
     "spec-samples-negative": {"experiment": "elliptic-indices", "n_fold": 2, "samples": -3},
     # random.Random(-1) repeats the stream of random.Random(1)
-    "spec-invariant-seed-negative": {"experiment": "invariant-dimension",
-                                     "generators": "two-hyperbolic", "seed": -1},
+    "spec-invariant-seed-negative": {"experiment": "invariant-dimension", "seed": -1},
     "spec-elliptic-seed-negative": {"experiment": "elliptic-indices", "n_fold": 2,
                                     "seed": -1},
-    "spec-invariant-degree-negative": {"experiment": "invariant-dimension",
-                                       "generators": "two-hyperbolic", "degree": -1},
+    "spec-invariant-degree-negative": {"experiment": "invariant-dimension", "degree": -1},
     "spec-elliptic-degree-negative": {"experiment": "elliptic-indices", "n_fold": 2,
                                       "degree": -1},
     # a float rotation by 6e-10 kept non-invariant indices
@@ -268,10 +265,16 @@ def test_rigidity_unknown_spec_is_a_domain_error():
     assert code == EXIT_DOMAIN
 
 
+def test_rigidity_spec_path_that_cannot_be_read_is_a_domain_error(tmp_path):
+    code, out = run_cli("rigidity", "--spec", str(tmp_path))
+    assert code == EXIT_DOMAIN
+    body = json.loads(out)
+    assert body["kind"] == "domain" and "cannot read experiment spec" in body["error"]
+
+
 def test_rigidity_rejects_unknown_spec_keys(tmp_path):
     spec = tmp_path / "typo.json"
-    spec.write_text(json.dumps({"experiment": "invariant-dimension",
-                                "generators": "two-hyperbolic", "degre": 5,
+    spec.write_text(json.dumps({"experiment": "invariant-dimension", "degre": 5,
                                 "svd_tol": 1e-3, "samples": 10}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN
@@ -283,6 +286,11 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
                                 "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
+    # the invariant dimension has one generator set, and no key to name it
+    spec.write_text(json.dumps({"experiment": "invariant-dimension",
+                                "generators": "two-hyperbolic"}), encoding="utf-8")
+    code, out = run_cli("rigidity", "--spec", str(spec))
+    assert code == EXIT_DOMAIN and "'generators'" in json.loads(out)["error"]
     # the obstruction reads no annulus modulus
     spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 3,
                                 "hbar_grid": [[0.05, 0.0]]}), encoding="utf-8")

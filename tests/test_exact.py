@@ -87,6 +87,25 @@ def test_equality_and_hash_agree_with_rationals():
     assert QC(1, 1) != QC(1, 2)
 
 
+def test_equality_with_floats_is_exact():
+    # a float or complex compares by its exact value, as a Fraction does
+    assert QC(1) == 1.0 and 1.0 == QC(1) and QC(1) == 1 + 0j
+    assert QC(Fraction(1, 2), -3) == complex(0.5, -3)
+    third = QC(Fraction(1, 3))
+    assert third != 1 / 3 and 1 / 3 != third and third != complex(1 / 3)
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 0)):
+        assert QC(1) != bad and bad != QC(1)
+    assert len({QC(1), 1.0, 1 + 0j}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.fractions(), x=st.floats(allow_nan=False, allow_infinity=False))
+def test_qc_compares_with_a_float_as_a_fraction_does(r, x):
+    for y in (x, complex(x), complex(0, x)):
+        assert (QC(r) == y) == (r == y) == (y == QC(r))
+    assert QC(Fraction(x)) == x == complex(x) and QC(0, Fraction(x)) == complex(0, x)
+
+
 def test_bool_and_to_complex():
     assert not QC(0)
     assert QC(0, 1)

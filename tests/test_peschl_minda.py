@@ -11,7 +11,7 @@ from oracles import definitional_jet, pm_bar_definitional, pm_definitional
 import wickstar.functions as functions
 import wickstar.peschl_minda as peschl_minda
 import wickstar.star as star
-from wickstar.errors import DomainError, NonRepresentableError
+from wickstar.errors import DomainError
 from wickstar.exact import QC, conj, to_complex
 from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, ComposedQ, MoebiusPullback,
@@ -252,7 +252,7 @@ def test_a_certified_series_enters_no_jet():
             assert abs(got.value - want.value) <= got.tail_estimate + want.tail_estimate
             assert got.tail_estimate == pytest.approx(want.tail_estimate, rel=1e-12)
     # the definitional oracle takes no series: a jet would drop its bound
-    with pytest.raises(NonRepresentableError):
+    with pytest.raises(DomainError):
         pm_definitional(ComposedQ(s), 1, 0.1j)
 
 

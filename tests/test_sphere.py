@@ -157,6 +157,18 @@ def test_coverings_land_in_their_targets(rng):
         covering_disk_to_annulus(0.9, 0.1)
 
 
+@pytest.mark.parametrize("cover", [lambda z: covering_disk_to_annulus(2.0, z),
+                                   covering_disk_to_punctured,
+                                   lambda z: covering_half_to_annulus(2.0, z),
+                                   MoebiusMap.disk_automorphism])
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 0.5), complex(0.1, math.nan),
+                               complex(math.inf, 0.5)])
+def test_coverings_and_the_disk_guard_refuse_nan_and_infinity(cover, z):
+    # NaN fails every comparison, so "not inside" refuses it
+    with pytest.raises(DomainError):
+        cover(z)
+
+
 def test_half_plane_covering_and_deck_relation(rng):
     radius = 2.0
     c = annulus_deck_multiplier(radius)

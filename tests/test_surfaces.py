@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from oracles import exact_gpoints
 
 import wickstar.suites as suites
-from wickstar.errors import DomainError, NonRepresentableError
+from wickstar.errors import DomainError
 from wickstar.functions import BasisFpq, PolyFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, p_aux, q_aux
 from wickstar.sampling import sample_disk, sample_gpoints
@@ -148,7 +149,7 @@ def test_combo_algebra():
     c = FpqCombo({(1, 0): 2}) + BasisFpq(0, 1)
     assert c.terms == {(1, 0): 2, (0, 1): 1}
     assert (c + c.scale(-1)).terms == {}
-    with pytest.raises(NonRepresentableError):
+    with pytest.raises(DomainError):
         FpqCombo.of("not a combination")
 
 
@@ -156,17 +157,18 @@ def test_combo_algebra():
 
 
 def test_invariant_kernels_and_witness(rng):
-    pts = sample_gpoints(rng, 40)
+    # both kernels exactly, at the exact values of the sampled floats
+    floats = sample_gpoints(rng, 40)
+    pts = exact_gpoints(floats)
     g = PolyFn([0, 1, 1])
-    r1 = gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2.0),
-                             pts, 1e-12)
-    assert r1.passed and r1.max_residual < 1e-12
-    r2 = gamma_hat_invariant(translation_kernel(g),
-                             MoebiusMap.translation(1.0), pts, 1e-12)
-    assert r2.passed
-    witness = gamma_hat_invariant(lambda p: p.z.value(),
-                                  MoebiusMap.scaling(2.0), pts, 1e-12)
+    r1 = gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2), pts, 0)
+    assert r1.passed and r1.max_residual == 0 and r1.samples == 40
+    r2 = gamma_hat_invariant(translation_kernel(g), MoebiusMap.translation(1), pts, 0)
+    assert r2.passed and r2.max_residual == 0 and r2.samples == 40
+    witness = gamma_hat_invariant(lambda p: p.z.value(), MoebiusMap.scaling(2), pts, 0)
     assert not witness.passed
+    # scaling by 2 is exact in binary floating point, so on the floats too
+    assert gamma_hat_invariant(scaling_kernel(g), MoebiusMap.scaling(2.0), floats, 0).passed
 
 
 def _invariance_report(seed):
