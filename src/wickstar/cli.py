@@ -211,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deformation parameter, number or [re, im]")
     p_eval.add_argument("--point", required=True, action="append",
                         help="evaluation point (repeatable), number or [re, im]")
-    p_eval.add_argument("--max-terms", type=int, default=64)
-    p_eval.add_argument("--tol", type=float, default=1e-12)
-    p_eval.add_argument("--mode", default="truncated",
+    p_eval.add_argument("--max-terms", type=int, default=StarConfig.max_terms)
+    p_eval.add_argument("--tol", type=float, default=StarConfig.tol)
+    p_eval.add_argument("--mode", default=StarConfig.mode,
                         choices=["exact-finite", "truncated"])
     p_eval.add_argument("--weight-variant", default="derived",
                         choices=["derived", "printed"],

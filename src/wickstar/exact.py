@@ -17,22 +17,13 @@ import cmath
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not x.is_integer():
-            raise TypeError("refusing to coerce a non-integral float to a Fraction; "
-                            "construct the Fraction explicitly")
-        return Fraction(int(x))
-    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+    if isinstance(x, float) and not x.is_integer():
+        raise TypeError("refusing to coerce a non-integral float to a Fraction; "
+                        "construct the Fraction explicitly")
+    return Fraction(x)
 
 
 def _complex_hash(hr: int, hi: int) -> int:
@@ -103,24 +94,10 @@ class QC:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _EXACT):
-            a, b, d = self._a, self._b, self._d
-            c, e, f = _parts(other)
-            if f == d:
-                return _make(a - c, b - e, d)
-            return _make(a * f - c * d, b * f - e * d, d * f)
-        if isinstance(other, (float, complex)):
-            return self.to_complex() - other
-        return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        if isinstance(other, _EXACT):
-            a, b, d = self._a, self._b, self._d
-            c, e, f = _parts(other)
-            return _make(c * d - a * f, e * d - b * f, d * f)
-        if isinstance(other, (float, complex)):
-            return other - self.to_complex()
-        return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, _EXACT):
@@ -148,12 +125,7 @@ class QC:
 
     def __rtruediv__(self, other):
         if isinstance(other, _EXACT):
-            a, b, d = self._a, self._b, self._d
-            c, e, f = _parts(other)
-            n = a * a + b * b
-            if n == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return _make((c * a + e * b) * d, (e * a - c * b) * d, f * n)
+            return _new(*_parts(other)) / self
         if isinstance(other, (float, complex)):
             return other / self.to_complex()
         return NotImplemented

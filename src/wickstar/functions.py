@@ -108,7 +108,7 @@ def _convolve(ar: list, ai: list, br: list, bi: list, size: int):
 
 def _reciprocal(a: list) -> list:
     """Coefficients of 1/a by the recurrence b_n = -b_0 sum_k a_k b_{n-k}."""
-    b0 = QC(1) / a[0] if isinstance(a[0], QC) else Fraction(1) / a[0]
+    b0 = Fraction(1) / a[0]
     out = [b0]
     for n in range(1, len(a)):
         acc = a[0] * 0

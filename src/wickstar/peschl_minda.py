@@ -205,13 +205,13 @@ class DiskFunction:
         import wickstar.towers as towers
         return towers.one_row(self, nmax, z, bar)
 
-    def pm_sequence(self, nmax: int, z, start: int = 0):
-        """D^n f(z)/n! for n = start..nmax."""
-        return self._row(nmax, z, False)[0][start:]
+    def pm_sequence(self, nmax: int, z):
+        """D^n f(z)/n! for n = 0..nmax."""
+        return self._row(nmax, z, False)[0]
 
-    def pm_bar_sequence(self, nmax: int, z, start: int = 0):
-        """Dbar^n f(z)/n! for n = start..nmax."""
-        return self._row(nmax, z, True)[0][start:]
+    def pm_bar_sequence(self, nmax: int, z):
+        """Dbar^n f(z)/n! for n = 0..nmax."""
+        return self._row(nmax, z, True)[0]
 
     def pm_with_bound(self, n, z):
         """(D^n f(z)/n!, error bound)."""

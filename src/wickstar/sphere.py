@@ -3,14 +3,16 @@
 Points of the sphere are stored as projective pairs (u, v), value u/v,
 with v = 0 encoding the point at infinity.  This keeps the Moebius
 action branch-free and exactness-friendly: a map acts as a 2x2 matrix
-on the pair.  Scalars may be python complex numbers or exact
-:class:`~wickstar.exact.QC` values.
+on the pair.  Scalars may be python complex numbers or exact values
+(int, Fraction, :class:`~wickstar.exact.QC`), and their kind alone picks
+the arithmetic: an int 0 or 1 mixes exactly with each exact kind.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from sys import float_info
 
 from .errors import DomainError
@@ -30,6 +32,11 @@ def _check_disk(z):
     # not (< 1): a NaN fails every comparison
     if not abs(to_complex(z)) < 1:
         raise DomainError(_OUTSIDE_DISK)
+
+
+def _div(x, y):
+    """x / y, exact for exact operands: an int over an int is a Fraction."""
+    return Fraction(x, y) if isinstance(x, int) and isinstance(y, int) else x / y
 
 
 def _matmul(m, n):
@@ -55,13 +62,10 @@ class SpherePoint:
 
     @staticmethod
     def finite(x) -> "SpherePoint":
-        one = QC(1) if isinstance(x, QC) else 1
-        return SpherePoint(x, one)
+        return SpherePoint(x, 1)
 
     @staticmethod
-    def infinity(exact: bool = False) -> "SpherePoint":
-        if exact:
-            return SpherePoint(QC(1), QC(0))
+    def infinity() -> "SpherePoint":
         return SpherePoint(1, 0)
 
     @staticmethod
@@ -78,7 +82,7 @@ class SpherePoint:
         """Affine value u/v; raises for the point at infinity."""
         if self.is_infinite:
             raise DomainError("point at infinity has no affine value")
-        return self.u / self.v
+        return _div(self.u, self.v)
 
     def reciprocal(self) -> "SpherePoint":
         return SpherePoint(self.v, self.u)
@@ -106,7 +110,7 @@ def _validate_disk_map(a, b, c, d):
     rhs_mix = c * conj(d)
     if is_exact(a) and is_exact(b) and is_exact(c) and is_exact(d):
         ok = lhs_norm == rhs_norm and lhs_mix == rhs_mix
-        interior = (b * conj(b)).re < (d * conj(d)).re if isinstance(b, QC) else abs(b) < abs(d)
+        interior = (b * conj(b)).real < (d * conj(d)).real
     else:
         scale = max(abs(lhs_norm), abs(rhs_norm), 1.0)
         ok = (abs(lhs_norm - rhs_norm) <= 1e-9 * scale
@@ -117,14 +121,9 @@ def _validate_disk_map(a, b, c, d):
 
 
 def _validate_half_map(a, b, c, d):
-    vals = (a, b, c, d)
-    for x in vals:
-        im = x.im if isinstance(x, QC) else complex(x).imag
-        if im != 0:
-            raise DomainError("Aut(H) requires real matrix entries")
-    det = a * d - b * c
-    re = det.re if isinstance(det, QC) else complex(det).real
-    if not re > 0:
+    if any(x.imag != 0 for x in (a, b, c, d)):
+        raise DomainError("Aut(H) requires real matrix entries")
+    if not (a * d - b * c).real > 0:
         raise DomainError("Aut(H) requires positive determinant")
 
 
@@ -154,9 +153,8 @@ class MoebiusMap:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def identity(exact: bool = False) -> "MoebiusMap":
-        one, zero = (QC(1), QC(0)) if exact else (1, 0)
-        return MoebiusMap(one, zero, zero, one)
+    def identity() -> "MoebiusMap":
+        return MoebiusMap(1, 0, 0, 1)
 
     @staticmethod
     def cayley(exact: bool = False) -> "MoebiusMap":
@@ -179,14 +177,12 @@ class MoebiusMap:
     @staticmethod
     def scaling(c) -> "MoebiusMap":
         """Hyperbolic z -> c z on H, c real > 0 (hyperbolic iff c != 1)."""
-        zero, one = (QC(0), QC(1)) if is_exact(c) else (0, 1)
-        return MoebiusMap(c, zero, zero, one, domain="H")
+        return MoebiusMap(c, 0, 0, 1, domain="H")
 
     @staticmethod
     def translation(t) -> "MoebiusMap":
         """Parabolic z -> z + t on H, t real."""
-        zero, one = (QC(0), QC(1)) if is_exact(t) else (0, 1)
-        return MoebiusMap(one, t, zero, one, domain="H")
+        return MoebiusMap(1, t, 0, 1, domain="H")
 
     # -- algebra -----------------------------------------------------
 
@@ -204,7 +200,7 @@ class MoebiusMap:
         den = self.c * z + self.d
         if _is_zero(den, tol=1e-300):
             raise DomainError("Moebius map sends this point to infinity")
-        return (self.a * z + self.b) / den
+        return _div(self.a * z + self.b, den)
 
     def apply_point(self, p: SpherePoint) -> SpherePoint:
         return SpherePoint(self.a * p.u + self.b * p.v,
@@ -301,7 +297,7 @@ def danielewski_chart(p: GPoint):
     z = p.z.value()
     w = p.w.value()
     d = z - w
-    return (1 / d, (z + w) / d, z * w / d)
+    return (_div(1, d), _div(z + w, d), _div(z * w, d))
 
 
 # -- covering maps (float-only: they involve exp/log) ----------------

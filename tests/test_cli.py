@@ -14,6 +14,7 @@ import wickstar
 from wickstar import cli
 from wickstar.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_NONCONVERGED,
                           EXIT_OK, disk_function_from_json, main)
+from wickstar.star import StarConfig
 from wickstar.suites import run_suites
 
 
@@ -47,6 +48,9 @@ def test_star_eval_reports_how_each_sum_stopped():
     assert code == EXIT_OK
     [res] = json.loads(out)["results"]
     assert res["stop_reason"] == "tol" and res["converged"]
+    # the options left out default to the library's own configuration
+    ns = cli.build_parser().parse_args([*args, "--point", "0.3"])
+    assert StarConfig(max_terms=ns.max_terms, tol=ns.tol, mode=ns.mode) == StarConfig()
     code, out = run_cli(*args, "--point", "0.9", "--max-terms", "8")
     assert code == EXIT_NONCONVERGED
     [res] = json.loads(out)["results"]

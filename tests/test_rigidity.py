@@ -123,7 +123,7 @@ def test_basis_values_mod_p_are_the_images_of_the_exact_values(p):
     # the transported basis, and with the identity for T^-1 and w given
     # as 1/w the plain f_{i,j}(z, w) of the elliptic filter, mod either
     # prime, at Gaussian-rational projective points
-    identity = MoebiusMap.identity(exact=True)
+    identity = MoebiusMap.identity()
     rng = random.Random(p)
     checked = 0
     while checked < 12:
@@ -156,7 +156,7 @@ def test_rotation_upper_bound_is_the_congruence_count(degree, count):
 
 
 def test_identity_generator_is_inconclusive():
-    cert = invariant_dimension([MoebiusMap.identity(exact=True)], 2, seed=0)
+    cert = invariant_dimension([MoebiusMap.identity()], 2, seed=0)
     assert cert.rank == 0 and cert.bounds == (1, 9)
     assert cert.dimension is None
 

@@ -1,11 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
 import wickstar.suites as suites
 from wickstar.suites import run_suites
 from wickstar.errors import DomainError
+from wickstar.exact import QC
 from wickstar.sampling import sample_disk, sample_gpoints, sample_half_plane
 from wickstar.sphere import (GPoint, MoebiusMap, OmegaPoint,
                              SpherePoint, annulus_deck_multiplier,
@@ -41,6 +43,22 @@ def test_disk_designation_validated():
         MoebiusMap(2, 0, 0, 1, domain="D")  # scaling is not in Aut(D)
     with pytest.raises(DomainError):
         MoebiusMap.disk_automorphism(1.2)
+    # exact entries of mixed kinds: int, Fraction and QC
+    MoebiusMap(1, QC(Fraction(-19, 32)), QC(Fraction(-19, 32)), 1, domain="D")
+    MoebiusMap(1, Fraction(-1, 3), QC(Fraction(-1, 3)), 1, domain="D")
+    with pytest.raises(DomainError):
+        MoebiusMap(1, QC(2), QC(2), 1, domain="D")  # maps D onto the exterior
+
+
+def test_exact_maps_and_points_give_exact_values():
+    # int 0s and 1s keep the kind of the other entries, and an int over
+    # an int divides exactly
+    assert MoebiusMap.identity().apply(QC(1, 2)) == QC(1, 2)
+    for value in (MoebiusMap(2, 1, 0, 3).apply(1), MoebiusMap.scaling(2).apply(3),
+                  MoebiusMap.translation(Fraction(1, 3)).apply(2), SpherePoint(1, 3).value()):
+        assert type(value) is Fraction
+    assert MoebiusMap(2, 1, 0, 3).apply(1) == 1 and SpherePoint(1, 3).value() == Fraction(1, 3)
+    assert danielewski_chart(GPoint.of(1, 3)) == (Fraction(-1, 2), -2, Fraction(-3, 2))
 
 
 def test_half_plane_designation_validated():
@@ -50,6 +68,12 @@ def test_half_plane_designation_validated():
         MoebiusMap(1j, 0, 0, 1, domain="H")
     with pytest.raises(DomainError):
         MoebiusMap(-1, 0, 0, 1, domain="H")  # negative determinant
+    # exact entries are read exactly, also past the float range
+    MoebiusMap(Fraction(10 ** 400, 3), 1, 0, 1, domain="H")
+    with pytest.raises(DomainError):
+        MoebiusMap(1, QC(0, 1), 0, 1, domain="H")
+    with pytest.raises(DomainError):
+        MoebiusMap(Fraction(10 ** 400), 0, QC(0, 1), 1, domain="H")
 
 
 def test_compose_matches_function_composition(rng):
