@@ -138,8 +138,8 @@ def _two_hyperbolic_generators():
 
 # the keys each experiment kind reads, besides "experiment"
 _SPEC_KEYS = {
-    "invariant-dimension": ("degree", "seed"),
-    "elliptic-indices": ("n_fold", "degree", "samples", "seed"),
+    "invariant-dimension": ("degree",),
+    "elliptic-indices": ("n_fold", "degree"),
     "obstruction": ("hbar_grid", "degree"),
 }
 
@@ -158,17 +158,14 @@ def cmd_rigidity(args) -> int:
                           f"{', '.join(_SPEC_KEYS[kind])}")
     if kind == "invariant-dimension":
         degree = json_field(spec, "degree", int, 3)
-        seed = json_field(spec, "seed", int, 0)
-        cert = invariant_dimension(_two_hyperbolic_generators(), degree, seed)
+        cert = invariant_dimension(_two_hyperbolic_generators(), degree)
         body = {"experiment": kind, "dimension": cert.dimension,
                 "dimension_bounds": list(cert.bounds), "rank": cert.rank,
                 "prime": cert.prime, "basis_size": cert.basis_size}
     elif kind == "elliptic-indices":
         n_fold = json_field(spec, "n_fold", int)
         degree = json_field(spec, "degree", int, 2)
-        samples = json_field(spec, "samples", int, 40)
-        seed = json_field(spec, "seed", int, 0)
-        kept = elliptic_invariant_indices(n_fold, degree, samples, seed)
+        kept = elliptic_invariant_indices(n_fold, degree)
         body = {"experiment": kind, "n_fold": n_fold,
                 "invariant_indices": [list(k) for k in kept]}
     else:

@@ -44,6 +44,7 @@ def _check_degree(degree: int):
 
 # p = 1 (mod 4), so -1 has a square root mod p and Q(i) reduces to F_p
 PRIME = 1_000_000_009
+ELLIPTIC_SAMPLES = 40      # the pairs the elliptic filter draws
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,11 +137,11 @@ def _rank_mod_p(rows: list, p: int = PRIME) -> int:
     return rank
 
 
-def _sampled_rows(count: int, degree: int, t_inv, gens, seed: int, p: int = PRIME) -> list:
+def _sampled_rows(count: int, degree: int, t_inv, gens, p: int = PRIME) -> list:
     """The rows of :func:`_difference_rows` at ``count`` projective pairs over
-    F_p off the hypersurface, each coordinate int(p * random()) < p from
-    ``rng_for(seed)``: random() alone has a stream promised across versions."""
-    rng = rng_for(seed)
+    F_p off the hypersurface, each coordinate int(p * random()) < p from the
+    one fixed stream ``rng_for(0)``: random() alone is promised across versions."""
+    rng = rng_for(0)
     rows = []
     while len(rows) < count * len(gens):
         z0, z1, w0, w1 = (_integer(rng, 0, p) for _ in range(4))
@@ -173,19 +174,20 @@ class InvariantDimension:
         return lower if lower == upper else None
 
 
-def invariant_dimension(generators, degree: int, seed: int) -> InvariantDimension:
+def invariant_dimension(generators, degree: int) -> InvariantDimension:
     """Certify the dimension of {sum a_{p,q} F_{p,q} : p, q <= degree,
     invariant under every generator acting componentwise}, where
     F_{p,q}(z, w) = f_{p,q}(T^{-1} z, 1/(T^{-1} w)) with the exact Cayley map T.
 
     The difference system [F_k(gamma P) - F_k(P)] is evaluated mod PRIME at
     |basis| + 4 random projective pairs over F_p (:func:`_sampled_rows`).
+    A bad draw can only lower the rank, loosening the upper bound.
     Generator entries must be exact; a float entry raises DomainError."""
     _check_degree(degree)
     n_basis = (degree + 1) ** 2
-    t_inv = _matrix_mod_p(MoebiusMap.cayley(exact=True).inverse())
+    t_inv = _matrix_mod_p(MoebiusMap.cayley().inverse())
     gens = [_matrix_mod_p(g) for g in generators]
-    rows = _sampled_rows(n_basis + 4, degree, t_inv, gens, seed)
+    rows = _sampled_rows(n_basis + 4, degree, t_inv, gens)
     return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
 
 
@@ -210,26 +212,23 @@ def _rotation_mod_p(n_fold: int) -> tuple:
             return p, zeta
 
 
-def elliptic_invariant_indices(n_fold: int, dmax: int, samples: int, seed: int):
+def elliptic_invariant_indices(n_fold: int, dmax: int):
     """Indices (i, j), i, j <= dmax, whose f_{i,j} is invariant under the
     n-fold rotation (z, w) -> (zeta z, w/zeta) of the bivariate disk model.
 
     On (z, 1/w) the rotation is diag(zeta, 1) in both slots, so an index is
     invariant iff its column of :func:`_difference_rows` is 0 at all
-    ``samples`` pairs of :func:`_sampled_rows`, mod the least prime
+    40 pairs of :func:`_sampled_rows`, mod the least prime
     p = 1 (mod lcm(4, n_fold)) above 10^9, zeta a primitive n-th root of
     unity mod p.  f_{i,j} moves by zeta^(i-j), so each index with
     n_fold | i - j is kept; another only where f_{i,j}, of numerator degree
     <= 2 dmax, vanishes at every sample, with probability about
-    (2 dmax/p)^samples at most (Schwartz-Zippel).  n_fold > 10^6 is
-    refused, and so is samples < 1, which would keep every index."""
+    (2 dmax/p)^40 at most (Schwartz-Zippel).  n_fold > 10^6 is refused."""
     if not 2 <= n_fold <= 10 ** 6:
         raise DomainError(f"an elliptic rotation needs 2 <= n_fold <= 10^6, got {n_fold}")
     _check_degree(dmax)
-    if samples < 1:
-        raise DomainError(f"the elliptic filter needs samples >= 1, got {samples}")
     p, zeta = _rotation_mod_p(n_fold)
-    rows = _sampled_rows(samples, dmax, (1, 0, 0, 1), [(zeta, 0, 0, 1)], seed, p)
+    rows = _sampled_rows(ELLIPTIC_SAMPLES, dmax, (1, 0, 0, 1), [(zeta, 0, 0, 1)], p)
     # column k is the index divmod(k, dmax + 1), row-major
     return [divmod(k, dmax + 1) for k, col in enumerate(zip(*rows)) if not any(col)]
 

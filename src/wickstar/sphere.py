@@ -157,11 +157,10 @@ class MoebiusMap:
         return MoebiusMap(1, 0, 0, 1)
 
     @staticmethod
-    def cayley(exact: bool = False) -> "MoebiusMap":
-        """The fixed Cayley map T : D -> H, T(z) = i(1+z)/(1-z), T(0) = i."""
-        if exact:
-            return MoebiusMap(QC(0, 1), QC(0, 1), QC(-1), QC(1))
-        return MoebiusMap(1j, 1j, -1, 1)
+    def cayley() -> "MoebiusMap":
+        """The fixed Cayley map T : D -> H, T(z) = i(1+z)/(1-z), T(0) = i,
+        with exact entries: the scalar kind of a point picks the arithmetic."""
+        return MoebiusMap(QC(0, 1), QC(0, 1), -1, 1)
 
     @staticmethod
     def rotation(theta: float) -> "MoebiusMap":
@@ -277,16 +276,20 @@ def t_gamma_omega(phi: MoebiusMap, p: OmegaPoint) -> OmegaPoint:
     return OmegaPoint(z, w)
 
 
+# built once: the exact determinant check costs more than an action
+_CAYLEY = MoebiusMap.cayley()
+_CAYLEY_INVERSE = _CAYLEY.inverse()
+
+
 def psi_omega_to_g(p: OmegaPoint) -> GPoint:
     """Model conversion Psi(z, w) = (T z, T(1/w)) onto the configuration
     space, with the fixed Cayley map T."""
-    t = MoebiusMap.cayley()
-    return GPoint(t.apply_point(p.z), t.apply_point(p.w.reciprocal()))
+    return GPoint(_CAYLEY.apply_point(p.z), _CAYLEY.apply_point(p.w.reciprocal()))
 
 
 def psi_g_to_omega(p: GPoint) -> OmegaPoint:
-    tinv = MoebiusMap.cayley().inverse()
-    return OmegaPoint(tinv.apply_point(p.z), tinv.apply_point(p.w).reciprocal())
+    return OmegaPoint(_CAYLEY_INVERSE.apply_point(p.z),
+                      _CAYLEY_INVERSE.apply_point(p.w).reciprocal())
 
 
 def danielewski_chart(p: GPoint):

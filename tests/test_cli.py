@@ -95,10 +95,10 @@ MALFORMED = {
     "spec-hbar-not-a-pair": {"experiment": "obstruction", "hbar_grid": [0.05], "degree": 3},
     "spec-degree-null": {"experiment": "invariant-dimension", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
-    # no samples would keep every index
+    # the draw is fixed, so "samples" and "seed" are unknown keys, whatever
+    # their value
     "spec-samples-zero": {"experiment": "elliptic-indices", "n_fold": 2, "samples": 0},
     "spec-samples-negative": {"experiment": "elliptic-indices", "n_fold": 2, "samples": -3},
-    # random.Random(-1) repeats the stream of random.Random(1)
     "spec-invariant-seed-negative": {"experiment": "invariant-dimension", "seed": -1},
     "spec-elliptic-seed-negative": {"experiment": "elliptic-indices", "n_fold": 2,
                                     "seed": -1},
@@ -231,6 +231,19 @@ def test_verify_single_suite_selection():
     assert names == {"cn-recurrence-vs-product", "cn-domain-guard", "cn-value"}
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["two-hyperbolic-d3", "elliptic-N2-d2",
+                                  "annulus-punctured-obstruction"])
+def test_rigidity_bundled_spec_prints_its_recorded_bytes(name):
+    # the whole report: the prime, the rank, the index set and the
+    # obstruction residuals to the last digit
+    code, out = run_cli("rigidity", "--spec", name)
+    assert code == EXIT_OK
+    assert out == (GOLDEN / f"rigidity-{name}.out").read_text(encoding="utf-8")
+
+
 def test_rigidity_bundled_specs():
     code, out = run_cli("rigidity", "--spec", "elliptic-N2-d2")
     assert code == EXIT_OK
@@ -280,6 +293,14 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
                                 "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
+    # the draw is fixed: no experiment reads a seed or a sample count
+    for body, keys in (({"experiment": "invariant-dimension", "seed": 7}, ["'seed'"]),
+                       ({"experiment": "elliptic-indices", "n_fold": 2, "samples": 40,
+                         "seed": 3}, ["'samples'", "'seed'"])):
+        spec.write_text(json.dumps(body), encoding="utf-8")
+        code, out = run_cli("rigidity", "--spec", str(spec))
+        assert code == EXIT_DOMAIN
+        assert all(key in json.loads(out)["error"] for key in keys)
     # the invariant dimension has one generator set, and no key to name it
     spec.write_text(json.dumps({"experiment": "invariant-dimension",
                                 "generators": "two-hyperbolic"}), encoding="utf-8")

@@ -101,8 +101,14 @@ def test_apply_point_extends_apply_through_the_pole():
 def test_cayley_maps_disk_to_half_plane(rng):
     t = MoebiusMap.cayley()
     assert t.apply(0) == 1j
+    # one map for both kinds: exact at an exact point, and at a float point
+    # the values of the map with complex entries
+    assert t.apply(Fraction(1, 2)) == QC(0, 3) and isinstance(t.apply(Fraction(1, 2)), QC)
+    floats = MoebiusMap(1j, 1j, -1, 1)
     for z in sample_disk(rng, 20):
         assert t.apply(z).imag > 0
+        assert t.apply(z) == floats.apply(z)
+        assert t.inverse().apply(t.apply(z)) == floats.inverse().apply(floats.apply(z))
 
 
 def test_gpoint_requires_distinct_points():
