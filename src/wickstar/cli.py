@@ -140,7 +140,7 @@ def _two_hyperbolic_generators():
 _SPEC_KEYS = {
     "invariant-dimension": ("degree",),
     "elliptic-indices": ("n_fold", "degree"),
-    "obstruction": ("hbar_grid", "degree"),
+    "obstruction": ("degree",),
 }
 
 
@@ -169,9 +169,7 @@ def cmd_rigidity(args) -> int:
         body = {"experiment": kind, "n_fold": n_fold,
                 "invariant_indices": [list(k) for k in kept]}
     else:
-        hs = [json_complex(p) for p in json_field(spec, "hbar_grid", list)]
-        degree = json_field(spec, "degree", int)
-        rep = obstruction_check(hs, degree)
+        rep = obstruction_check(json_field(spec, "degree", int))
         body = {"experiment": kind, "residuals": rep.residuals,
                 "verdict": rep.verdict}
     print(json.dumps(body, indent=2))

@@ -14,8 +14,8 @@ Three experiments, all exact:
 * :func:`obstruction_check` -- the annulus and punctured-disk algebras
   admit no uniform-in-hbar isomorphism: matching powers of hbar in
   Psi(f * f) = Psi(f) * Psi(f) forces the transported chart function to
-  be constant.  The identity is tested exactly, on polynomial candidates
-  at the sampled hbar.
+  be constant.  The identity is decided exactly for every hbar, on
+  polynomial candidates, from max(degree, 1) + 1 integer hbar.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import _exact, _parts, is_exact
+from .exact import _parts, is_exact
 from .functions import PolyFn
 from .sampling import _integer, rng_for
 from .sphere import MoebiusMap
-from .star import Hbar, star_punctured_poly
+from .star import star_punctured_poly
 
 
 def _check_degree(degree: int):
@@ -252,7 +252,7 @@ def _defect(g: PolyFn, h) -> PolyFn:
     return star_punctured_poly(g, g, h) - g2 - h * (g2 - 1)
 
 
-def obstruction_check(hs, degree: int) -> ObstructionReport:
+def obstruction_check(degree: int) -> ObstructionReport:
     """Reproduce the power-matching argument that no single linear map can
     intertwine the annulus and punctured-disk products for every hbar.
 
@@ -265,22 +265,27 @@ def obstruction_check(hs, degree: int) -> ObstructionReport:
       hbar^1:  w^2 alpha^2 = (g^2 - 1)(w)     -> 2 alpha beta w + beta^2 - 1 = 0
                                               -> alpha = 0, beta = +/- 1.
 
-    For a polynomial g the punctured product g*g has deg g + 1 terms, so
-    the defect (g*g) - g^2 - hbar (g^2 - 1) is an exact polynomial at each
-    sampled hbar (a float sample converts exactly).  The candidates t^m,
-    2 <= m <= degree, and alpha t + beta must leave a nonzero defect at
-    some sample, and the constant 1 none; then the verdict is
-    "obstructed".  The residuals are, per family, the smallest over the
-    candidates of the largest defect coefficient over the samples.  No
-    product here involves the annulus modulus."""
+    The candidates t^m, 2 <= m <= degree, and alpha t + beta must leave a
+    nonzero defect Delta_g = (g*g) - g^2 - hbar (g^2 - 1), and the
+    constant 1 none, for the verdict "obstructed".  The samples
+    hbar = 1, ..., max(degree, 1) + 1 decide it for every hbar.  For g of
+    degree m <= max(degree, 1) the punctured product is the finite sum
+    sum_{n <= m} kappa_n w^{2n} g_n^2, g_n = g^(n)/n!, with
+    kappa_n = n! hbar^n / prod_{j=1}^{n-1} (1 + j hbar).  So
+    D_m = prod_{j=1}^{m-1} (1 + j hbar), of degree max(m - 1, 0), clears
+    every denominator: D_m kappa_n = n! hbar^n prod_{j=n}^{m-1} (1 + j hbar)
+    has degree m for n >= 1, and D_m hbar (g^2 - 1) has degree max(m, 1).
+    Each coefficient in w of D_m Delta_g is then a polynomial in hbar of
+    degree <= max(m, 1), zero iff it vanishes at max(m, 1) + 1 distinct
+    points.  D_m has no positive root, so Delta_g vanishes for every hbar
+    iff it vanishes at these samples, none of them a pole.  The residuals
+    are, per family, the smallest over the candidates of the largest
+    defect coefficient over the samples.  No product here involves the
+    annulus modulus."""
     _check_degree(degree)
-    # exact, and checked against the poles before any sum runs at it
-    hs = [Hbar.of(_exact(h)).value for h in hs]
-    if not hs:
-        raise DomainError("need at least one deformation sample")
 
     def defects(g: PolyFn) -> list:
-        return [_defect(g, h) for h in hs]
+        return [_defect(g, h) for h in range(1, max(degree, 1) + 2)]
 
     def size(ds) -> float:
         return max(float(abs(c)) for d in ds for c in d.coeffs)

@@ -120,10 +120,6 @@ class Hbar:
                               f"pole {f'-1/{pole}' if pole else 0}")
         self.value = value
 
-    @staticmethod
-    def of(h) -> "Hbar":
-        return h if isinstance(h, Hbar) else Hbar(h)
-
     def __repr__(self):
         return f"Hbar({self.value!r})"
 
@@ -145,11 +141,10 @@ def _lenient_value(h):
     A finite sum that never reaches that divisor (polynomial operands of
     low degree) is a legitimate evaluation even when the full coefficient
     family has a pole further out."""
-    v = h.value if isinstance(h, Hbar) else h
-    if _pole_of(v) == 0:
+    if _pole_of(h) == 0:
         raise DomainError(
-            f"deformation parameter {v!r} hits the excluded pole 0")
-    return v
+            f"deformation parameter {h!r} hits the excluded pole 0")
+    return h
 
 
 def _c_divisor(one, hv, n, exact):
@@ -177,7 +172,7 @@ def _c_stream(hv, nmax: int):
 
 def c_sequence(h, nmax: int):
     """[c_0, ..., c_nmax] via the recurrence c_{n+1} = c_n h / (1 + n h)."""
-    return _c_stream(Hbar.of(h).value, nmax)
+    return _c_stream(Hbar(h).value, nmax)
 
 
 def c_n(h, n: int):
@@ -191,7 +186,7 @@ def c_direct_sequence(h, nmax: int):
     """[c_0, ..., c_nmax] from the product formula, independent of the
     recurrence: hbar^n and prod_{j<n} (1 + j hbar) are two running
     products, divided once per n."""
-    hv = Hbar.of(h).value
+    hv = Hbar(h).value
     one = _one_like(hv)
     num = den = one
     out = [num / den]

@@ -329,7 +329,7 @@ def test_12_elliptic_filter_keeps_even_index_differences():
 
 
 def test_13_no_uniform_isomorphism_between_the_surface_algebras():
-    rep = obstruction_check([0.05, -0.05, 0.08j, -0.08j], degree=3)
+    rep = obstruction_check(degree=3)
     assert rep.verdict == "obstructed"
 
 

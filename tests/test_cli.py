@@ -92,6 +92,8 @@ SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "
 # with a dict of options that replace --hbar 0.5 --point 0.3 or add others
 MALFORMED = {
     "spec-missing-n_fold": {"experiment": "elliptic-indices"},
+    # the obstruction derives its hbar samples, so "hbar_grid" is an unknown
+    # key, whatever its value
     "spec-hbar-not-a-pair": {"experiment": "obstruction", "hbar_grid": [0.05], "degree": 3},
     "spec-degree-null": {"experiment": "invariant-dimension", "degree": None},
     "spec-n_fold-zero": {"experiment": "elliptic-indices", "n_fold": 0},
@@ -107,8 +109,7 @@ MALFORMED = {
                                       "degree": -1},
     # a float rotation by 6e-10 kept non-invariant indices
     "spec-n_fold-too-large": {"experiment": "elliptic-indices", "n_fold": 10 ** 10},
-    "spec-obstruction-degree-negative": {"experiment": "obstruction",
-                                         "hbar_grid": [[0.05, 0.0]], "degree": -2},
+    "spec-obstruction-degree-negative": {"experiment": "obstruction", "degree": -2},
     "bipoly-missing-coeffs": ("disk", {"type": "bipoly"}, Z),
     "exp-missing-scale": ("annulus", IDENT, {"type": "exp"}),
     "poly-coeff-not-a-pair": ("annulus", {"type": "poly", "coeffs": [1]}, IDENT),
@@ -136,7 +137,7 @@ MALFORMED = {
     "series-C-int-past-float-range": ("annulus", {**SERIES, "C": 10 ** 400}, IDENT),
     # the obstruction reads no annulus modulus, so "R" is an unknown key
     "spec-R-int-past-float-range": {"experiment": "obstruction", "R": 10 ** 400,
-                                    "hbar_grid": [[0.05, 0.0]], "degree": 3},
+                                    "degree": 3},
     "poly-coeff-nan-exact": ("annulus", {"type": "poly", "coeffs": [[float("nan"), 0]]},
                              IDENT, {"--mode": "exact-finite"}),
 }
@@ -259,14 +260,6 @@ def test_rigidity_bundled_specs():
     assert body["verdict"] == "obstructed"
 
 
-def test_rigidity_obstruction_rejects_a_pole_in_the_grid(tmp_path):
-    spec = tmp_path / "pole.json"
-    spec.write_text(json.dumps({"experiment": "obstruction", "degree": 1,
-                                "hbar_grid": [[-0.5, 0]]}), encoding="utf-8")
-    code, out = run_cli("rigidity", "--spec", str(spec))
-    assert code == EXIT_DOMAIN and "pole -1/2" in json.loads(out)["error"]
-
-
 def test_rigidity_unknown_spec_is_a_domain_error():
     code, out = run_cli("rigidity", "--spec", "no-such-experiment")
     assert code == EXIT_DOMAIN
@@ -289,8 +282,8 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
     for key in ("'degre'", "'svd_tol'", "'samples'"):
         assert key in error
     # a key that one kind reads is still unknown to another
-    spec.write_text(json.dumps({"experiment": "obstruction", "degree": 3,
-                                "hbar_grid": [[0.05, 0.0]], "seed": 1}), encoding="utf-8")
+    spec.write_text(json.dumps({"experiment": "obstruction", "degree": 3, "seed": 1}),
+                    encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'seed'" in json.loads(out)["error"]
     # the draw is fixed: no experiment reads a seed or a sample count
@@ -306,11 +299,13 @@ def test_rigidity_rejects_unknown_spec_keys(tmp_path):
                                 "generators": "two-hyperbolic"}), encoding="utf-8")
     code, out = run_cli("rigidity", "--spec", str(spec))
     assert code == EXIT_DOMAIN and "'generators'" in json.loads(out)["error"]
-    # the obstruction reads no annulus modulus
-    spec.write_text(json.dumps({"experiment": "obstruction", "R": 2.0, "degree": 3,
-                                "hbar_grid": [[0.05, 0.0]]}), encoding="utf-8")
-    code, out = run_cli("rigidity", "--spec", str(spec))
-    assert code == EXIT_DOMAIN and "'R'" in json.loads(out)["error"]
+    # the obstruction reads no annulus modulus, and derives its hbar samples
+    # from the degree
+    for key, value in (("R", 2.0), ("hbar_grid", [[0.05, 0.0], [-0.05, 0.0]])):
+        spec.write_text(json.dumps({"experiment": "obstruction", key: value, "degree": 3}),
+                        encoding="utf-8")
+        code, out = run_cli("rigidity", "--spec", str(spec))
+        assert code == EXIT_DOMAIN and f"'{key}'" in json.loads(out)["error"]
     # the elliptic filter has no tolerance
     spec.write_text(json.dumps({"experiment": "elliptic-indices", "n_fold": 2,
                                 "tol": 1e-9}), encoding="utf-8")

@@ -2,7 +2,8 @@
 
 Each mutation is applied by ``monkeypatch`` at a layer boundary, and none
 lives in ``src``: the wrong variant of a layer is summed by the oracles
-(``tests/oracles.py``) and put in the place of the real one.
+(``tests/oracles.py``), or is the other surface's product, and put in the
+place of the real one.
 """
 
 import io
@@ -13,9 +14,9 @@ from fractions import Fraction
 import pytest
 from oracles import star_surface_by_terms, surface_poly_by_terms
 
-from wickstar import cli, suites
+from wickstar import cli, rigidity, suites
 from wickstar.functions import PolyFn
-from wickstar.star import StarResult, star_punctured_poly
+from wickstar.star import StarResult, star_annulus_poly, star_punctured_poly
 
 
 def _printed_punctured(g, gt, h, ws, cfg):
@@ -51,3 +52,13 @@ def test_verify_exits_1_on_the_printed_weights(monkeypatch):
     assert code == cli.EXIT_CHECK_FAILED
     statuses = {c["name"]: c["status"] for c in json.loads(buf.getvalue())["checks"]}
     assert statuses == {"punctured-lift-coherence": "fail", "annulus-lift-coherence": "pass"}
+
+
+def test_the_obstruction_is_inconclusive_on_the_annulus_product(monkeypatch):
+    # g = t satisfies the annulus identity t*t = t^2 + hbar (t^2 - 1) for
+    # every hbar, so with the annulus product in place of the punctured
+    # one the affine family leaves no defect
+    monkeypatch.setattr(rigidity, "star_punctured_poly", star_annulus_poly)
+    rep = rigidity.obstruction_check(3)
+    assert rep.verdict == "inconclusive"
+    assert rep.residuals["affine_defect"] == 0.0

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import fpq_proj
 
 import wickstar.rigidity as rigidity
@@ -16,7 +19,6 @@ from wickstar.rigidity import (PRIME, elliptic_invariant_indices,
 from wickstar.sphere import MoebiusMap, SpherePoint
 from wickstar.star import star_punctured_poly
 
-OBSTRUCTION_GRID = [0.05, -0.05, 0.08j, -0.08j]
 SCALING = MoebiusMap(2, 0, 0, 1, domain="H")
 TWO_HYPERBOLIC = [SCALING, MoebiusMap(2, -1, 0, 1, domain="H")]
 
@@ -241,31 +243,61 @@ def test_elliptic_filter_needs_a_sample_off_the_hypersurface_mod_p(monkeypatch):
 
 
 def test_obstruction_verdicts():
-    rep = obstruction_check(OBSTRUCTION_GRID, degree=3)
+    rep = obstruction_check(degree=3)
     assert rep.verdict == "obstructed"
-    assert set(rep.residuals) == {"nonlinear_defect", "affine_defect",
-                                  "constant_defect"}
-    assert rep.residuals["nonlinear_defect"] > 1e-3
-    assert rep.residuals["affine_defect"] > 1e-3
-    assert rep.residuals["constant_defect"] == 0.0
-    # one sample decides, an exact one included
-    assert obstruction_check([0.05], degree=3).verdict == "obstructed"
-    assert obstruction_check([Fraction(1, 3)], degree=2).verdict == "obstructed"
-
-    const = obstruction_check(OBSTRUCTION_GRID, degree=0)
-    assert const.verdict == "constant-only"
-
+    # the largest hbar sampled is 4, where the defect of t^2,
+    # (3 hbar + 2 hbar^2/(1 + hbar)) w^4 + hbar, has 92/5 at w^4, and the
+    # defect of t is the constant hbar
+    assert rep.residuals == {"nonlinear_defect": 18.4, "affine_defect": 4.0,
+                             "constant_defect": 0.0}
+    assert obstruction_check(degree=2).verdict == "obstructed"
+    assert obstruction_check(degree=0).verdict == "constant-only"
     with pytest.raises(DomainError):
-        obstruction_check([], degree=2)
+        obstruction_check(degree=-1)
 
 
-def test_obstruction_rejects_a_pole_before_any_sum():
-    # at degree 1 the exact sums stop before the divisor 1 + 2 hbar, so
-    # only an up-front check keeps hbar = -1/2 out
-    with pytest.raises(DomainError, match="pole -1/2"):
-        obstruction_check([-0.5], degree=1)
-    with pytest.raises(DomainError, match="pole -1/3"):
-        obstruction_check([0.05, -0.05, Fraction(-1, 3), 0.08j], degree=3)
+@pytest.mark.parametrize("degree", range(5))
+def test_obstruction_samples_only_the_derived_hbar(monkeypatch, degree):
+    seen = set()
+    real = rigidity._defect
+
+    def spy(g, h):
+        seen.add(h)
+        return real(g, h)
+
+    monkeypatch.setattr(rigidity, "_defect", spy)
+    obstruction_check(degree)
+    assert seen == set(range(1, max(degree, 1) + 2))
+
+
+def _finite_difference(values: list, order: int):
+    return sum((-1) ** (order - i) * math.comb(order, i) * v
+               for i, v in enumerate(values[:order + 1]))
+
+
+exact_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-3, 3, max_denominator=5),
+    st.builds(QC, st.fractions(-3, 3, max_denominator=5),
+              st.fractions(-3, 3, max_denominator=5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(exact_scalars, min_size=1, max_size=7))
+def test_cleared_defect_has_degree_at_most_max_m_1_in_hbar(coeffs):
+    # D_m Delta_g, D_m = prod_{j=1}^{m-1} (1 + j hbar), is a polynomial of
+    # degree <= max(m, 1) in hbar, so max(m, 1) + 1 samples decide it
+    m = len(coeffs) - 1
+    bound = max(m, 1)
+    g = PolyFn(coeffs)
+    rows = []
+    for h in range(1, bound + 4):
+        cleared = math.prod(1 + j * h for j in range(1, m)) * _defect(g, h)
+        rows.append(cleared.coeffs + [0] * (2 * m + 1 - len(cleared.coeffs)))
+    for column in zip(*rows):
+        for order in range(bound + 1, len(column)):
+            for start in range(len(column) - order):
+                assert _finite_difference(column[start:], order) == 0
 
 
 def test_obstruction_runs_no_float_sum_and_no_fit(monkeypatch):
@@ -275,7 +307,7 @@ def test_obstruction_runs_no_float_sum_and_no_fit(monkeypatch):
     monkeypatch.setattr(star, "star_punctured", refuse)
     monkeypatch.setattr(star, "_star_entire", refuse)
     monkeypatch.setattr(rigidity, "star_punctured", refuse, raising=False)
-    assert obstruction_check(OBSTRUCTION_GRID, 3).verdict == "obstructed"
+    assert obstruction_check(3).verdict == "obstructed"
 
 
 @pytest.mark.parametrize("h", [Fraction(1, 3), QC(Fraction(1, 4), Fraction(-2, 5))])
