@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import DomainError, FloatRangeError
+
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, float) and not x.is_integer():
@@ -225,11 +227,17 @@ def is_exact(x) -> bool:
 
 def _exact(x):
     """x as an exact value; a finite float or complex converts exactly, to a
-    dyadic QC."""
+    dyadic QC, and NaN or an infinity raises DomainError."""
+    if not (is_exact(x) or cmath.isfinite(x)):
+        raise DomainError(f"{x!r} is not finite, so it has no exact value")
     return x if is_exact(x) else QC(Fraction(x.real), Fraction(x.imag))
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, QC):
-        return x.to_complex()
-    return complex(x)
+    """x as a complex, each part correctly rounded; an exact value past the
+    float range raises FloatRangeError."""
+    try:
+        return x.to_complex() if isinstance(x, QC) else complex(x)
+    except OverflowError:
+        raise FloatRangeError("an exact value leaves the range of double "
+                              "precision") from None

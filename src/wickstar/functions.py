@@ -86,8 +86,8 @@ def _exact_coeffs(re: list, im, den: int, *inputs) -> list:
 
 def _convolve(ar: list, ai: list, br: list, bi: list, size: int):
     """The first ``size`` coefficients (re, im) of the product of two
-    Gaussian-integer (or complex float) coefficient lists given by their
-    parts; im is None when both imaginary parts are zero."""
+    Gaussian-integer coefficient lists given by their parts; im is None
+    when both imaginary parts are zero."""
     re = [0] * size
     if any(ai) or any(bi):
         im = [0] * size

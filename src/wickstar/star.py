@@ -31,7 +31,11 @@ exact-finite surface mode sum them in one pass over integer numerators
 w^{k-n}, the products are integer convolutions, the weights integer rows,
 and kappa_0..kappa_m share one denominator.  Every coefficient of an
 exact result takes one kind, the widest among its inputs: int < Fraction
-< QC.
+< QC.  A float coefficient, hbar or point enters the pass as its exact
+binary value, and the result is rounded once, per coefficient or, in
+exact-finite mode, the value, whose tail_estimate bounds that rounding.
+On the disk exact-finite mode multiplies f(z) g(z) as given: float inputs
+give a float product, still with tail 0.
 
 Float products are summed over a batch of points at once, by the float
 engine of :mod:`wickstar.towers`, which a float branch imports on its
@@ -65,15 +69,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, ulp
 
 from .errors import DomainError, NonTerminatingError, WickstarError
-from .exact import QC, _make, is_exact, to_complex
+from .exact import QC, _exact, _make, is_exact, to_complex
 from .functions import BiPoly, PolyFn, _convolve, _exact_coeffs, _numerators
 from .peschl_minda import DiskFunction, PolyDisk, pm_step
 from .sphere import _check_disk
@@ -343,12 +346,20 @@ def _weigh(x: list, rows: list):
     return 0, out
 
 
-def _surface_sum(a, b, k, surface: str):
-    """Numerators of sum_n K_n w_n A_n B_n for coefficient lists given by
-    parts, a = (re, im), b and k alike: A_n and B_n are the Taylor shifts
-    of a and b, K_n = k[n].  Returns (re, im), with im None when every
-    part it sums is zero."""
-    (ar, ai), (br, bi), (kr, ki) = a, b, k
+def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
+    """The exact surface product of two polynomials as a PolyFn in w: the
+    one pass of the module docstring, term n kappa_n w_n (g^(n)/n!)
+    (gt^(n)/n!) with w_n an integer row (:func:`_weight_row`), ending after
+    min(deg g, deg gt) + 1 terms.  Each coefficient is built once, in the
+    widest kind among the inputs (:func:`wickstar.functions._exact_coeffs`)
+    and at least a Fraction, as kappa is; a float or complex hbar or
+    coefficient enters as its exact binary value, a QC."""
+    m = min(len(g.coeffs), len(gt.coeffs)) - 1
+    if not is_exact(hv):
+        _kappas(hv, m)  # the pole test reads hbar as given: float -1/3 is not -1/3
+    kappas = _kappas(_exact(hv), m)
+    a, b = [*map(_exact, g.coeffs)], [*map(_exact, gt.coeffs)]
+    (ar, ai, da), (br, bi, db), (kr, ki, dk) = map(_numerators, (a, b, kappas))
     size = len(ar) + len(br) - 1
     complex_ab = any(ai) or any(bi)
     re = [0] * size
@@ -370,39 +381,16 @@ def _surface_sum(a, b, k, surface: str):
             if im is not None:
                 for j, p in enumerate(tr, s):
                     im[j] += p * v
-    return re, im
-
-
-def _float_parts(coeffs: list):
-    zs = [to_complex(c) for c in coeffs]
-    return [z.real for z in zs], [z.imag for z in zs]
-
-
-def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
-    """The surface product of two polynomials as a PolyFn in w, in one pass.
-
-    Term n is kappa_n w_n g_n gt_n, with g_n = g^(n)/n!, and the terms end
-    after min(deg g, deg gt) + 1.  For exact operands the denominators of
-    g, gt and kappa_0..kappa_m are cleared once, g_n is the integer row
-    C(k, n) a_k at w^{k-n}, the products are integer (or Gaussian-integer)
-    convolutions, w_n is an integer row (:func:`_weight_row`), and each
-    output coefficient is built once over the product of the three
-    denominators, every one a QC when hbar or a coefficient is one, else a
-    Fraction, as kappa is at least a Fraction (the widest kind among the
-    inputs, :func:`wickstar.functions._exact_coeffs`).  A float or complex
-    hbar or coefficient runs the same pass on floats and gives complex
-    coefficients."""
-    a, b = g.coeffs, gt.coeffs
-    kappas = _kappas(hv, min(len(a), len(b)) - 1)
-    if not (is_exact(hv) and all(map(is_exact, a)) and all(map(is_exact, b))):
-        re, im = _surface_sum(_float_parts(a), _float_parts(b),
-                              _float_parts(kappas), surface)
-        coeffs = [complex(r, m) for r, m in zip(re, im or itertools.repeat(0.0))]
-        return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
-    (ar, ai, da), (br, bi, db), (kr, ki, dk) = map(_numerators, (a, b, kappas))
-    re, im = _surface_sum((ar, ai), (br, bi), (kr, ki), surface)
     coeffs = _exact_coeffs(re, im, dk * da * db, kappas, a, b)
     return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
+
+
+def _poly_product(g: PolyFn, gt: PolyFn, h, surface: str) -> PolyFn:
+    """The surface product, rounded once per coefficient on a float input."""
+    hv = _lenient_value(h)
+    prod = _surface_poly(g, gt, hv, surface).value
+    exact = all(map(is_exact, (hv, *g.coeffs, *gt.coeffs)))
+    return prod if exact else PolyFn([to_complex(c) for c in prod.coeffs])
 
 
 def _star_entire(g, gt, h, w, cfg, surface):
@@ -416,7 +404,15 @@ def _star_entire(g, gt, h, w, cfg, surface):
             raise NonTerminatingError(
                 "exact-finite mode requires polynomial operands")
         res = _surface_poly(g, gt, hv, surface)
-        out = [replace(res, value=res.value.eval(p)[0]) for p in points]
+        exact = all(map(is_exact, (hv, *g.coeffs, *gt.coeffs)))
+        out = []
+        for p in points:
+            value, tail = res.value.eval(_exact(p))[0], 0.0
+            if not (exact and is_exact(p)):
+                # the exact value of the binary inputs, rounded once
+                value = to_complex(value)
+                tail = (ulp(value.real) + ulp(value.imag)) / 2
+            out.append(replace(res, value=value, tail_estimate=tail))
     else:
         import wickstar.towers as towers
         out = towers.surface_sums(g, gt, to_complex(hv), [to_complex(p) for p in points],
@@ -476,13 +472,13 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
 
 
 def star_annulus_poly(g: PolyFn, gt: PolyFn, h) -> PolyFn:
-    """The annulus product of two polynomials as an exact polynomial in w."""
-    return _surface_poly(g, gt, _lenient_value(h), "annulus").value
+    """The annulus product of two polynomials as a polynomial in w."""
+    return _poly_product(g, gt, h, "annulus")
 
 
 def star_punctured_poly(g: PolyFn, gt: PolyFn, h) -> PolyFn:
-    """The punctured-disk product of two polynomials, exact in w."""
-    return _surface_poly(g, gt, _lenient_value(h), "punctured").value
+    """The punctured-disk product of two polynomials in w."""
+    return _poly_product(g, gt, h, "punctured")
 
 
 # batch evaluation over deformation samples ----------------------------------

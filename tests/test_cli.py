@@ -12,7 +12,7 @@ import pytest
 
 import wickstar
 from wickstar import cli
-from wickstar.cli import (EXIT_DOMAIN, EXIT_NONCONVERGED, EXIT_OK,
+from wickstar.cli import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_NONCONVERGED, EXIT_OK,
                           disk_function_from_json, main)
 from wickstar.star import StarConfig
 from wickstar.suites import run_suites
@@ -170,6 +170,18 @@ def test_empty_polynomial_is_zero():
             assert code == EXIT_OK
             [res] = json.loads(out)["results"]
             assert res["value"] == [0.0, 0.0]
+
+
+def test_a_product_past_the_float_range_is_an_internal_error_in_either_mode():
+    # the exact sum of coefficients 1e308 rounds past the float range, as
+    # the float sum leaves it: exit 4, never NaN reported as converged
+    big = json.dumps({"type": "poly", "coeffs": [[1e308, 0], [1e308, 0]]})
+    for mode in ("truncated", "exact-finite"):
+        code, out = run_cli("star", "eval", "--surface", "annulus", "--f", big,
+                            "--g", big, "--hbar", "0.5", "--point", "0.4", "--mode", mode)
+        assert code == EXIT_INTERNAL
+        body = json.loads(out)
+        assert body["kind"] == "internal" and "range of double precision" in body["error"]
 
 
 def test_disk_function_json_variants():

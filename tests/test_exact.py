@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickstar.exact import QC, conj, is_exact, to_complex
+from wickstar.errors import DomainError, FloatRangeError
+from wickstar.exact import QC, _exact, conj, is_exact, to_complex
 
 
 def test_construction_and_parts():
@@ -111,6 +112,21 @@ def test_bool_and_to_complex():
     assert QC(0, 1)
     assert to_complex(QC(1, -1)) == 1 - 1j
     assert to_complex(2) == 2 + 0j
+    # each part is rounded once, correctly, and past the float range the
+    # rounding is a float-range error, not a bare OverflowError
+    assert to_complex(QC(Fraction(1, 3), Fraction(-2, 3))) == complex(1 / 3, -2 / 3)
+    for x in (10**400, Fraction(10**400, 3), QC(0, 10**400)):
+        with pytest.raises(FloatRangeError):
+            to_complex(x)
+
+
+def test_exact_reads_a_float_as_its_binary_value():
+    assert _exact(0.1) == QC(Fraction(0.1)) and _exact(0.1) != QC(Fraction(1, 10))
+    assert _exact(complex(0.5, -0.25)) == QC(Fraction(1, 2), Fraction(-1, 4))
+    assert _exact(Fraction(1, 3)) == Fraction(1, 3)
+    for x in (math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1)):
+        with pytest.raises(DomainError, match="not finite"):
+            _exact(x)
 
 
 def test_is_exact_classification():

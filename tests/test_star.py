@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from oracles import surface_poly_by_terms
 
 from wickstar import peschl_minda, star
-from wickstar.errors import DomainError, NonTerminatingError, WickstarError
-from wickstar.exact import QC
+from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
+                             WickstarError)
+from wickstar.exact import QC, _exact
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, MoebiusPullback, PolyDisk,
                                    pm_bar_bipoly, pm_bipoly)
@@ -316,21 +317,94 @@ def test_one_pass_surface_product_keeps_the_kinds_a_cancelled_sum_drops():
     assert list(map(type, got)) == [QC] * 5
 
 
-def test_float_surface_product_runs_the_same_pass():
-    # integer coefficients at a float hbar: every term is exact in floats,
-    # so the pass rounds only kappa_n t_n and the sum, as the term-by-term
-    # sum does
-    g, gt = PolyFn([1, -2, 3, 1]), PolyFn([2, 0, -1, 1])
-    for h in (0.3, 0.7 + 0.2j):
-        for variant in ("annulus", "punctured"):
-            got = star._surface_poly(g, gt, h, variant)
-            want = surface_poly_by_terms(g, gt, h, variant)
-            assert got.value.coeffs == want.value.coeffs
-            assert all(isinstance(c, complex) for c in got.value.coeffs)
-    g, gt = PolyFn([0.5 + 0.1j, 1.0, 0.3 - 0.2j]), PolyFn([1.0, 0.7])
-    got = star._surface_poly(g, gt, Fraction(1, 3), "annulus").value.coeffs
-    want = surface_poly_by_terms(g, gt, Fraction(1, 3), "annulus").value.coeffs
-    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+binary_reals = st.floats(-1e3, 1e3, allow_subnormal=False)
+binary_scalars = st.one_of(binary_reals, st.builds(complex, binary_reals, binary_reals))
+# float and complex coefficients, with a few exact ones mixed in
+float_polynomials = st.lists(st.one_of(binary_scalars, st.integers(-3, 3)),
+                             min_size=1, max_size=5).map(PolyFn)
+float_hbars = st.one_of(st.floats(-3, 3), st.builds(complex, st.floats(-3, 3),
+                                                    st.floats(-3, 3)))
+
+
+def _rounded(x) -> complex:
+    return complex(float(x.real), float(x.imag))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=float_polynomials, gt=float_polynomials,
+       h=float_hbars.filter(lambda h: star._pole_of(h) is None),
+       w=binary_scalars, surface=st.sampled_from(["annulus", "punctured"]))
+def test_float_surface_product_is_the_exact_product_rounded_once(g, gt, h, w, surface):
+    # the oracle sums the exact binary values of the inputs term by term
+    poly, value = {"annulus": (star_annulus_poly, star_annulus),
+                   "punctured": (star_punctured_poly, star_punctured)}[surface]
+    want = surface_poly_by_terms(PolyFn([*map(_exact, g.coeffs)]),
+                                 PolyFn([*map(_exact, gt.coeffs)]), _exact(h), surface)
+    got = poly(g, gt, h)
+    assert got.coeffs == PolyFn([_rounded(c) for c in want.value.coeffs]).coeffs
+    assert all(type(c) is complex for c in got.coeffs)
+    res = value(g, gt, h, w, EXACT)
+    exact = want.value.eval(_exact(w))[0]
+    assert res.value == _rounded(exact)
+    err = _exact(res.value) - exact
+    assert err.real ** 2 + err.imag ** 2 <= Fraction(res.tail_estimate) ** 2
+    assert (res.terms_used, res.stop_reason) == (want.terms_used, "terminated")
+
+
+def test_float_surface_products_round_the_exact_sum_once():
+    t = PolyFn([0, 1])
+    # t * t = (1 + h) w^2 - h on the annulus; at the float w = sqrt(3/13) a
+    # float sum reads 5.55e-17, a relative error of 61 %
+    w = math.sqrt(3 / 13)
+    res = star_annulus(t, t, 0.3, w, EXACT)
+    h, x = Fraction(0.3), Fraction(w)
+    assert res.value == float((1 + h) * x * x - h) == 3.444603560509395e-17
+    assert 0 < res.tail_estimate < 1e-32 and res.converged
+    # degree-3 coefficients near 1e8 at w = 1.0001: a float sum is 8 off
+    g = PolyFn([1e8 + 1, -1e8 + 3, 1e8 - 7, 1e8 + 9])
+    res = star_annulus(g, g, 0.3, 1.0001, EXACT)
+    exact = surface_poly_by_terms(PolyFn([*map(_exact, g.coeffs)]),
+                                  PolyFn([*map(_exact, g.coeffs)]), _exact(0.3), "annulus")
+    assert res.value == _rounded(exact.value.eval(_exact(1.0001))[0]) == 4.002561080935048e16
+    # exact operands at a float point round once too; at an exact point
+    # nothing is rounded
+    res = star_annulus(t, t, Fraction(1, 2), 0.3, EXACT)
+    assert res.value == float(Fraction(3, 2) * Fraction(0.3) ** 2 - Fraction(1, 2))
+    assert res.tail_estimate > 0
+    res = star_annulus(t, t, Fraction(1, 2), Fraction(3, 10), EXACT)
+    assert res.value == Fraction(-73, 200) and res.tail_estimate == 0
+    # the pole test reads hbar as given: the float -1/3 is a dyadic number,
+    # at which no exact divisor 1 + 3 hbar vanishes
+    t4 = PolyFn([0] * 4 + [1])
+    for h in (-1 / 3, -1 / 3 + 1e-15):
+        for poly, value in ((star_annulus_poly, star_annulus),
+                            (star_punctured_poly, star_punctured)):
+            with pytest.raises(DomainError, match="-1/3$"):
+                poly(t4, t4, h)
+            with pytest.raises(DomainError, match="-1/3$"):
+                value(t4, t4, h, 0.5, EXACT)
+
+
+def test_exact_surface_products_refuse_non_finite_inputs_and_overflow():
+    t, nan, inf = PolyFn([0, 1]), math.nan, math.inf
+    big = PolyFn([1e308, 1e308])
+    for poly, value in ((star_annulus_poly, star_annulus),
+                        (star_punctured_poly, star_punctured)):
+        for bad in (PolyFn([nan, 1]), PolyFn([0, complex(1, inf)])):
+            with pytest.raises(DomainError, match="not finite"):
+                poly(bad, t, 0.5)
+            with pytest.raises(DomainError, match="not finite"):
+                value(t, bad, 0.5, 0.3, EXACT)
+        for bad in (nan, complex(-inf, 0)):
+            with pytest.raises(DomainError, match="not finite"):
+                value(t, t, 0.5, bad, EXACT)
+            with pytest.raises(DomainError, match="not finite"):
+                value(t, t, bad, 0.3, EXACT)
+        # a rounded coefficient or value past the float range
+        with pytest.raises(FloatRangeError):
+            poly(big, big, 0.5)
+        with pytest.raises(FloatRangeError):
+            value(big, big, 0.5, 0.4, EXACT)
 
 
 def test_numeric_and_symbolic_surface_paths_agree():
