@@ -4,8 +4,7 @@ experiments and a verification CLI."""
 
 __version__ = "0.1.0"
 
-from .errors import (DomainError, FloatRangeError, NonTerminatingError,
-                     SeriesOrderError, WickstarError)
+from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
 from .exact import QC, conj, is_exact, to_complex
 from .functions import (BasisFpq, BiPoly, EntireFn, ExpFn, Jet, PolyFn,
                         SeriesFn, entire_from_json)

@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     handlers = {"star": cmd_star_eval, "verify": cmd_verify, "rigidity": cmd_rigidity}
     try:
         return handlers[args.command](args)
-    except (DomainError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}))
         return EXIT_DOMAIN
     except WickstarError as exc:

@@ -4,7 +4,9 @@ Every class derives from :class:`WickstarError`.  The input errors are
 also ``ValueError``s, and the CLI reports them with exit code 2;
 :class:`FloatRangeError` is an ``OverflowError``, which it reports with
 exit code 4.  An input that lies outside a domain, or that has no
-representation an operation needs, raises :class:`DomainError`."""
+representation an operation needs, raises :class:`DomainError`; so does a
+truncated series asked for a derivative past its usable order or a value
+outside the certified radius of a derivative."""
 
 
 class WickstarError(Exception):
@@ -15,12 +17,8 @@ class DomainError(WickstarError, ValueError):
     """Input lies outside the mathematical domain of an operation
     (point outside the surface, deformation parameter at a pole,
     singular Moebius matrix, a value that is not a finite f_{p,q}
-    combination, ...)."""
-
-
-class SeriesOrderError(WickstarError, ValueError):
-    """A truncated-series function was asked for a derivative or an
-    evaluation beyond its certified order / radius."""
+    combination, a series asked past its usable order or certified
+    radius, ...)."""
 
 
 class NonTerminatingError(WickstarError, ValueError):

@@ -80,7 +80,7 @@ class QC:
     # -- arithmetic --------------------------------------------------
     #
     # An exact operand enters as (c + e i)/f (see _parts); float and
-    # complex operands demote to complex.
+    # complex operands demote to complex (see to_complex).
 
     def __add__(self, other):
         if isinstance(other, _EXACT):
@@ -90,7 +90,7 @@ class QC:
                 return _make(a + c, b + e, d)
             return _make(a * f + c * d, b * f + e * d, d * f)
         if isinstance(other, (float, complex)):
-            return self.to_complex() + other
+            return to_complex(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -107,7 +107,7 @@ class QC:
             c, e, f = _parts(other)
             return _make(a * c - b * e, a * e + b * c, d * f)
         if isinstance(other, (float, complex)):
-            return self.to_complex() * other
+            return to_complex(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -122,14 +122,14 @@ class QC:
                 raise ZeroDivisionError("division by exact zero")
             return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
         if isinstance(other, (float, complex)):
-            return self.to_complex() / other
+            return to_complex(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _EXACT):
             return _new(*_parts(other)) / self
         if isinstance(other, (float, complex)):
-            return other / self.to_complex()
+            return other / to_complex(self)
         return NotImplemented
 
     def __neg__(self):
@@ -156,7 +156,7 @@ class QC:
         return _new(self._a, -self._b, self._d)
 
     def __abs__(self) -> float:
-        return abs(self.to_complex())
+        return abs(to_complex(self))
 
     # -- comparison --------------------------------------------------
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import inf, lcm
 from sys import float_info
 
-from .errors import DomainError, SeriesOrderError
+from .errors import DomainError
 from .exact import QC, _make, _parts, conj, is_exact, to_complex
 
 
@@ -352,6 +352,13 @@ class ExpFn(EntireFn):
         return f"ExpFn(scale={self.scale!r}, amp={self.amp!r})"
 
 
+def _order_error(top: int, n: int) -> DomainError:
+    """The error of a series of usable order ``top`` asked for derivative
+    order n > top."""
+    return DomainError(f"series of usable order {top} cannot supply derivative "
+                       f"order {n}; extend the series to order >= {n}")
+
+
 class SeriesFn(EntireFn):
     """Truncated power series with a certified geometric tail.
 
@@ -382,9 +389,7 @@ class SeriesFn(EntireFn):
         if n < 0:
             raise ValueError("derivative order must be >= 0")
         if n > self.max_order:
-            raise SeriesOrderError(
-                f"series of usable order {self.max_order} cannot supply "
-                f"derivative order {n}; extend the series to order >= {n}")
+            raise _order_error(self.max_order, n)
         coeffs, rho, c = self.coeffs, self.rho, self.C
         for _ in range(n):
             coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
@@ -503,10 +508,6 @@ class BiPoly:
     @staticmethod
     def w(exact: bool = False) -> "BiPoly":
         return BiPoly({(0, 1): QC(1) if exact else 1.0})
-
-    @staticmethod
-    def monomial(i: int, j: int, a=1) -> "BiPoly":
-        return BiPoly({(i, j): a})
 
     # structure --------------------------------------------------------
 

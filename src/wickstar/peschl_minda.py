@@ -195,7 +195,7 @@ class DiskFunction:
             return tower
         faults = tower.faults or [None] * len(zs)
         return tower._replace(faults=[
-            (0, 1, DomainError(_OUTSIDE_DISK)) if out else fault
+            (0, DomainError(_OUTSIDE_DISK)) if out else fault
             for out, fault in zip(outside, faults)])
 
     def _row(self, nmax, z, bar):

@@ -163,10 +163,6 @@ class MoebiusMap:
         return MoebiusMap(QC(0, 1), QC(0, 1), -1, 1)
 
     @staticmethod
-    def rotation(theta: float) -> "MoebiusMap":
-        return MoebiusMap(cmath.exp(1j * theta), 0, 0, 1, domain="D")
-
-    @staticmethod
     def disk_automorphism(a: complex, theta: float = 0.0) -> "MoebiusMap":
         """phi(z) = e^{i theta} (z - a)/(1 - conj(a) z), |a| < 1."""
         _check_disk(a)

@@ -70,12 +70,10 @@ def _sparse_bipoly(rng, deg: int) -> BiPoly:
     return BiPoly(d) if BiPoly(d).coeffs else BiPoly.constant(1.0 + 0j)
 
 
-def _rand_polyfn(rng, deg: int, exact: bool = False) -> PolyFn:
+def _rand_polyfn(rng, deg: int) -> PolyFn:
     coeffs = [_integer(rng, -3, 4) for _ in range(deg + 1)]
     if all(c == 0 for c in coeffs):
         coeffs[-1] = 1
-    if exact:
-        coeffs = [Fraction(c) for c in coeffs]
     return PolyFn(coeffs)
 
 
@@ -114,7 +112,7 @@ def suite_unit(rng):
     onep = PolyFn([Fraction(1)])
     bad = 0
     for _ in range(6):
-        g = _rand_polyfn(rng, 4, exact=True)
+        g = _rand_polyfn(rng, 4)
         if star_annulus_poly(onep, g, h) != g or star_annulus_poly(g, onep, h) != g:
             bad += 1
         if star_punctured_poly(onep, g, h) != g or star_punctured_poly(g, onep, h) != g:
@@ -158,8 +156,8 @@ def suite_commutativity(rng):
     n_s = 0
     for h in [Fraction(1, 2), QC(1, 1)]:
         for _ in range(5):
-            g = _rand_polyfn(rng, 4, exact=True)
-            gt = _rand_polyfn(rng, 4, exact=True)
+            g = _rand_polyfn(rng, 4)
+            gt = _rand_polyfn(rng, 4)
             n_s += 2
             if star_annulus_poly(g, gt, h) != star_annulus_poly(gt, g, h):
                 bad += 1

@@ -39,9 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FloatRangeError, SeriesOrderError
+from .errors import DomainError, FloatRangeError
 from .exact import to_complex
-from .functions import EntireFn, ExpFn, PolyFn, SeriesFn
+from .functions import EntireFn, ExpFn, PolyFn, SeriesFn, _order_error
 from .star import StarResult, _kappas, _pole_error, _pole_of
 
 # unit roundoff of IEEE double precision
@@ -59,11 +59,11 @@ class Tower(NamedTuple):
     ``values[p, n]`` is the n-th coefficient at point p.  ``bounds`` bounds
     the error of each value the way ``SeriesFn.eval`` does, or is None
     when the values carry none.  ``faults`` is None when every row reaches
-    the width; otherwise ``faults[p]`` is None or ``(n, stage, error)``:
+    the width; otherwise ``faults[p]`` is None or the fault ``(n, error)``:
     coefficient n and later cannot be formed at point p, because the
-    derivative of order n does not exist (stage 0) or cannot be evaluated
-    there (stage 1).  A tower narrower than asked for faults in every
-    row."""
+    derivative of order n does not exist or cannot be evaluated there,
+    and a sum that reaches term n raises the error.  A tower narrower
+    than asked for faults in every row."""
     values: np.ndarray
     bounds: np.ndarray | None = None
     faults: list | None = None
@@ -210,15 +210,11 @@ def _series_tower(g: SeriesFn, t, c, values, width) -> Tower:
         q = np.hypot(t.real, t.imag)[:, None] / rho_n
         bounds = steps * q ** (top - n + 1) / (1 - q)
     outside = q >= 1
-    order = None
-    if width > top + 1:
-        order = (top + 1, 0, SeriesOrderError(
-            f"series of usable order {top} cannot supply derivative order "
-            f"{top + 1}; extend the series to order >= {top + 1}"))
+    order = (top + 1, _order_error(top, top + 1)) if width > top + 1 else None
     faults = [order] * len(t)
     for p in np.flatnonzero(outside.any(axis=1)).tolist():
         k = int(outside[p].argmax())
-        faults[p] = (k, 1, DomainError(
+        faults[p] = (k, DomainError(
             f"|t| = {abs(t[p]):.6g} outside the certified radius "
             f"rho = {rho_n[k]:.6g} of derivative order {k}"))
     return Tower(values, bounds, faults if any(faults) else None)
@@ -265,7 +261,7 @@ def one_row(fn, nmax: int, z, bar: bool):
         tower = fn.pm_tower(nmax, [z], bar)
     fault = tower.faults[0] if tower.faults else None
     if fault is not None and fault[0] <= nmax:
-        raise fault[2]
+        raise fault[1]
     bounds = np.zeros(nmax + 1) if tower.bounds is None else tower.bounds[0]
     return tower.values[0], bounds
 
@@ -290,19 +286,20 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
     gamma_m = m u/(1 - m u) with u = 2^-53 (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., section 4.2).
 
-    Poles stay lazy: a row raises at the pole -1/k only when it reaches
-    term k + 1, whose kappa divides by 1 + k hbar; the only k that can
-    fail the float pole test is read off hbar once
-    (:func:`wickstar.star._pole_of`).  A row whose towers fault
-    (``faults[p] = (n, ...)``) at a term it reaches raises that error, or
-    the pole's, whichever its terms meet first; the first row that raises
-    decides, as in a loop over the points.  A narrower array than
-    max_terms + 1 faults in every row.  A row whose sum or tail up to its
-    stop is not finite (a term it reaches overflowed) raises
-    FloatRangeError.  Callers ignore numpy's float errors: the entries a
-    raising row leaves behind may be NaN."""
+    A row raises the error of its fault ``faults[p] = (n, error)`` when it
+    reaches term n.  The pole -1/k is one more fault of every row, at
+    term k + 1, whose kappa divides by 1 + k hbar, merged after the
+    towers' fault, which wins a tie (:func:`_first_fault`); the only k
+    that can fail the float pole test is read off hbar once
+    (:func:`wickstar.star._pole_of`).  The first row that raises decides,
+    as in a loop over the points.  A narrower array than max_terms + 1
+    faults in every row.  A row whose sum or tail up to its stop is not
+    finite (a term it reaches overflowed) raises FloatRangeError.  Callers
+    ignore numpy's float errors: the entries a raising row leaves behind
+    may be NaN."""
     size, width = terms.shape
-    pole = _pole_of(hv)
+    k = _pole_of(hv)
+    pole = None if k is None else (k + 1, _pole_error(k))
     kappa = _kappa_row(hv, width)
     kt = terms * kappa
     total = np.add.accumulate(kt, axis=1)
@@ -318,12 +315,9 @@ def _sum_rows(hv: complex, terms: np.ndarray, bounds, faults, max_terms: int,
     for p in range(size):
         hit = width > 2 and small.item(p, firsts[p])
         stop = firsts[p] + 2 if hit else max_terms
-        fault = faults[p] if faults else None
-        end = stop if fault is None or fault[0] > stop else fault[0] - 1
-        if pole is not None and pole < end:
-            raise _pole_error(pole)
-        if end < stop:
-            raise fault[2]
+        fault = _first_fault(faults[p] if faults else None, pole)
+        if fault is not None and fault[0] <= stop:
+            raise fault[1]
         row = mag[p]
         tail = ((row.item(stop - 2) if stop > 1 else 0.0) + row.item(stop - 1)
                 + row.item(stop))
@@ -355,22 +349,19 @@ def _kappa_row(hv: complex, width: int) -> np.ndarray:
     return row
 
 
-def _merge_faults(fa, fb, stage_first: bool):
-    """Per row, the fault of two towers that a term meets first: the lower
-    order, then the first operand, or with ``stage_first`` the lower stage
-    (every derivative is taken before either is evaluated)."""
+def _first_fault(x, y):
+    """The fault a sum meets first: the lower order, and on a tie x, the
+    earlier source; None for neither."""
+    return y if x is None or (y is not None and y[0] < x[0]) else x
+
+
+def _merge_faults(fa, fb):
+    """Per row, the fault of two towers that a term meets first
+    (:func:`_first_fault`): each term takes the first operand's
+    coefficient before the second's."""
     if fa is None or fb is None:
         return fa or fb
-
-    def key(fault, operand):
-        n, stage, _ = fault
-        return (n, stage, operand) if stage_first else (n, operand, stage)
-
-    out = []
-    for x, y in zip(fa, fb):
-        pick = [(key(f, k), f) for k, f in enumerate((x, y)) if f is not None]
-        out.append(min(pick, key=lambda e: e[0])[1] if pick else None)
-    return out
+    return [_first_fault(x, y) for x, y in zip(fa, fb)]
 
 
 def _product_rows(a: Tower, b: Tower):
@@ -391,7 +382,7 @@ def _disk_rows(f, g, zs: list, max_terms: int):
     operand taking Dbar.  A point outside the disk faults at order 0."""
     a = f.pm_tower(max_terms, zs, bar=True)
     b = g.pm_tower(max_terms, zs)
-    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults, False))
+    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults))
 
 
 def _surface_rows(g, gt, points: list, max_terms: int, surface: str):
@@ -405,7 +396,7 @@ def _surface_rows(g, gt, points: list, max_terms: int, surface: str):
     # underflow
     r = np.sqrt(ws * ws - 1) if surface == "annulus" else ws
     a, b = entire_tower(g, ws, r, width), entire_tower(gt, ws, r, width)
-    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults, True))
+    return (*_product_rows(a, b), _merge_faults(a.faults, b.faults))
 
 
 # a row that leaves the float range, or runs past its pole or fault, may

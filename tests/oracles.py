@@ -23,8 +23,8 @@ def taylor_tower(g, c=1):
     coefficient of u -> g(t + c u).  Each step is g_n = g_{n-1}' (c/n), so
     neither n! nor c^n is formed; c = Fraction(1) keeps polynomials exact.
     The stepped oracle of ``towers.entire_tower``: a SeriesFn raises
-    SeriesOrderError past its order and DomainError outside the radius of
-    a derivative, when the term is asked for."""
+    DomainError past its order or outside the radius of a derivative, when
+    the term is asked for."""
     for n in itertools.count():
         if n:
             g = g.derivative() * (c / n)
@@ -214,8 +214,10 @@ def star_surface_by_terms(g, gt, h, w, cfg: StarConfig, variant: str):
     else:
         r = cmath.sqrt(w * w - 1) if variant == "annulus" else w
         weights = itertools.repeat(1.0)
-    terms = (_float_term(*gn.eval(w), *gtn.eval(w), wn)
-             for wn, gn, gtn in zip(weights, taylor_tower(g, r), taylor_tower(gt, r)))
+    # each operand's term before the next operand's, as in _disk_stream
+    a = (gn.eval(w) for gn in taylor_tower(g, r))
+    b = (gn.eval(w) for gn in taylor_tower(gt, r))
+    terms = (_float_term(*x, *y, wn) for wn, x, y in zip(weights, a, b))
     return sum_series_loop(to_complex(h), terms, cfg.max_terms, cfg.tol)
 
 

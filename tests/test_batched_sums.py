@@ -83,7 +83,7 @@ def _loop_row(terms, bounds, faults, p):
     fault = faults[p] if faults else None
     for n in range(terms.shape[1] + 1):
         if fault is not None and n == fault[0]:
-            raise fault[2]
+            raise fault[1]
         if n < terms.shape[1]:
             yield complex(terms[p, n]), 0.0 if bounds is None else float(bounds[p, n])
 
@@ -274,7 +274,7 @@ def test_series_towers_carry_the_stepped_certificate(s, order, rho, t, c, width)
     for n in range(width):
         want = _outcome(lambda: next(steps).eval(t))
         if isinstance(want, type):
-            assert fault is not None and fault[0] == n and type(fault[2]) is want
+            assert fault is not None and fault[0] == n and type(fault[1]) is want
             return
         scale = next(sizes).eval(abs(t))[0].real
         assert fault is None or fault[0] > n
@@ -310,6 +310,21 @@ def test_a_batch_raises_the_error_of_its_first_failing_point():
                                                    StarConfig(max_terms=64)))
     with pytest.raises(WickstarError, match="certified radius"):
         star_punctured(s, s, 0.5, [0.01, 3.0], StarConfig(max_terms=64))
+
+
+@pytest.mark.parametrize("surface", [star_annulus, star_punctured])
+def test_a_surface_term_takes_the_first_operand_before_the_second(surface):
+    # at order 3 the first series leaves the radius rho/2^3 of its
+    # derivative and the second has run out of terms: the first operand's
+    # error wins, as on the disk, in either order of the operands
+    g = SeriesFn([1, 1, 1 / 2, 1 / 6, 1 / 24], rho=2, C=1)
+    gt = SeriesFn([1, 1, 1 / 2], rho=100, C=1)
+    cfg = StarConfig(max_terms=8, tol=0)
+    with pytest.raises(DomainError, match="outside the certified radius .* of "
+                                          "derivative order 3"):
+        surface(g, gt, 0.3, 0.4, cfg)
+    with pytest.raises(DomainError, match="usable order 2"):
+        surface(gt, g, 0.3, 0.4, cfg)
 
 
 def test_scalar_and_sequence_points_give_a_result_and_a_list():

@@ -84,6 +84,20 @@ def test_star_eval_rejects_pole_and_bad_json():
     assert code == EXIT_DOMAIN
 
 
+def test_star_eval_on_a_series_past_its_order_or_radius_is_a_domain_error():
+    # the series' order and radius errors are DomainErrors: exit 2, kind domain
+    for rho, message in ((4, "series of usable order 2 cannot supply derivative order 3; "
+                             "extend the series to order >= 3"),
+                         (0.5, "|t| = 0.4 outside the certified radius rho = 0.25 of "
+                               "derivative order 1")):
+        g = json.dumps({"type": "series", "coeffs": [[1, 0], [1, 0], [0.5, 0]],
+                        "rho": rho, "C": 1})
+        code, out = run_cli("star", "eval", "--surface", "punctured", "--f", g,
+                            "--g", g, "--hbar", "0.3", "--point", "0.4")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out) == {"error": message, "kind": "domain"}
+
+
 IDENT = {"type": "poly", "coeffs": [[0, 0], [1, 0]]}
 Z = {"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]}
 SERIES = {"type": "series", "coeffs": [[1, 0]] + [[0.5, 0]] * 64, "rho": 1e20, "C": 1.0}

@@ -62,6 +62,16 @@ def test_float_contact_demotes_to_complex():
     assert a + 0.25 == pytest.approx(0.75)
 
 
+def test_float_contact_past_the_float_range_is_a_float_range_error():
+    # the exact operand demotes as to_complex does: past the float range
+    # that is a float-range error, not a bare OverflowError
+    big, tall = QC(10**400), QC(1, 10**400)
+    for op in (lambda: big + 1.0, lambda: 1.0 - big, lambda: big * 1j,
+               lambda: big / 2.0, lambda: 2.0 / tall, lambda: abs(big)):
+        with pytest.raises(FloatRangeError):
+            op()
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QC(1) / QC(0)

@@ -50,8 +50,8 @@ def test_suite_draws_are_pinned(monkeypatch):
     drawn = []
     real = suites._rand_polyfn
 
-    def spy(rng, deg, exact=False):
-        g = real(rng, deg, exact)
+    def spy(rng, deg):
+        g = real(rng, deg)
         drawn.append([int(c) for c in g.coeffs])
         return g
 

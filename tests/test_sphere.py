@@ -223,7 +223,7 @@ def test_fixed_points_and_multipliers():
     parabolic = MoebiusMap.translation(1.0)
     assert len(moebius_fixed_points(parabolic)) == 1
 
-    rot = MoebiusMap.rotation(0.7)
+    rot = MoebiusMap(cmath.exp(0.7j), 0, 0, 1, domain="D")
     fps = moebius_fixed_points(rot)
     mult = moebius_multiplier_at(rot, fps[0])
     assert abs(mult) == pytest.approx(1)
