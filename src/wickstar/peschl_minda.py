@@ -93,27 +93,39 @@ def pm_step(en: BiPoly, n: int, slot: str) -> BiPoly:
 
     With slot "w" the roles of z and w swap, which steps Dbar^n f/n!.  Per
     monomial a z^i w^j the bracket gives a i z^{i-1} w^j - a (i + n) z^i w^{j+1},
-    so it is one pass over the terms; the BiPoly constructor merges equal
-    exponents and drops the zero coefficients of terms constant in the slot.
-    Each merged coefficient is then divided by n + 1: exactly, through
-    Fraction(1, n + 1), when the coefficients are exact, else in floating
-    point.  The E_n of a polynomial with integer coefficients are integer."""
+    so it is one pass over the terms, which fills the output dict as it
+    goes: it skips zero products, merges equal exponents and drops the sums
+    that cancel to zero, in the order and with the arithmetic of the BiPoly
+    constructor.  Each merged coefficient is then divided by n + 1: exactly,
+    through Fraction(1, n + 1), when the coefficients are exact, else in
+    floating point.  The E_n of a polynomial with integer coefficients are
+    integer."""
     if slot not in ("z", "w"):
         raise ValueError("slot must be 'z' or 'w'")
-    terms = []
+    d = {}
+    get = d.get
     for (i, j), a in en.coeffs.items():
         if slot == "z":
-            terms += [((i - 1, j), a * i), ((i, j + 1), a * -(i + n))]
+            k1, a1, k2, a2 = (i - 1, j), a * i, (i, j + 1), a * -(i + n)
         else:
-            terms += [((i, j - 1), a * j), ((i + 1, j), a * -(j + n))]
-    out = BiPoly(terms)
-    c = out.coeffs
-    if c and is_exact(next(iter(c.values()))):
+            k1, a1, k2, a2 = (i, j - 1), a * j, (i + 1, j), a * -(j + n)
+        for key, val in ((k1, a1), (k2, a2)):
+            if val == 0:
+                continue
+            cur = get(key)
+            if cur is not None:
+                val = cur + val
+                if val == 0:
+                    del d[key]
+                    continue
+            d[key] = val
+    out = BiPoly()
+    if d and is_exact(next(iter(d.values()))):
         inv = Fraction(1, n + 1)
-        out.coeffs = {k: a * inv for k, a in c.items()}
+        out.coeffs = {k: a * inv for k, a in d.items()}
     else:
         m = n + 1
-        out.coeffs = {k: a / m for k, a in c.items()}
+        out.coeffs = {k: a / m for k, a in d.items()}
     return out
 
 

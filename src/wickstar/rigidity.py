@@ -118,35 +118,43 @@ def _difference_rows(degree: int, t_inv, gens, z, w, p: int = PRIME):
     return [[(x - y) % p for x, y in zip(row, base)] for row in moved]
 
 
-def _rank_mod_p(rows: list, p: int = PRIME) -> int:
-    """Rank over F_p by Gaussian elimination; the rows are consumed."""
-    rank = 0
-    n_cols = len(rows[0]) if rows else 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+def _rank_mod_p(rows, ceiling: int, p: int = PRIME) -> int:
+    """Rank over F_p of the rows of an iterable, by elimination as each row
+    arrives: the row is reduced (in place) against the echelon rows so far,
+    and joins them if anything is left.  No further row is read once a row
+    raises the rank to ``ceiling``, so a lazy iterable draws no more."""
+    echelon = {}    # pivot column -> its row, 1 there and 0 before it
+    for row in rows:
+        for col in range(len(row)):
+            x = row[col]
+            if not x:
+                continue
+            pivot = echelon.get(col)
+            if pivot is None:
+                inv = pow(x, -1, p)
+                echelon[col] = [y * inv % p for y in row]
+                break
+            row[col:] = [(y - x * z) % p for y, z in zip(row[col:], pivot[col:])]
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = [x * inv % p for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        rank += 1
-    return rank
+        if len(echelon) == ceiling:
+            break
+    return len(echelon)
 
 
-def _sampled_rows(count: int, degree: int, t_inv, gens, p: int = PRIME) -> list:
+def _sampled_rows(count: int, degree: int, t_inv, gens, p: int = PRIME):
     """The rows of :func:`_difference_rows` at ``count`` projective pairs over
-    F_p off the hypersurface, each coordinate int(p * random()) < p from the
-    one fixed stream ``rng_for(0)``: random() alone is promised across versions."""
+    F_p off the hypersurface, yielded as each pair is drawn, each coordinate
+    int(p * random()) < p from the one fixed stream ``rng_for(0)``: random()
+    alone is promised across versions."""
     rng = rng_for(0)
-    rows = []
-    while len(rows) < count * len(gens):
+    drawn = 0
+    while drawn < count:
         z0, z1, w0, w1 = (_integer(rng, 0, p) for _ in range(4))
-        rows += _difference_rows(degree, t_inv, gens, (z0, z1), (w0, w1), p) or []
-    return rows
+        rows = _difference_rows(degree, t_inv, gens, (z0, z1), (w0, w1), p)
+        if rows is not None:
+            drawn += 1
+            yield from rows
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,11 @@ def invariant_dimension(generators, degree: int) -> InvariantDimension:
     F_{p,q}(z, w) = f_{p,q}(T^{-1} z, 1/(T^{-1} w)) with the exact Cayley map T.
 
     The difference system [F_k(gamma P) - F_k(P)] is evaluated mod PRIME at
-    |basis| + 4 random projective pairs over F_p (:func:`_sampled_rows`).
+    at most |basis| + 4 random projective pairs over F_p
+    (:func:`_sampled_rows`), and its rank taken as the pairs are drawn
+    (:func:`_rank_mod_p`).  The constant F_{0,0} is invariant, so its
+    column is zero and the rank is at most |basis| - 1: the draw stops
+    when the rank reaches that ceiling, with the rank of all the pairs.
     A bad draw can only lower the rank, loosening the upper bound.
     Generator entries must be exact; a float entry raises DomainError."""
     _check_degree(degree)
@@ -188,7 +200,7 @@ def invariant_dimension(generators, degree: int) -> InvariantDimension:
     t_inv = _matrix_mod_p(MoebiusMap.cayley().inverse())
     gens = [_matrix_mod_p(g) for g in generators]
     rows = _sampled_rows(n_basis + 4, degree, t_inv, gens)
-    return InvariantDimension(rank=_rank_mod_p(rows), basis_size=n_basis)
+    return InvariantDimension(rank=_rank_mod_p(rows, n_basis - 1), basis_size=n_basis)
 
 
 def _prime_factors(n: int) -> set:

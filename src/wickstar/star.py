@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -87,9 +86,20 @@ from .sphere import _check_disk
 # ---------------------------------------------------------------------------
 
 
+# The pole test and the exact kappa rows are memoized per (hbar as given, m)
+# and typed, so 1, Fraction(1), QC(1), 1.0 and 1+0j are kept apart, as the
+# kind of a row's entries follows hbar's; a pole raises and is not cached.  A
+# pass of the verify suites and the bundled specs reads about 50 entries.
+# Code that patches kappa must cache_clear() these caches.  A float row is
+# not memoized: equal complex hbar that differ in the sign of a zero
+# imaginary part give rows that differ in the signs of zeros.
+_ROW_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE, typed=True)
 def _pole_of(hv):
     """The k of the pole -1/k that hbar hits, 0 for the pole 0, else None;
-    a non-finite float raises DomainError.
+    a non-finite float raises DomainError.  Memoized per hbar.
 
     Only the k nearest the real part of -1/hbar can be hit, and it is hit
     when its divisor 1 + k hbar fails the test of :func:`_c_divisor`:
@@ -322,12 +332,27 @@ def _weight_row(n: int, surface: str) -> list:
 def _kappas(hv, m: int) -> list:
     """[kappa_0, ..., kappa_m] by the recurrence
     kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), with the lazy pole test:
-    the divisors 1 + k hbar for k < m, no other."""
+    the divisors 1 + k hbar for k < m, no other.  The entries take the kind
+    of hbar: Fraction for an int or a Fraction, QC for a QC, complex for a
+    float or a complex."""
     one, exact = _one_like(hv), is_exact(hv)
     out = [one]
     for n in range(1, m + 1):
         out.append(out[-1] * (n * hv) / _c_divisor(one, hv, n - 1, exact))
     return out
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE, typed=True)
+def _exact_kappas(hv, m: int) -> tuple:
+    """(kappas, (re, im, den)): the exact row kappa_0..kappa_m of the exact
+    value of hbar (:func:`_kappas`) and its Gaussian-integer numerators over
+    one denominator, as tuples.  The pole test reads hbar as given: float
+    -1/3 is not -1/3.  Memoized per (hbar as given, m)."""
+    if not is_exact(hv):
+        _kappas(hv, m)
+    kappas = _kappas(_exact(hv), m)
+    kr, ki, dk = _numerators(kappas)
+    return tuple(kappas), (tuple(kr), tuple(ki), dk)
 
 
 def _taylor_shift(a: list, n: int) -> list:
@@ -355,11 +380,9 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     and at least a Fraction, as kappa is; a float or complex hbar or
     coefficient enters as its exact binary value, a QC."""
     m = min(len(g.coeffs), len(gt.coeffs)) - 1
-    if not is_exact(hv):
-        _kappas(hv, m)  # the pole test reads hbar as given: float -1/3 is not -1/3
-    kappas = _kappas(_exact(hv), m)
+    kappas, (kr, ki, dk) = _exact_kappas(hv, m)
     a, b = [*map(_exact, g.coeffs)], [*map(_exact, gt.coeffs)]
-    (ar, ai, da), (br, bi, db), (kr, ki, dk) = map(_numerators, (a, b, kappas))
+    (ar, ai, da), (br, bi, db) = map(_numerators, (a, b))
     size = len(ar) + len(br) - 1
     complex_ab = any(ai) or any(bi)
     re = [0] * size
@@ -453,22 +476,36 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     """The first n_terms+1 polynomial terms of the disk product.
 
     Each term of the series is again a polynomial in (z, conj z); the
-    truncation error at |z| <= r decays like r^{2 n_terms}.  The terms end
-    early when a tower dies, and only the divisors of the kappa_n of the
-    terms that exist are formed (:func:`_kappas`)."""
+    truncation error at |z| <= r decays like r^{2 n_terms}.  The towers are
+    stepped first (:func:`wickstar.peschl_minda.pm_step`) and end early when
+    one dies; only then is kappa formed, so only the divisors of the kappa_n
+    of the terms that exist are tested (:func:`_kappas`).  Each term
+    kappa_n (Dbar^n f/n!) (D^n g/n!) is added into one dict, term after term,
+    with the arithmetic and the zero-dropping of a BiPoly sum."""
     if n_terms < 0:
         raise ValueError("the number of terms must be >= 0")
     hv = _lenient_value(h)
+    pairs = []
     f_bar, g_d = f, g
-    terms = [f * g]
     for n in range(1, n_terms + 1):
-        f_bar = pm_step(f_bar, n - 1, "w")
-        g_d = pm_step(g_d, n - 1, "z")
+        f_bar, g_d = pm_step(f_bar, n - 1, "w"), pm_step(g_d, n - 1, "z")
         if f_bar.is_zero or g_d.is_zero:
             break
-        terms.append(f_bar * g_d)
-    return functools.reduce(operator.add, map(operator.mul, terms,
-                                              _kappas(hv, len(terms) - 1)))
+        pairs.append((f_bar, g_d))
+    kappas = _kappas(hv, len(pairs))
+    out = BiPoly()
+    # kappa_0 is 1: the first term enters as it is, the others are added in
+    out.coeffs = d = {key: c * kappas[0] for key, c in (f * g).coeffs.items()}
+    for (a, b), k in zip(pairs, kappas[1:]):
+        if k == 0:  # an underflowed float kappa: the term is the zero polynomial
+            continue
+        for key, c in (a * b).coeffs.items():
+            v = d.get(key, 0) + c * k
+            if v == 0:
+                d.pop(key, None)
+            else:
+                d[key] = v
+    return out
 
 
 def star_annulus_poly(g: PolyFn, gt: PolyFn, h) -> PolyFn:

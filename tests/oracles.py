@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from wickstar.errors import DomainError, FloatRangeError
 from wickstar.exact import _exact, conj, is_exact, to_complex
-from wickstar.functions import ExpFn, Jet, PolyFn, moebius_jet
+from wickstar.functions import BiPoly, ExpFn, Jet, PolyFn, moebius_jet
 from wickstar.peschl_minda import MoebiusPullback, PolyDisk, _Composed
 from wickstar.sphere import GPoint, MoebiusMap, SpherePoint
 from wickstar.star import StarConfig, StarResult, _c_divisor, _one_like
@@ -136,6 +138,48 @@ def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
     return StarResult(total, used, 0.0, "terminated")
 
 
+def pm_step_by_constructor(en: BiPoly, n: int, slot: str) -> BiPoly:
+    """E_{n+1} from E_n: the two terms of every monomial listed, then
+    merged by the BiPoly constructor, then divided by n + 1.  The reference
+    of ``peschl_minda.pm_step``, which merges as it goes."""
+    terms = []
+    for (i, j), a in en.coeffs.items():
+        if slot == "z":
+            terms += [((i - 1, j), a * i), ((i, j + 1), a * -(i + n))]
+        else:
+            terms += [((i, j - 1), a * j), ((i + 1, j), a * -(j + n))]
+    out = BiPoly(terms)
+    c = out.coeffs
+    if c and is_exact(next(iter(c.values()))):
+        inv = Fraction(1, n + 1)
+        out.coeffs = {k: a * inv for k, a in c.items()}
+    else:
+        out.coeffs = {k: a / (n + 1) for k, a in c.items()}
+    return out
+
+
+def star_disk_poly_truncated_by_terms(f: BiPoly, g: BiPoly, hv, n_terms: int) -> BiPoly:
+    """The symbolic disk product as a list of BiPoly terms
+    (Dbar^n f/n!) (D^n g/n!), stepped by :func:`pm_step_by_constructor`,
+    each scaled by its kappa_n and summed by ``reduce(operator.add)``:
+    kappa by the recurrence, past the towers' end, so each divisor
+    1 + k hbar is formed only for a term that exists.  The reference of
+    ``star.star_disk_poly_truncated``, which adds every term into one dict."""
+    f_bar, g_d = f, g
+    terms = [f * g]
+    for n in range(1, n_terms + 1):
+        f_bar = pm_step_by_constructor(f_bar, n - 1, "w")
+        g_d = pm_step_by_constructor(g_d, n - 1, "z")
+        if f_bar.is_zero or g_d.is_zero:
+            break
+        terms.append(f_bar * g_d)
+    one, exact = _one_like(hv), is_exact(hv)
+    kappas = [one]
+    for n in range(1, len(terms)):
+        kappas.append(kappas[-1] * (n * hv) / _c_divisor(one, hv, n - 1, exact))
+    return functools.reduce(operator.add, map(operator.mul, terms, kappas))
+
+
 # ---------------------------------------------------------------------------
 # the float star products term by term: the reference of the array kernel
 # ---------------------------------------------------------------------------
@@ -249,3 +293,25 @@ def fpq_proj(p: int, q: int, z: SpherePoint, w: SpherePoint):
     if den == 0:
         raise DomainError("f_{p,q} undefined on the hypersurface zw = 1")
     return u1 ** p * u2 ** q * v1 ** (m - p) * v2 ** (m - q) / den
+
+
+def rank_mod_p_by_elimination(rows: list, p: int) -> int:
+    """Rank over F_p of all the rows at once, by Gaussian elimination column
+    by column; the rows are consumed.  The reference of
+    ``rigidity._rank_mod_p``, which eliminates each row as it arrives and
+    stops at a ceiling."""
+    rank = 0
+    n_cols = len(rows[0]) if rows else 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        prow = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank

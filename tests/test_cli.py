@@ -271,6 +271,13 @@ def test_rigidity_bundled_spec_prints_its_recorded_bytes(name):
     assert out == (GOLDEN / f"rigidity-{name}.out").read_text(encoding="utf-8")
 
 
+def test_verify_prints_its_recorded_bytes():
+    # every residual to its last bit: a change that moves one shows here
+    code, out = run_cli("verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "verify-seed-42.out").read_text(encoding="utf-8")
+
+
 def test_rigidity_bundled_specs():
     code, out = run_cli("rigidity", "--spec", "elliptic-N2-d2")
     assert code == EXIT_OK

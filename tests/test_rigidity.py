@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fpq_proj
+from oracles import fpq_proj, rank_mod_p_by_elimination
 
 import wickstar.rigidity as rigidity
 import wickstar.star as star
@@ -180,6 +180,50 @@ def test_identity_generator_is_inconclusive():
     cert = invariant_dimension([MoebiusMap.identity()], 2)
     assert cert.rank == 0 and cert.bounds == (1, 9)
     assert cert.dimension is None
+
+
+GENERATOR_SETS = {
+    "two-hyperbolic": TWO_HYPERBOLIC,
+    # Gamma(2), free on two parabolics
+    "gamma-2": [MoebiusMap(1, 2, 0, 1, domain="H"), MoebiusMap(1, 0, 2, 1, domain="H")],
+    # z -> 9z and its conjugate by z -> (2z + 1)/(z + 1), a Schottky pair
+    "schottky": [MoebiusMap(3, 0, 0, Fraction(1, 3)),
+                 MoebiusMap(Fraction(17, 3), Fraction(-16, 3), Fraction(8, 3), Fraction(-7, 3))],
+    "scaling": [SCALING],
+    "translation": [MoebiusMap(1, 1, 0, 1, domain="H")],
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_SETS))
+def test_rank_that_stops_at_its_ceiling_is_the_rank_of_every_pair(name):
+    # oracle: all (degree + 1)^2 + 4 pairs drawn, then eliminated at once
+    generators = GENERATOR_SETS[name]
+    t_inv = rigidity._matrix_mod_p(CAYLEY_INVERSE)
+    gens = [rigidity._matrix_mod_p(g) for g in generators]
+    for degree in range(6):
+        rows = list(rigidity._sampled_rows((degree + 1) ** 2 + 4, degree, t_inv, gens))
+        assert (invariant_dimension(generators, degree).rank
+                == rank_mod_p_by_elimination(rows, PRIME))
+
+
+def test_the_draw_stops_when_the_rank_reaches_its_ceiling(monkeypatch):
+    drawn = []
+    real = rigidity._difference_rows
+
+    def spy(*args):
+        drawn.append(args[3:5])
+        return real(*args)
+
+    monkeypatch.setattr(rigidity, "_difference_rows", spy)
+    # the constant's column is zero, so 16 - 1 = 15 is the most the rank can be
+    assert invariant_dimension(TWO_HYPERBOLIC, 3).rank == 15
+    assert len(drawn) < 20
+    # one generator, and degree 0, never raise the rank to the ceiling: every
+    # pair is drawn
+    for generators, degree, pairs in ((TWO_HYPERBOLIC, 0, 5), ([SCALING], 3, 20)):
+        drawn.clear()
+        invariant_dimension(generators, degree)
+        assert len(drawn) >= pairs
 
 
 @pytest.mark.parametrize("degree", [2, 6])

@@ -1,11 +1,13 @@
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import surface_poly_by_terms
+from oracles import (pm_step_by_constructor, star_disk_poly_truncated_by_terms,
+                     surface_poly_by_terms)
 
 from wickstar import peschl_minda, star
 from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
@@ -117,6 +119,36 @@ def test_hbar_and_the_sums_share_one_float_pole_rule():
         star_disk(zbar, z, 0.0, 0.5, StarConfig(max_terms=1, tol=0))
 
 
+def test_hbar_rows_are_cached_per_kind_read_only_and_never_for_a_pole():
+    for cached in (star._pole_of, star._exact_kappas):
+        cached.cache_clear()
+    # equal values of different kinds each keep their own row, in either
+    # order: an exact hbar's row is of its kind, a float's is a QC row, that
+    # of its binary value
+    kinds = [(Fraction(1), Fraction), (1, Fraction), (QC(1), QC), (1.0, QC), (1 + 0j, QC)]
+    for order in (kinds, kinds[::-1]):
+        for h, kind in order:
+            assert star._pole_of(h) is None
+            kappas, _ = star._exact_kappas(h, 4)
+            assert {type(k) for k in kappas} == {kind}
+    assert star._exact_kappas.cache_info().misses == len(kinds)
+    kappas, numerators = star._exact_kappas(0.5, 3)
+    for seq in (kappas, *numerators[:2]):
+        with pytest.raises(TypeError):
+            seq[0] = 0
+    # a pole raises on every call, and leaves no entry behind
+    size = star._exact_kappas.cache_info().currsize
+    for _ in range(2):
+        for h in (Fraction(-1, 3), QC(Fraction(-1, 3)), -1 / 3):
+            with pytest.raises(DomainError, match="-1/3"):
+                star._exact_kappas(h, 4)
+        with pytest.raises(DomainError, match="not finite"):
+            star._pole_of(float("nan"))
+    assert star._exact_kappas.cache_info().currsize == size
+    # short of the divisor 1 + 3 hbar the row is formed
+    assert star._exact_kappas(Fraction(-1, 3), 3)[0] == (1, Fraction(-1, 3), Fraction(1, 3), -1)
+
+
 def test_negative_coefficient_index_rejected():
     with pytest.raises(ValueError):
         c_n(Fraction(1, 2), -1)
@@ -222,6 +254,70 @@ def test_truncation_refuses_a_negative_term_count():
     assert star_disk_poly_truncated(w, z, 0.5, 0) == w * z
     with pytest.raises(ValueError):
         star_disk_poly_truncated(w, z, 0.5, -1)
+
+
+def _random_bipoly(rng, kind):
+    def coefficient():
+        re, im = _integer(rng, -3, 4), _integer(rng, -3, 4)
+        if kind == "float":
+            return complex(re + rng.random(), im)
+        if kind == "Fraction":
+            return Fraction(re, _integer(rng, 1, 5))
+        return QC(Fraction(re, _integer(rng, 1, 4)), Fraction(im, _integer(rng, 1, 4)))
+
+    return BiPoly([((_integer(rng, 0, 3), _integer(rng, 0, 3)), coefficient())
+                   for _ in range(_integer(rng, 1, 5))])
+
+
+def _same_bipoly(a, b):
+    # the same keys in the same order, each coefficient of the same kind and
+    # sign of zero: the repr shows all three
+    assert repr(list(a.coeffs.items())) == repr(list(b.coeffs.items()))
+
+
+def test_one_pass_steps_and_sum_match_the_term_list_and_its_reduce():
+    rng = random.Random(33)
+    hbars = {"float": [0.4, 1 + 1j, -0.25 + 0.5j], "Fraction": [Fraction(1, 2), Fraction(-2, 7)],
+             "QC": [QC(1, 1), QC(Fraction(1, 3), Fraction(-1, 2))]}
+    for kind, hs in hbars.items():
+        for n_terms in [0, 1, 2, 30] + [_integer(rng, 3, 30) for _ in range(3)]:
+            f, g = _random_bipoly(rng, kind), _random_bipoly(rng, kind)
+            for slot in ("z", "w"):
+                for n in range(4):
+                    _same_bipoly(peschl_minda.pm_step(f, n, slot), pm_step_by_constructor(f, n, slot))
+            h = hs[n_terms % len(hs)]
+            _same_bipoly(star_disk_poly_truncated(f, g, h, n_terms),
+                         star_disk_poly_truncated_by_terms(f, g, h, n_terms))
+
+
+def test_one_pass_sum_drops_a_coefficient_that_cancels_part_way():
+    # conj z * z at hbar 1/2: z w + (1/2)(1 - z w)^2 + ... loses z w at term 1,
+    # and term 2 brings it back, after the keys that stayed
+    w, z = BiPoly({(0, 1): Fraction(1)}), BiPoly({(1, 0): Fraction(1)})
+    h = Fraction(1, 2)
+    assert list(star_disk_poly_truncated(w, z, h, 1).coeffs) == [(0, 0), (2, 2)]
+    assert list(star_disk_poly_truncated(w, z, h, 2).coeffs) == [(0, 0), (2, 2), (1, 1), (3, 3)]
+    for n_terms in range(1, 8):
+        _same_bipoly(star_disk_poly_truncated(w, z, h, n_terms),
+                     star_disk_poly_truncated_by_terms(w, z, h, n_terms))
+    # the float sum cancels the same coefficient to an exact 0.0
+    wf, zf = BiPoly({(0, 1): 1 + 0j}), BiPoly({(1, 0): 1 + 0j})
+    _same_bipoly(star_disk_poly_truncated(wf, zf, 0.5, 5),
+                 star_disk_poly_truncated_by_terms(wf, zf, 0.5, 5))
+    assert (1, 1) not in star_disk_poly_truncated(wf, zf, 0.5, 1).coeffs
+
+
+def test_one_pass_sum_forms_no_kappa_past_a_dead_tower():
+    # z is holomorphic, so its Dbar tower dies at order 1: the sum is z g
+    # whatever the term count, and never divides by 1 + 3 hbar at hbar = -1/3
+    z = BiPoly({(1, 0): Fraction(1)})
+    g = BiPoly({(2, 1): Fraction(3, 2), (0, 2): Fraction(-1)})
+    for h in (Fraction(-1, 3), QC(Fraction(-1, 3)), -1 / 3):
+        out = star_disk_poly_truncated(z, g, h, 30)
+        _same_bipoly(out, star_disk_poly_truncated_by_terms(z, g, h, 30))
+        assert out == z * g
+        with pytest.raises(DomainError, match="-1/3"):
+            star_disk_poly_truncated(g, z * g, h, 30)
 
 
 # the surface products ----------------------------------------------------------
