@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -206,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tol", type=float, default=StarConfig.tol)
     p_eval.add_argument("--mode", default=StarConfig.mode,
                         choices=["exact-finite", "truncated"])
+    # a value, not an option: every number _parse_complex reads, -1e-3 too
+    p_eval._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", action="append",

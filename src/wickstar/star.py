@@ -58,11 +58,11 @@ disk product (:func:`star_disk_poly_truncated`) sums its BiPoly terms
 against kappa_0..kappa_m (:func:`_kappas`), and the exact surface
 products of polynomials take their one integer pass (above).
 
-The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...};
-:class:`Hbar` guards the poles by one rule for every scalar kind, the test
-that the sums apply to each divisor 1 + k hbar (:func:`_c_divisor`): exact
-for an exact hbar, relative for a float; a non-finite float is refused
-too.
+The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...}.
+Its pole is decided once per hbar (:func:`_pole_of`) by the test of the
+divisor 1 + k hbar (:func:`_c_divisor`), exact or relative to a float
+hbar, which must be finite.  :class:`Hbar` rejects every pole; a kappa
+row, which c_n is read from too, raises exactly when it forms that divisor.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ import functools
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, ulp
+from math import comb, factorial, ulp
 
 from .errors import DomainError, NonTerminatingError, WickstarError
 from .exact import QC, _exact, _make, is_exact, to_complex
@@ -105,17 +105,15 @@ def _pole_of(hv):
     when its divisor 1 + k hbar fails the test of :func:`_c_divisor`:
     exactly 0 for an exact hbar, within 1e-14 (1 + k |hbar|) for a float,
     which puts k within 1e-14 (k + 1/|hbar|) of -1/hbar."""
-    exact = is_exact(hv)
-    if not (exact or cmath.isfinite(complex(hv))):
+    if not (is_exact(hv) or cmath.isfinite(complex(hv))):
         raise DomainError(f"deformation parameter {hv!r} is not finite")
     if hv == 0:
         return 0
-    one = _one_like(hv)
-    x = -(one / hv).real
+    x = -(_one_like(hv) / hv).real
     if 0 < x < cmath.inf:
         k = round(x)
         try:
-            _c_divisor(one, hv, k, exact)
+            _c_divisor(hv, k)
         except DomainError:
             return k
     return None
@@ -147,25 +145,20 @@ def _one_like(hv):
 
 
 def _lenient_value(h):
-    """Deformation value for the product loops.
-
-    Only the pole at 0 is rejected up front; a pole -1/k is rejected
-    lazily, at the moment the k-th recurrence divisor is actually formed.
-    A finite sum that never reaches that divisor (polynomial operands of
-    low degree) is a legitimate evaluation even when the full coefficient
-    family has a pole further out."""
+    """hbar for the product loops: only the pole 0 is rejected up front, a
+    pole -1/k only by a kappa row that forms its divisor (:func:`_kappas`),
+    as a finite sum short of it is a legitimate evaluation."""
     if _pole_of(h) == 0:
         raise DomainError(
             f"deformation parameter {h!r} hits the excluded pole 0")
     return h
 
 
-def _c_divisor(one, hv, n, exact):
-    """1 + n*hbar, the divisor of the step c_n -> c_{n+1}; raises at the
-    pole hbar = -1/n: exactly at 0 when ``exact`` (hbar is exact), else
-    within a relative distance of 1e-14."""
-    den = one + n * hv
-    if den == 0 if exact else abs(den) <= 1e-14 * (1.0 + n * abs(hv)):
+def _c_divisor(hv, n):
+    """1 + n*hbar, the divisor of kappa_{n+1}; raises at the pole -1/n, at 0
+    for an exact hbar, else within 1e-14 relative.  _pole_of applies it."""
+    den = _one_like(hv) + n * hv
+    if den == 0 if is_exact(hv) else abs(den) <= 1e-14 * (1.0 + n * abs(hv)):
         raise _pole_error(n)
     return den
 
@@ -175,16 +168,13 @@ def _pole_error(n: int) -> DomainError:
 
 
 def _c_stream(hv, nmax: int):
-    """[c_0, ..., c_nmax] with lazy pole checks (see _lenient_value)."""
-    one, exact = _one_like(hv), is_exact(hv)
-    out = [one]
-    for n in range(nmax):
-        out.append(out[-1] * hv / _c_divisor(one, hv, n, exact))
-    return out
+    """[c_0, ..., c_nmax] as kappa_n/n! (:func:`_kappas`): exact for an
+    exact hbar; at a float hbar an entry past n = 170 underflows to 0."""
+    return [k * Fraction(1, factorial(n)) for n, k in enumerate(_kappas(hv, nmax))]
 
 
 def c_sequence(h, nmax: int):
-    """[c_0, ..., c_nmax] via the recurrence c_{n+1} = c_n h / (1 + n h)."""
+    """[c_0, ..., c_nmax] for a hbar off every pole (:func:`_c_stream`)."""
     return _c_stream(Hbar(h).value, nmax)
 
 
@@ -329,16 +319,24 @@ def _weight_row(n: int, surface: str) -> list:
     return [(2 * n, 1)]
 
 
+def _row_pole(hv, m: int):
+    """Raise if kappa_0..kappa_m forms the divisor of hbar's pole -1/k."""
+    k = _pole_of(hv)
+    if k and k < m:
+        raise _pole_error(k)
+
+
 def _kappas(hv, m: int) -> list:
     """[kappa_0, ..., kappa_m] by the recurrence
-    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), with the lazy pole test:
-    the divisors 1 + k hbar for k < m, no other.  The entries take the kind
-    of hbar: Fraction for an int or a Fraction, QC for a QC, complex for a
-    float or a complex."""
-    one, exact = _one_like(hv), is_exact(hv)
+    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), the family's one
+    recurrence; it raises first iff the row forms hbar's pole's divisor.
+    The entries take the kind of hbar: Fraction for an int or a Fraction,
+    QC for a QC, complex for a float or a complex."""
+    _row_pole(hv, m)
+    one = _one_like(hv)
     out = [one]
     for n in range(1, m + 1):
-        out.append(out[-1] * (n * hv) / _c_divisor(one, hv, n - 1, exact))
+        out.append(out[-1] * (n * hv) / (one + (n - 1) * hv))
     return out
 
 
@@ -347,9 +345,8 @@ def _exact_kappas(hv, m: int) -> tuple:
     """(kappas, (re, im, den)): the exact row kappa_0..kappa_m of the exact
     value of hbar (:func:`_kappas`) and its Gaussian-integer numerators over
     one denominator, as tuples.  The pole test reads hbar as given: float
-    -1/3 is not -1/3.  Memoized per (hbar as given, m)."""
-    if not is_exact(hv):
-        _kappas(hv, m)
+    -1/3 is not -1/3 but hits its pole.  Memoized per (hbar as given, m)."""
+    _row_pole(hv, m)
     kappas = _kappas(_exact(hv), m)
     kr, ki, dk = _numerators(kappas)
     return tuple(kappas), (tuple(kr), tuple(ki), dk)
@@ -478,8 +475,8 @@ def star_disk_poly_truncated(f: BiPoly, g: BiPoly, h, n_terms: int) -> BiPoly:
     Each term of the series is again a polynomial in (z, conj z); the
     truncation error at |z| <= r decays like r^{2 n_terms}.  The towers are
     stepped first (:func:`wickstar.peschl_minda.pm_step`) and end early when
-    one dies; only then is kappa formed, so only the divisors of the kappa_n
-    of the terms that exist are tested (:func:`_kappas`).  Each term
+    one dies; only then is kappa formed, so a pole raises only if a term
+    that exists divides by its divisor (:func:`_kappas`).  Each term
     kappa_n (Dbar^n f/n!) (D^n g/n!) is added into one dict, term after term,
     with the arithmetic and the zero-dropping of a BiPoly sum."""
     if n_terms < 0:

@@ -113,6 +113,18 @@ def _poly_weights(variant: str):
         wn = step if variant == "printed" else wn * step
 
 
+def kappa_by_steps(hv):
+    """Yield kappa_0, kappa_1, ... of hbar by the recurrence
+    kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), each divisor tested by
+    ``star._c_divisor`` when its kappa_n is asked for: the per-step
+    reference of ``star._kappas``, which decides the pole once per hbar."""
+    kappa = _one_like(hv)
+    for n in itertools.count():
+        if n:
+            kappa = kappa * (n * hv) / _c_divisor(hv, n - 1)
+        yield kappa
+
+
 def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
     """The exact surface product summed term by term, as a StarResult.
 
@@ -123,16 +135,13 @@ def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
     term n arrives.  It checks ``star._surface_poly``'s one-pass integer
     sum: the same coefficient values, the same term count, and the same
     error at a pole the sum reaches."""
-    one, exact = _one_like(hv), is_exact(hv)
-    kappa, total, used = one, None, 0
+    kappas, total, used = kappa_by_steps(hv), None, 0
     towers = zip(_poly_weights(variant),
                  taylor_tower(g, Fraction(1)), taylor_tower(gt, Fraction(1)))
     for n, (wn, dg, dgt) in enumerate(towers):
-        if n:
-            if dg.is_zero or dgt.is_zero:
-                break
-            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
-        term = wn * dg * dgt * kappa
+        if n and (dg.is_zero or dgt.is_zero):
+            break
+        term = wn * dg * dgt * next(kappas)
         total = term if total is None else total + term
         used = n + 1
     return StarResult(total, used, 0.0, "terminated")
@@ -173,11 +182,7 @@ def star_disk_poly_truncated_by_terms(f: BiPoly, g: BiPoly, hv, n_terms: int) ->
         if f_bar.is_zero or g_d.is_zero:
             break
         terms.append(f_bar * g_d)
-    one, exact = _one_like(hv), is_exact(hv)
-    kappas = [one]
-    for n in range(1, len(terms)):
-        kappas.append(kappas[-1] * (n * hv) / _c_divisor(one, hv, n - 1, exact))
-    return functools.reduce(operator.add, map(operator.mul, terms, kappas))
+    return functools.reduce(operator.add, map(operator.mul, terms, kappa_by_steps(hv)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +199,12 @@ def sum_series_loop(hv, terms, max_terms: int, tol: float):
     reference of ``towers._sum_rows``.  Returns (value, terms used, tail
     estimate, stop reason, sum_k |kappa_k t_k|); a value or tail that is
     not finite raises FloatRangeError."""
-    one, exact = _one_like(hv), is_exact(hv)
-    kappa = one
+    kappas = kappa_by_steps(hv)
     total, err, mass = None, 0.0, 0.0
     r1 = r2 = r3 = 0.0
     stop, used = "terminated", 0
     for n, (t, t_err) in enumerate(terms):
-        if n:
-            kappa = kappa * (n * hv) / _c_divisor(one, hv, n - 1, exact)
+        kappa = next(kappas)
         term = t * kappa
         total = term if total is None else total + term
         used = n + 1

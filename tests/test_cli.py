@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wickstar
 from wickstar import cli
@@ -82,6 +84,30 @@ def test_star_eval_rejects_pole_and_bad_json():
     code, _ = run_cli("star", "eval", "--surface", "annulus", "--f", ident,
                       "--g", ident, "--hbar", "0.5", "--point", "0.4", "--tol", "nan")
     assert code == EXIT_DOMAIN
+
+
+def test_star_eval_reads_negative_numbers_in_exponent_form():
+    # argparse before Python 3.12 takes -1e-3 for an option and exits 2;
+    # a hbar next to a pole, -1/7 + 1e-13 say, is written in exponent form
+    zbar = json.dumps({"type": "bipoly", "coeffs": [[0, 1, [1, 0]]]})
+    z = json.dumps({"type": "bipoly", "coeffs": [[1, 0, [1, 0]]]})
+    args = ("star", "eval", "--surface", "disk", "--f", zbar, "--g", z)
+    code, out = run_cli(*args, "--hbar", "-1e-3", "--point", "-2e-1")
+    assert code == EXIT_OK
+    [res] = json.loads(out)["results"]
+    assert res["point"] == [-0.2, 0.0] and res["converged"]
+    assert run_cli(*args, "--hbar", "-0.001", "--point", "-0.2") == (code, out)
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                 st.integers(-10**18, 10**18).map(str),
+                 st.sampled_from(["-1E-3", "-2.5e+1", "-0", "-0.0", "-1.4285714285713e-1"])))
+def test_every_finite_number_parses_as_a_hbar_and_a_point(text):
+    ns = cli.build_parser().parse_args(
+        ["star", "eval", "--surface", "disk", "--f", "{}", "--g", "{}",
+         "--hbar", text, "--point", text])
+    assert ns.hbar == text and ns.point == [text]
+    assert cli._parse_complex(text) == complex(json.loads(text))
 
 
 def test_star_eval_on_a_series_past_its_order_or_radius_is_a_domain_error():

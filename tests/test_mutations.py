@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from oracles import star_surface_by_terms, surface_poly_by_terms
 
-from wickstar import cli, rigidity, suites
+from wickstar import cli, rigidity, star, suites, towers
 from wickstar.functions import PolyFn
 from wickstar.star import StarResult, star_annulus_poly, star_punctured_poly
 
@@ -62,3 +62,38 @@ def test_the_obstruction_is_inconclusive_on_the_annulus_product(monkeypatch):
     rep = rigidity.obstruction_check(3)
     assert rep.verdict == "inconclusive"
     assert rep.residuals["affine_defect"] == 0.0
+
+
+@pytest.fixture
+def scaled_kappa(monkeypatch):
+    """scale(n) puts kappa_n times 1 + 10^-30 into every kappa row that
+    star._kappas forms; the memoized rows and pole tests are cleared
+    before and after, so no row formed elsewhere is read."""
+    caches = (star._pole_of, star._exact_kappas, towers._kappa_row)
+    kappas = star._kappas
+
+    def scaled(n, hv, m):
+        row = kappas(hv, m)
+        if n <= m:
+            row[n] = row[n] * (1 + Fraction(1, 10**30))
+        return row
+
+    def scale(n):
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(star, "_kappas", lambda hv, m: scaled(n, hv, m))
+
+    yield scale
+    monkeypatch.undo()
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cn_recurrence_check_catches_a_kappa_off_by_one_part_in_1e30(scaled_kappa, seed, n):
+    # c_n is read off the kappa row that the sums use, so the exact check
+    # against the product formula sees a defect far below any float bound
+    scaled_kappa(n)
+    checks = {c["name"]: c for c in suites.run_suites(names=["cn"], seed=seed)["checks"]}
+    assert checks["cn-recurrence-vs-product"]["status"] == "fail"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,13 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (pm_step_by_constructor, star_disk_poly_truncated_by_terms,
-                     surface_poly_by_terms)
+from oracles import (kappa_by_steps, pm_step_by_constructor,
+                     star_disk_poly_truncated_by_terms, surface_poly_by_terms)
 
 from wickstar import peschl_minda, star
 from wickstar.errors import (DomainError, FloatRangeError, NonTerminatingError,
                              WickstarError)
-from wickstar.exact import QC, _exact
+from wickstar.exact import QC, _exact, is_exact
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import (ComposedP, MoebiusPullback, PolyDisk,
                                    pm_bar_bipoly, pm_bipoly)
@@ -147,6 +148,66 @@ def test_hbar_rows_are_cached_per_kind_read_only_and_never_for_a_pole():
     assert star._exact_kappas.cache_info().currsize == size
     # short of the divisor 1 + 3 hbar the row is formed
     assert star._exact_kappas(Fraction(-1, 3), 3)[0] == (1, Fraction(-1, 3), Fraction(1, 3), -1)
+
+
+def _outcome(f, *args):
+    """(list(f(*args)), None), or (None, message) of the DomainError raised."""
+    try:
+        return list(f(*args)), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def _steps(h, m):
+    """The _outcome of kappa_0..kappa_m by the per-step oracle."""
+    return _outcome(lambda: itertools.islice(kappa_by_steps(h), m + 1))
+
+
+def _same_row(got, want):
+    return got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+_ks = st.integers(1, 40)
+_near_exact = st.one_of(
+    _ks.map(lambda k: Fraction(-1, k)),
+    _ks.map(lambda k: QC(Fraction(-1, k))),
+    st.builds(lambda k, s, j: Fraction(-1, k) + Fraction(s, 10**j),
+              _ks, st.sampled_from([-1, 1]), st.integers(3, 40)),
+    st.builds(lambda k, s, j: QC(Fraction(-1, k), Fraction(s, 10**j)),
+              _ks, st.sampled_from([-1, 1]), st.integers(3, 40)))
+_near_float = st.one_of(
+    st.builds(lambda k, d: -1 / k + d, _ks, st.floats(-1e-13, 1e-13)),
+    st.builds(lambda k, d: -1 / k + d, _ks, st.floats(-1e-3, 1e-3)),
+    st.builds(lambda k, d: complex(-1 / k, d), _ks, st.floats(-1e-13, 1e-13)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.one_of(_near_exact, _near_float), m=st.integers(0, 40))
+def test_every_row_decides_the_pole_as_the_per_step_rule(h, m):
+    # the per-step rule tests every divisor 1 + j hbar, j < m; the rows
+    # decide the pole once per hbar, and raise exactly when it does
+    want, error = _steps(h, m)
+    got, got_error = _outcome(star._kappas, h, m)
+    assert got_error == error
+    if error is None:
+        assert _same_row(got, want)
+    # the exact row tests hbar as given, and is that of its exact value
+    got, got_error = _outcome(lambda: star._exact_kappas(h, m)[0])
+    assert got_error == error
+    if error is None:
+        assert _same_row(got, _steps(_exact(h), m)[0])
+    # c_sequence takes a hbar off every pole (Hbar); every hbar drawn is
+    # within 1e-3 of -1/k, k <= 40, so a pole it hits has a divisor j < 64
+    far, far_error = _steps(h, 64)
+    got, got_error = _outcome(c_sequence, h, m)
+    assert (got_error is None) == (far_error is None)
+    if got is not None:
+        c = [k / math.factorial(n) for n, k in enumerate(far[:m + 1])]
+        if is_exact(h):
+            assert _same_row(got, c)
+        else:
+            assert {type(x) for x in got} == {complex}
+            assert got == pytest.approx(c, rel=1e-15)
 
 
 def test_negative_coefficient_index_rejected():
