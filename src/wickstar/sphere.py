@@ -5,7 +5,10 @@ with v = 0 encoding the point at infinity.  This keeps the Moebius
 action branch-free and exactness-friendly: a map acts as a 2x2 matrix
 on the pair.  Scalars may be python complex numbers or exact values
 (int, Fraction, :class:`~wickstar.exact.QC`), and their kind alone picks
-the arithmetic: an int 0 or 1 mixes exactly with each exact kind.
+the arithmetic: an int 0 or 1 mixes exactly with each exact kind.  A
+zero test (a singular matrix, a pole of the action, equal points) compares
+the value itself with 0, a float too: a rescaled matrix or pair is
+refused only where its products underflow to 0.
 """
 
 from __future__ import annotations
@@ -17,12 +20,6 @@ from sys import float_info
 
 from .errors import DomainError
 from .exact import QC, conj, is_exact, to_complex
-
-
-def _is_zero(x, tol=0.0):
-    if tol and not is_exact(x):
-        return abs(x) <= tol
-    return x == 0
 
 
 _OUTSIDE_DISK = "point must lie in the open unit disk"
@@ -46,16 +43,13 @@ def _matmul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-_PROJ_TOL = 1e-300  # proj_eq's float tolerance, relative to the scale
-
-
 class SpherePoint:
     """Point of the Riemann sphere as a projective pair (u, v), u/v."""
 
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        if _is_zero(u) and _is_zero(v):
+        if u == 0 and v == 0:
             raise DomainError("(0, 0) is not a point of the projective line")
         self.u = u
         self.v = v
@@ -76,7 +70,7 @@ class SpherePoint:
 
     @property
     def is_infinite(self) -> bool:
-        return _is_zero(self.v)
+        return self.v == 0
 
     def value(self):
         """Affine value u/v; raises for the point at infinity."""
@@ -88,11 +82,7 @@ class SpherePoint:
         return SpherePoint(self.v, self.u)
 
     def proj_eq(self, other: "SpherePoint") -> bool:
-        cross = self.u * other.v - other.u * self.v
-        if is_exact(cross):
-            return cross == 0
-        scale = max(abs(self.u * other.v), abs(other.u * self.v), 1.0)
-        return abs(cross) <= _PROJ_TOL * scale
+        return self.u * other.v - other.u * self.v == 0
 
     def __repr__(self):
         if self.is_infinite:
@@ -138,8 +128,7 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d", "domain")
 
     def __init__(self, a, b, c, d, domain: str | None = None):
-        det = a * d - b * c
-        if _is_zero(det, tol=1e-300):
+        if a * d - b * c == 0:
             raise DomainError("Moebius matrix is singular")
         if domain == "D":
             _validate_disk_map(a, b, c, d)
@@ -193,7 +182,7 @@ class MoebiusMap:
     def apply(self, z):
         """Affine action on a scalar; raises at the pole z = -d/c."""
         den = self.c * z + self.d
-        if _is_zero(den, tol=1e-300):
+        if den == 0:
             raise DomainError("Moebius map sends this point to infinity")
         return _div(self.a * z + self.b, den)
 
@@ -233,8 +222,7 @@ class OmegaPoint:
     __slots__ = ("z", "w")
 
     def __init__(self, z: SpherePoint, w: SpherePoint):
-        prod = z.u * w.u - z.v * w.v
-        if _is_zero(prod, tol=1e-300):
+        if z.u * w.u - z.v * w.v == 0:
             raise DomainError("OmegaPoint requires zw != 1")
         self.z = z
         self.w = w

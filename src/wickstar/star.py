@@ -14,8 +14,10 @@ formed anywhere:
 * :func:`star_disk`      -- t_n = (Dbar^n f(z)/n!) (D^n g(z)/n!) on the unit
   disk; note the operand order: the FIRST factor takes Dbar, the SECOND
   takes D.
-* :func:`star_annulus`   -- t_n = (w^2-1)^n (g^(n)(w)/n!) (gt^(n)(w)/n!).
-* :func:`star_punctured` -- t_n = w^{2n}    (g^(n)(w)/n!) (gt^(n)(w)/n!).
+* :func:`star_annulus`, :func:`star_punctured` -- t_n = (w^2 - s)^n
+  (g^(n)(w)/n!) (gt^(n)(w)/n!) in the chart variable w, with s = 1 on the
+  annulus and s = 0 on the punctured disk: the one table
+  ``_WEIGHT_SHIFT``, which both engines read.
 
 Termination is read from structure.  A disk product of polynomials
 terminates iff f is holomorphic or g is antiholomorphic, and then
@@ -28,14 +30,17 @@ product of polynomials ends after min(deg g, deg gt) + 1 terms, and
 :func:`star_annulus_poly`, :func:`star_punctured_poly` and the
 exact-finite surface mode sum them in one pass over integer numerators
 (:func:`_surface_poly`): g^(n)/n! is the binomial row C(k, n) a_k at
-w^{k-n}, the products are integer convolutions, the weights integer rows,
-and kappa_0..kappa_m share one denominator.  Every coefficient of an
-exact result takes one kind, the widest among its inputs: int < Fraction
-< QC.  A float coefficient, hbar or point enters the pass as its exact
-binary value, and the result is rounded once, per coefficient or, in
-exact-finite mode, the value, whose tail_estimate bounds that rounding.
+w^{k-n}, the products are integer convolutions, kappa_0..kappa_m share
+one denominator, and the weight enters by Horner's rule in n, one
+multiplication of the running sum by w^2 - s per term.  Every
+coefficient of an exact result takes one kind, the widest among its
+inputs: int < Fraction < QC.  A float coefficient, hbar or point enters
+the pass as its exact binary value, and the result is rounded once, per
+coefficient or, in exact-finite mode, the value, whose tail_estimate
+bounds that rounding.
 On the disk exact-finite mode multiplies f(z) g(z) as given: float inputs
-give a float product, still with tail 0.
+give a float product, whose tail_estimate bounds its distance from the
+exact product of the binary inputs.
 
 Float products are summed over a batch of points at once, by the float
 engine of :mod:`wickstar.towers`, which a float branch imports on its
@@ -72,9 +77,9 @@ import functools
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, ulp
+from math import comb, factorial, hypot, inf, nextafter, ulp
 
-from .errors import DomainError, NonTerminatingError, WickstarError
+from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
 from .exact import QC, _exact, _make, is_exact, to_complex
 from .functions import BiPoly, PolyFn, _convolve, _exact_coeffs, _numerators
 from .peschl_minda import DiskFunction, PolyDisk, pm_step
@@ -296,13 +301,39 @@ def star_disk(f: DiskFunction, g: DiskFunction, h, z, cfg: StarConfig | None = N
 
 
 def _exact_disk(f, g, z) -> StarResult:
-    """f g at z, checked as a batch of points checks each in turn."""
+    """f g at z, checked as a batch of points checks each in turn.  The
+    value multiplies f(z) and g(z) as given.  When a coefficient or z is a
+    float, the exact product of their binary values is formed too
+    (BiPoly.eval sums exactly at a QC point), and the tail is a float at
+    least the distance between the two (:func:`_distance_bound`); a
+    non-finite coefficient raises DomainError, and a value past the float
+    range FloatRangeError."""
     _check_disk(z)
     if not (isinstance(f, PolyDisk) and isinstance(g, PolyDisk)):
         raise NonTerminatingError(
             "exact-finite mode requires polynomial disk functions")
     _require_termination(f.f, g.f)
-    return StarResult(f.value(z) * g.value(z), 1, 0.0, "terminated")
+    value, tail = f.value(z) * g.value(z), 0.0
+    if not all(map(is_exact, (z, *f.f.coeffs.values(), *g.f.coeffs.values()))):
+        zx = _exact(z)
+        fx, gx = (BiPoly({k: _exact(a) for k, a in p.f.coeffs.items()}) for p in (f, g))
+        exact = fx.eval_diag(zx) * gx.eval_diag(zx)
+        if not cmath.isfinite(value):
+            raise FloatRangeError("the exact-finite disk product leaves the range "
+                                  "of double precision")
+        tail = _distance_bound(_exact(value), exact)
+    return StarResult(value, 1, tail, "terminated")
+
+
+def _distance_bound(x, y) -> float:
+    """A float at least |x - y|, for exact x and y, within about an ulp of
+    it: hypot's rounding is corrected upward by an exact test."""
+    d = x - y
+    square = d.real ** 2 + d.imag ** 2
+    t = hypot(d.real, d.imag)
+    while Fraction(t) ** 2 < square:
+        t = nextafter(t, inf)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +341,10 @@ def _exact_disk(f, g, z) -> StarResult:
 # ---------------------------------------------------------------------------
 
 
-def _weight_row(n: int, surface: str) -> list:
-    """The weight w_n as (shift, coefficient) pairs of an integer
-    polynomial in w: (w^2-1)^n = sum_j (-1)^{n-j} C(n, j) w^{2j} on the
-    annulus, w^{2n} on the punctured disk."""
-    if surface == "annulus":
-        return [(2 * j, (-1) ** (n - j) * comb(n, j)) for j in range(n + 1)]
-    return [(2 * n, 1)]
+# The weight of term n on each surface is (w^2 - s)^n: s = 1 on the annulus,
+# s = 0 on the punctured disk.  Both engines read it here: the exact pass
+# (_surface_poly) and the float towers (towers._surface_rows).
+_WEIGHT_SHIFT = {"annulus": 1, "punctured": 0}
 
 
 def _row_pole(hv, m: int):
@@ -357,49 +385,55 @@ def _taylor_shift(a: list, n: int) -> list:
     return [comb(k, n) * x for k, x in enumerate(a[n:], n)]
 
 
-def _weigh(x: list, rows: list):
-    """(shift, coefficients) of sum_rows c w^s x(w) for an integer row."""
-    if len(rows) == 1 and rows[0][1] == 1:
-        return rows[0][0], x
-    out = [0] * (len(x) + rows[-1][0])
-    for s, c in rows:
-        for k, v in enumerate(x):
-            out[s + k] += c * v
-    return 0, out
+def _times_weight(x: list, s: int) -> list:
+    """The integer row x times w^2 - s, to the length of x: the two entries
+    shifted out must be 0."""
+    shifted = [0, 0, *x][:len(x)]
+    return [p - s * q for p, q in zip(shifted, x)] if s else shifted
 
 
 def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     """The exact surface product of two polynomials as a PolyFn in w: the
-    one pass of the module docstring, term n kappa_n w_n (g^(n)/n!)
-    (gt^(n)/n!) with w_n an integer row (:func:`_weight_row`), ending after
-    min(deg g, deg gt) + 1 terms.  Each coefficient is built once, in the
-    widest kind among the inputs (:func:`wickstar.functions._exact_coeffs`)
-    and at least a Fraction, as kappa is; a float or complex hbar or
-    coefficient enters as its exact binary value, a QC."""
+    one pass of the module docstring, sum_n kappa_n (w^2 - s)^n P_n with
+    P_n = (g^(n)/n!) (gt^(n)/n!) and s = _WEIGHT_SHIFT[surface], ending
+    after m + 1 terms, m = min(deg g, deg gt).
+
+    It is summed by Horner's rule in n: from n = m down to 0 the integer
+    accumulator is multiplied by w^2 - s (:func:`_times_weight`), and
+    kappa_n P_n is added at offset 0.  The sum is exact, and the shift
+    drops only zeros: before step n the accumulator holds the terms above
+    n, sum_{k>n} kappa_k (w^2 - s)^{k-n-1} P_k, of degree at most
+    size - 3 - 2n, as P_k has degree size - 1 - 2k.  Each coefficient is
+    built once, in the widest kind among the inputs
+    (:func:`wickstar.functions._exact_coeffs`) and at least a Fraction, as
+    kappa is; a float or complex hbar or coefficient enters as its exact
+    binary value, a QC."""
     m = min(len(g.coeffs), len(gt.coeffs)) - 1
     kappas, (kr, ki, dk) = _exact_kappas(hv, m)
     a, b = [*map(_exact, g.coeffs)], [*map(_exact, gt.coeffs)]
     (ar, ai, da), (br, bi, db) = map(_numerators, (a, b))
     size = len(ar) + len(br) - 1
+    s = _WEIGHT_SHIFT[surface]
     complex_ab = any(ai) or any(bi)
     re = [0] * size
     im = [0] * size if complex_ab or any(ki) else None
-    for n, (u, v) in enumerate(zip(kr, ki)):
+    for n in range(m, -1, -1):
+        re = _times_weight(re, s)
+        if im is not None:
+            im = _times_weight(im, s)
+        u, v = kr[n], ki[n]
         xr, yr = _taylor_shift(ar, n), _taylor_shift(br, n)
         xi, yi = (_taylor_shift(ai, n), _taylor_shift(bi, n)) if complex_ab else ((), ())
         pr, pi = _convolve(xr, xi, yr, yi, len(xr) + len(yr) - 1)
-        rows = _weight_row(n, surface)
-        s, tr = _weigh(pr, rows)
         if pi is not None:
-            _, ti = _weigh(pi, rows)
-            for j, (p, q) in enumerate(zip(tr, ti), s):
+            for j, (p, q) in enumerate(zip(pr, pi)):
                 re[j] += p * u - q * v
                 im[j] += p * v + q * u
         else:
-            for j, p in enumerate(tr, s):
+            for j, p in enumerate(pr):
                 re[j] += p * u
             if im is not None:
-                for j, p in enumerate(tr, s):
+                for j, p in enumerate(pr):
                     im[j] += p * v
     coeffs = _exact_coeffs(re, im, dk * da * db, kappas, a, b)
     return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")

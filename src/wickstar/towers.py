@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, FloatRangeError
 from .exact import to_complex
 from .functions import EntireFn, ExpFn, PolyFn, SeriesFn, _order_error
-from .star import StarResult, _kappas, _pole_error, _pole_of
+from .star import _WEIGHT_SHIFT, StarResult, _kappas, _pole_error, _pole_of
 
 # unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -393,8 +393,9 @@ def _surface_rows(g, gt, points: list, max_terms: int, surface: str):
     # a geometric weight rho^n is split as r^n r^n with r^2 = rho, and
     # r rides in both towers (Taylor coefficients of u -> g(w + r u)),
     # so no power of rho is formed alone, to overflow while the towers
-    # underflow
-    r = np.sqrt(ws * ws - 1) if surface == "annulus" else ws
+    # underflow; rho = w^2 - s (star._WEIGHT_SHIFT), and r = w when s = 0
+    s = _WEIGHT_SHIFT[surface]
+    r = np.sqrt(ws * ws - s) if s else ws
     a, b = entire_tower(g, ws, r, width), entire_tower(gt, ws, r, width)
     return (*_product_rows(a, b), _merge_faults(a.faults, b.faults))
 

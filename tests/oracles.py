@@ -101,12 +101,15 @@ def pm_bar_definitional(f, n: int, z):
     return math.factorial(n) * definitional_jet(f, z, n, bar=True).tolist(n)[0]
 
 
-def _poly_weights(variant: str):
-    """w_0, w_1, ... as PolyFns in w: (w^2-1)^n on the annulus, w^{2n} on
-    the punctured disk, and 1, w^2, w^2, ... for the wrong ("printed")
-    punctured weights that a mutation test puts in their place."""
+def _poly_weights(variant):
+    """w_0, w_1, ... as PolyFns in w: (w^2 - s)^n with s = 1 on the annulus,
+    0 on the punctured disk, or the number ``variant`` itself, which a
+    mutation test patches into the program; and 1, w^2, w^2, ... for the
+    wrong ("printed") punctured weights that a mutation test puts in their
+    place."""
     x = PolyFn([0, 1])
-    step = x * x - 1 if variant == "annulus" else x * x
+    s = {"annulus": 1, "punctured": 0, "printed": 0}.get(variant, variant)
+    step = x * x - s
     wn = step * 0 + 1
     while True:
         yield wn
@@ -125,7 +128,7 @@ def kappa_by_steps(hv):
         yield kappa
 
 
-def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant: str):
+def surface_poly_by_terms(g: PolyFn, gt: PolyFn, hv, variant):
     """The exact surface product summed term by term, as a StarResult.
 
     Each term w_n (g^(n)/n!) (gt^(n)/n!) is a PolyFn product, with the

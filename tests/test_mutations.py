@@ -3,7 +3,8 @@
 Each mutation is applied by ``monkeypatch`` at a layer boundary, and none
 lives in ``src``: the wrong variant of a layer is summed by the oracles
 (``tests/oracles.py``), or is the other surface's product, and put in the
-place of the real one.
+place of the real one, or a wrong entry is put in the one table a rule is
+stated in (``star._WEIGHT_SHIFT``).
 """
 
 import io
@@ -16,7 +17,8 @@ from oracles import star_surface_by_terms, surface_poly_by_terms
 
 from wickstar import cli, rigidity, star, suites, towers
 from wickstar.functions import PolyFn
-from wickstar.star import StarResult, star_annulus_poly, star_punctured_poly
+from wickstar.star import (StarConfig, StarResult, star_annulus, star_annulus_poly,
+                           star_punctured_poly)
 
 
 def _printed_punctured(g, gt, h, ws, cfg):
@@ -97,3 +99,51 @@ def test_cn_recurrence_check_catches_a_kappa_off_by_one_part_in_1e30(scaled_kapp
     scaled_kappa(n)
     checks = {c["name"]: c for c in suites.run_suites(names=["cn"], seed=seed)["checks"]}
     assert checks["cn-recurrence-vs-product"]["status"] == "fail"
+
+
+# the weight of term n is (w^2 - s)^n with s = star._WEIGHT_SHIFT[surface]:
+# (a) the annulus weight (w^2 + 1)^n, (b) the two surfaces' weights swapped.
+# Each is again an associative and commutative product, so only the lift
+# checks catch them, and the obstruction only the swap.
+WEIGHT_MUTATIONS = {
+    "annulus-plus-one": ({"annulus": -1},
+                         {"annulus-lift-coherence"}, "obstructed"),
+    "swapped": ({"annulus": 0, "punctured": 1},
+                {"annulus-lift-coherence", "punctured-lift-coherence"}, "inconclusive"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("mutation", sorted(WEIGHT_MUTATIONS))
+def test_lift_coherence_catches_a_wrong_weight_shift(monkeypatch, mutation, seed):
+    table, caught, _ = WEIGHT_MUTATIONS[mutation]
+    for surface, s in table.items():
+        monkeypatch.setitem(star._WEIGHT_SHIFT, surface, s)
+    failed = {c["name"] for c in suites.run_suites(seed=seed)["checks"]
+              if c["status"] != "pass"}
+    assert failed == caught
+
+
+@pytest.mark.parametrize("mutation", sorted(WEIGHT_MUTATIONS))
+def test_the_obstruction_under_a_wrong_weight_shift(monkeypatch, mutation):
+    table, _, verdict = WEIGHT_MUTATIONS[mutation]
+    for surface, s in table.items():
+        monkeypatch.setitem(star._WEIGHT_SHIFT, surface, s)
+    assert rigidity.obstruction_check(3).verdict == verdict
+
+
+@pytest.mark.parametrize("s", [-1, 2])
+def test_both_engines_read_the_weight_table(monkeypatch, s):
+    # the oracles state the weight (w^2 - s)^n on their own; the exact pass
+    # and the float kernel follow the table's entry
+    monkeypatch.setitem(star._WEIGHT_SHIFT, "annulus", s)
+    g = PolyFn([Fraction(1, 2), -1, Fraction(3, 4), 2])
+    gt = PolyFn([0, Fraction(2, 3), 1, Fraction(-1, 5)])
+    h = Fraction(1, 3)
+    exact = star_annulus_poly(g, gt, h)
+    assert exact == surface_poly_by_terms(g, gt, h, s).value
+    cfg = StarConfig(max_terms=16, tol=1e-14)
+    for w in (0.3, -0.45 + 0.2j, 1.7j):
+        want = complex(exact.eval(w)[0])
+        got = star_annulus(g, gt, float(h), w, cfg)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)

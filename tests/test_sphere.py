@@ -37,6 +37,17 @@ def test_moebius_rejects_singular_matrix():
         MoebiusMap(1, 2, 2, 4)
 
 
+def test_rescaled_float_inputs_are_accepted():
+    # a float is tested against 0 itself: no absolute floor refuses a
+    # matrix or a projective pair for its scale alone
+    m = MoebiusMap(1e-150, 0, 0, 1e-150)
+    assert m.apply(0.3) == 0.3
+    p = GPoint(SpherePoint(1e-160, 1e-160), SpherePoint(2e-160, 1e-160))
+    assert (p.z.value(), p.w.value()) == (1.0, 2.0)
+    assert not p.z.proj_eq(p.w)
+    assert p.z.proj_eq(SpherePoint(3e-160, 3e-160))
+
+
 def test_disk_designation_validated():
     MoebiusMap.disk_automorphism(0.3 + 0.1j, theta=0.7)  # fine
     with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (kappa_by_steps, pm_step_by_constructor,
+from oracles import (bipoly_eval_by_terms, kappa_by_steps, pm_step_by_constructor,
                      star_disk_poly_truncated_by_terms, surface_poly_by_terms)
 
 from wickstar import peschl_minda, star
@@ -562,6 +562,61 @@ def test_exact_surface_products_refuse_non_finite_inputs_and_overflow():
             poly(big, big, 0.5)
         with pytest.raises(FloatRangeError):
             value(big, big, 0.5, 0.4, EXACT)
+
+
+def _float_bipolys(keys):
+    return st.dictionaries(keys, st.one_of(binary_scalars, st.integers(-3, 3)),
+                           max_size=4).map(BiPoly)
+
+
+_exponents = st.integers(0, 3)
+# a disk product terminates when f is holomorphic or g antiholomorphic
+terminating_pairs = st.one_of(
+    st.tuples(_float_bipolys(st.tuples(_exponents, st.just(0))),
+              _float_bipolys(st.tuples(_exponents, _exponents))),
+    st.tuples(_float_bipolys(st.tuples(_exponents, _exponents)),
+              _float_bipolys(st.tuples(st.just(0), _exponents))))
+disk_points = st.one_of(
+    st.builds(complex, st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)),
+    st.floats(-0.999, 0.999)).filter(lambda z: abs(z) < 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=terminating_pairs, z=disk_points, h=st.sampled_from([0.5, 1 + 1j]))
+def test_exact_finite_disk_tail_bounds_the_distance_to_the_exact_product(pair, z, h):
+    # the oracle sums the exact binary values of the inputs term by term
+    f, g = pair
+    res = star_disk(PolyDisk(f), PolyDisk(g), h, z, EXACT)
+    assert res.value == f.eval_diag(z) * g.eval_diag(z)
+    zx = _exact(z)
+    want = [bipoly_eval_by_terms(BiPoly({k: _exact(a) for k, a in p.coeffs.items()}),
+                                 zx, zx.conjugate()) for p in (f, g)]
+    err = _exact(res.value) - want[0] * want[1]
+    assert err.real ** 2 + err.imag ** 2 <= Fraction(res.tail_estimate) ** 2
+    assert (res.terms_used, res.stop_reason) == (1, "terminated")
+
+
+def test_exact_finite_disk_reports_the_rounding_of_float_inputs():
+    # (1 - z)^3 as the float bipoly 1 - 3z + 3z^2 - z^3 at z = 0.999 reads
+    # 1.000000304784976e-09 against the exact 1.0000000000000028e-09
+    one = PolyDisk(BiPoly.constant(1.0))
+    cube = PolyDisk(BiPoly({(0, 0): 1.0, (1, 0): -3.0, (2, 0): 3.0, (3, 0): -1.0}))
+    res = star_disk(one, cube, 0.5, 0.999, EXACT)
+    assert res.value == 1.000000304784976e-09
+    err = abs(Fraction(res.value) - (1 - Fraction(0.999)) ** 3)
+    assert err <= Fraction(res.tail_estimate) < err * (1 + Fraction(1, 2**50))
+    # exact inputs round nothing
+    cube_q = PolyDisk(BiPoly({(0, 0): 1, (1, 0): -3, (2, 0): 3, (3, 0): -1}))
+    res = star_disk(PolyDisk(BiPoly.constant(1)), cube_q, 0.5, Fraction(999, 1000), EXACT)
+    assert res.value == Fraction(1, 10**9) and res.tail_estimate == 0.0
+    # a non-finite coefficient has no exact value, and an overflow leaves
+    # the float range
+    for bad in (math.nan, complex(0, math.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            star_disk(one, PolyDisk(BiPoly({(1, 0): bad})), 0.5, 0.3, EXACT)
+    big = PolyDisk(BiPoly.constant(1e200))
+    with pytest.raises(FloatRangeError):
+        star_disk(big, big, 0.5, 0.3, EXACT)
 
 
 def test_numeric_and_symbolic_surface_paths_agree():
