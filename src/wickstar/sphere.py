@@ -332,19 +332,21 @@ def moebius_fixed_points(m: MoebiusMap) -> list:
     """Fixed points of a Moebius map on the sphere (float arithmetic).
 
     Returns two SpherePoints for loxodromic/hyperbolic/elliptic maps and
-    one for parabolic maps."""
+    one for parabolic maps.  Infinity is fixed exactly when c is 0; a
+    finite fixed point is the projective pair (u, v), u/v, never divided
+    out, so one past the float range stays finite."""
     a, b, c, d = (to_complex(x) for x in (m.a, m.b, m.c, m.d))
-    if abs(c) < 1e-300:
-        # infinity is fixed; finite fixed point of the affine part, if any
-        if abs(a - d) < 1e-300:
+    if c == 0:
+        # finite fixed point of the affine part, if any
+        if a == d:
             return [SpherePoint.infinity()]
-        return [SpherePoint.finite(b / (d - a)), SpherePoint.infinity()]
+        return [SpherePoint(b, d - a), SpherePoint.infinity()]
     disc = cmath.sqrt((d - a) ** 2 + 4 * b * c)
-    r1 = ((a - d) + disc) / (2 * c)
-    r2 = ((a - d) - disc) / (2 * c)
-    if abs(r1 - r2) < 1e-12 * max(1.0, abs(r1)):
-        return [SpherePoint.finite((r1 + r2) / 2)]
-    return [SpherePoint.finite(r1), SpherePoint.finite(r2)]
+    u1, u2 = (a - d) + disc, (a - d) - disc
+    # the roots u/(2c) agree to 1e-12, relative to max(1, |u1/(2c)|)
+    if abs(u1 - u2) < 1e-12 * max(abs(2 * c), abs(u1)):
+        return [SpherePoint(a - d, 2 * c)]
+    return [SpherePoint(u1, 2 * c), SpherePoint(u2, 2 * c)]
 
 
 def moebius_multiplier_at(m: MoebiusMap, p: SpherePoint) -> complex:

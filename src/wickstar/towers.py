@@ -83,11 +83,12 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return x[:, None] ** _exponents(n)
 
 
+@functools.lru_cache(maxsize=64)
 def _binomials(m: int):
     """(C(n+j, n), n+j) for 0 <= n, j <= m, with the binomial 0 where
     n + j > m and the index clipped to m there: the Taylor shift of a
     polynomial of degree m.  Pascal's rule in floats is exact below 2^53.
-    Built per shift table: the tables themselves are memoized."""
+    Read-only, as every caller shares them."""
     pascal = np.zeros((m + 1, m + 1))
     pascal[:, 0] = 1.0
     with np.errstate(over="ignore"):
@@ -97,7 +98,10 @@ def _binomials(m: int):
     idx = k[:, None] + k[None, :]
     keep = idx <= m
     idx = np.where(keep, idx, m)
-    return np.where(keep, pascal[idx, k[:, None]], 0.0), idx
+    binom = np.where(keep, pascal[idx, k[:, None]], 0.0)
+    for a in (binom, idx):
+        a.setflags(write=False)
+    return binom, idx
 
 
 def shift_table(coeffs: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -112,16 +116,28 @@ def shift_table(coeffs: np.ndarray, rows: int | None = None) -> np.ndarray:
     return (binom[:rows, :, None] * coeffs[idx[:rows]]).reshape(rows, k_top * e_top)
 
 
+# the most elements of the (points, rows, K E) product that shifted_rows
+# forms at once, 256 KiB of complex: a block of rows at a time
+_BLOCK = 2 ** 14
+
+
 def shifted_rows(table: np.ndarray, t: np.ndarray, delta: np.ndarray,
                  w: np.ndarray | None = None, e_top: int = 1) -> np.ndarray:
     """delta^n p^(n)(t, w)/n! for the polynomial of the shift table (with
     E = e_top exponents of w, at the points w) at each point: shape
-    (P, rows), the Taylor coefficients of u -> p(t + delta u, w)."""
+    (P, rows), the Taylor coefficients of u -> p(t + delta u, w).  The
+    rows are contracted a block at a time, at most _BLOCK products (and
+    never less than a row) per block; each row is reduced on its own, so
+    its value does not depend on the blocks."""
     rows, size = table.shape
     tp = _powers(t, size // e_top)
     if e_top > 1:
         tp = (tp[:, :, None] * _powers(w, e_top)[:, None, :]).reshape(len(t), size)
-    return np.add.reduce(tp[:, None, :] * table, axis=-1) * _powers(delta, rows)
+    if tp.size * rows <= _BLOCK:
+        return np.add.reduce(tp[:, None, :] * table, axis=-1) * _powers(delta, rows)
+    step = max(1, _BLOCK // tp.size)
+    return np.concatenate([np.add.reduce(tp[:, None, :] * table[i:i + step], axis=-1)
+                           for i in range(0, rows, step)], axis=1) * _powers(delta, rows)
 
 
 # large enough for every table of one pass of the verify suites and the

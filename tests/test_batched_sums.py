@@ -4,6 +4,7 @@ taken one term and one point at a time (``tests/oracles.py``)."""
 import cmath
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from wickstar.exact import QC
 from wickstar.functions import BiPoly, ExpFn, PolyFn, SeriesFn
 from wickstar.peschl_minda import ComposedP, ComposedQ, MoebiusPullback, PolyDisk
 from wickstar.sphere import MoebiusMap
-from wickstar.star import StarConfig, star_annulus, star_disk, star_punctured
+from wickstar.star import (StarConfig, star_annulus, star_disk, star_disk_poly_truncated,
+                           star_punctured)
 from wickstar.towers import entire_tower
 
 coeffs = st.complex_numbers(max_magnitude=2.0)
@@ -390,3 +392,29 @@ def test_a_sum_that_leaves_the_float_range_is_refused():
                  "--f", '{"type":"exp","scale":[800,0]}', "--g", '{"type":"exp","scale":[1,0]}',
                  "--hbar", "0.5", "--point", "1.0"])
     assert code == 4
+
+
+def test_a_large_operand_is_contracted_in_blocks_of_rows(monkeypatch):
+    # the associativity check's operands: a product of degree 26 in each
+    # slot, at 8 points, whose (points, rows, K E) product holds 8 x 27 x 702
+    # elements, 2.4 MB of complex, against _BLOCK = 2^14 a block
+    f = BiPoly({(0, 1): 1 + 2j, (1, 0): -1 + 0j})
+    g = BiPoly({(1, 1): 2 - 1j, (0, 0): 3 + 0j})
+    a = PolyDisk(star_disk_poly_truncated(f, g, 0.4, 24))
+    b = PolyDisk(star_disk_poly_truncated(g, f, 0.4, 24))
+    assert max(max(key) for key in a.f.coeffs) == 26
+    zs = [0.45 * cmath.exp(0.8j * k) for k in range(8)]
+
+    def rows_and_peak():
+        towers._disk_rows(a, b, zs, 24)   # builds each operand's shift table once
+        tracemalloc.start()
+        try:
+            return towers._disk_rows(a, b, zs, 24)[0], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked, peak = rows_and_peak()
+    monkeypatch.setattr(towers, "_BLOCK", 2 ** 40)
+    whole, whole_peak = rows_and_peak()
+    assert blocked.tobytes() == whole.tobytes()
+    assert peak < 2 ** 20 < whole_peak

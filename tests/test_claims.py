@@ -1,5 +1,6 @@
 """The claim ledger in README.md names, for each claim of the abstract,
-the `verify` checks and bundled `rigidity` specs that bear on it."""
+the `verify` checks and bundled `rigidity` specs that bear on it, and
+every check passes on the first hundred seeds."""
 
 import re
 from importlib import resources
@@ -41,3 +42,9 @@ def test_every_claim_names_existing_checks_and_specs():
         named |= set(checks)
     # every check verify prints bears on some claim
     assert printed <= named, printed - named
+
+
+def test_every_verify_check_passes_on_seeds_0_to_99():
+    failing = [(seed, c["name"]) for seed in range(100)
+               for c in run_suites(seed=seed)["checks"] if c["status"] != "pass"]
+    assert failing == []

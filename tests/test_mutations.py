@@ -101,6 +101,36 @@ def test_cn_recurrence_check_catches_a_kappa_off_by_one_part_in_1e30(scaled_kapp
     assert checks["cn-recurrence-vs-product"]["status"] == "fail"
 
 
+@pytest.fixture
+def scaled_float_kappa3(monkeypatch):
+    """kappa_3 times 1 + 10^-9 in every row of the float engine
+    (``towers._kappa_row``) and nowhere else; the memoized rows are
+    cleared before and after."""
+    row_of = towers._kappa_row
+
+    def scaled(hv, width):
+        row = row_of(hv, width).copy()
+        if width > 3:
+            row[3] *= 1 + 1e-9
+        return row
+
+    row_of.cache_clear()
+    monkeypatch.setattr(towers, "_kappa_row", scaled)
+    yield
+    monkeypatch.undo()
+    row_of.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_associativity_catches_float_kappa3_off_by_1e_9(scaled_float_kappa3, seed):
+    # the outer products are summed on the float engine; the inner ones
+    # are symbolic, on the kappas of star._kappas, which the patch does not touch
+    checks = {c["name"]: c for c in suites.run_suites(names=["associativity"],
+                                                      seed=seed)["checks"]}
+    assert checks["disk-associativity-numeric"]["status"] == "fail"
+    assert checks["disk-holomorphic-pointwise"]["status"] == "pass"
+
+
 # the weight of term n is (w^2 - s)^n with s = star._WEIGHT_SHIFT[surface]:
 # (a) the annulus weight (w^2 + 1)^n, (b) the two surfaces' weights swapped.
 # Each is again an associative and commutative product, so only the lift

@@ -240,3 +240,21 @@ def test_fixed_points_and_multipliers():
     assert abs(mult) == pytest.approx(1)
     assert cmath.phase(mult) == pytest.approx(0.7) or \
         cmath.phase(mult) == pytest.approx(-0.7)
+
+
+def test_fixed_points_decide_c_and_a_minus_d_exactly():
+    # z -> z/(1e-301 z + 1) fixes 0 alone and moves infinity to 1e301
+    fps = moebius_fixed_points(MoebiusMap(1, 0, 1e-301, 1))
+    assert [(p.is_infinite, p.value()) for p in fps] == [(False, 0j)]
+    # z -> (3 z + 10^301)/2 at the scale 10^-301: a - d = 1e-301 is not
+    # 0, so the affine map fixes -1e301 besides infinity
+    tiny = Fraction(1, 10**301)
+    fps = moebius_fixed_points(MoebiusMap(3 * tiny, 1, 0, 2 * tiny))
+    assert [p.is_infinite for p in fps] == [False, True]
+    assert fps[0].value() == pytest.approx(-1e301)
+    fps = moebius_fixed_points(MoebiusMap(tiny, 1, 0, tiny))
+    assert [p.is_infinite for p in fps] == [True]
+    # z -> 2 z/(1e-320 z + 1) fixes 0 and 1e320, finite past the float range
+    fps = moebius_fixed_points(MoebiusMap(2, 0, 1e-320, 1))
+    assert [p.is_infinite for p in fps] == [False, False]
+    assert fps[0].proj_eq(SpherePoint(1, 1e-320)) and fps[1].value() == 0
