@@ -247,16 +247,17 @@ class PolyDisk(DiskFunction):
     """z -> F(z, conj z) for a bivariate polynomial F; ``pm_poly`` and
     ``pm_bar_poly`` are its exact symbolic towers."""
 
-    __slots__ = ("f", "_pm_tower", "_pm_bar_tower", "_shifts")
+    __slots__ = ("f", "_pm_tower", "_pm_bar_tower", "_tables")
 
     def __init__(self, f: BiPoly):
         self.f = f
         # [E_0, E_1, ...] with E_n = D^n F/n!, extended on demand
         self._pm_tower = [f]
         self._pm_bar_tower = [f]
-        # bar -> the float shift table of F with the varying slot first
-        # (:func:`wickstar.towers.bipoly_table`), built on first use
-        self._shifts = {}
+        # bar -> the float term table of F with the varying slot first,
+        # two (terms, rows) arrays (:func:`wickstar.towers.bipoly_table`),
+        # built on first use
+        self._tables = {}
 
     def value(self, z):
         return self.f.eval_diag(z)
@@ -272,9 +273,9 @@ class PolyDisk(DiskFunction):
         # the Taylor coefficients of u -> F(M(0) + delta u, w0), composed
         # with v = u/(1 - r u)
         import wickstar.towers as towers
-        table = self._shifts.get(bar)
+        table = self._tables.get(bar)
         if table is None:
-            table = self._shifts[bar] = towers.bipoly_table(self.f.coeffs, bar)
+            table = self._tables[bar] = towers.bipoly_table(self.f.coeffs, bar)
         return towers.moebius_tower(table, [_chart(m) for m, _ in frames],
                                     [w for _, w in frames], width)
 

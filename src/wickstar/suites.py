@@ -102,9 +102,10 @@ def suite_unit(rng):
         f = PolyDisk(_rand_bipoly(rng, 2, exact=True))
         for z in _exact_disk_points(rng, 5):
             n_s += 2
-            if star_disk(one, f, h, z, cfg).value != f.value(z):
+            fz = f.value(z)
+            if star_disk(one, f, h, z, cfg).value != fz:
                 bad += 1
-            if star_disk(f, one, h, z, cfg).value != f.value(z):
+            if star_disk(f, one, h, z, cfg).value != fz:
                 bad += 1
     c1 = _check("disk-unit", "1 is a two-sided unit of the disk product",
                 float(bad), 0, n_s)

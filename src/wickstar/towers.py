@@ -13,9 +13,11 @@ three times (once in ``star_disk``, once per operand tower).
 
 Towers.  Each operand gives a :class:`Tower`, an array with one row per
 point: :func:`entire_tower` gives the Taylor coefficients of
-u -> g(t + c u) for each entire-function shape, and :func:`shift_table`,
-:func:`shifted_rows` and :func:`moebius_compose` give those of a
-polynomial composed with a Moebius map (:func:`moebius_tower`).
+u -> g(t + c u) for each entire-function shape, and :func:`shifted_rows`
+and :func:`moebius_compose` give those of a polynomial composed with a
+Moebius map (:func:`moebius_tower`).  Every polynomial, of one variable
+or two, is shifted from its nonzero terms (:func:`term_table`): the cost
+follows its terms, not its degree squared.
 
 The kernel.  The product of two towers is the (points, max_terms + 1)
 term array, and :func:`_sum_rows` sums every row against kappa, formed
@@ -84,73 +86,67 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _binomials(m: int):
-    """(C(n+j, n), n+j) for 0 <= n, j <= m, with the binomial 0 where
-    n + j > m and the index clipped to m there: the Taylor shift of a
-    polynomial of degree m.  Pascal's rule in floats is exact below 2^53.
-    Read-only, as every caller shares them."""
+def _pascal(m: int) -> np.ndarray:
+    """C(k, n) at [k, n] for 0 <= n, k <= m, 0 where n > k, by Pascal's
+    rule, which is exact in floats below 2^53.  Read-only, as every caller
+    shares it."""
     pascal = np.zeros((m + 1, m + 1))
     pascal[:, 0] = 1.0
     with np.errstate(over="ignore"):
         for i in range(1, m + 1):
             pascal[i, 1:i + 1] = pascal[i - 1, :i] + pascal[i - 1, 1:i + 1]
-    k = np.arange(m + 1)
-    idx = k[:, None] + k[None, :]
-    keep = idx <= m
-    idx = np.where(keep, idx, m)
-    binom = np.where(keep, pascal[idx, k[:, None]], 0.0)
-    for a in (binom, idx):
-        a.setflags(write=False)
-    return binom, idx
+    pascal.setflags(write=False)
+    return pascal
 
 
-def shift_table(coeffs: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """The Taylor shift of a polynomial p(Z, w) = sum_{i, e} A[i, e] Z^i w^e
-    given by its complex coefficients A (K, E), as the matrix
-    S[n, j E + e] = C(n+j, n) A[n+j, e] for n < rows (default K): then
-    p^(n)(t, w)/n! = sum_{j, e} S[n, j E + e] t^j w^e, with p^(n) the n-th
-    derivative in Z (:func:`shifted_rows`)."""
-    k_top, e_top = coeffs.shape
-    binom, idx = _binomials(k_top - 1)
+def term_table(terms: list, rows: int | None = None):
+    """The Taylor shift of the polynomial p(Z, w) = sum a Z^k w^e of the
+    nonzero terms ((k, e), a), as (B, idx, K, E) with K and E one more
+    than the largest k and e: B[i, n] = C(k, n) a and
+    idx[i, n] = max(k - n, 0) E + e for term i and n < rows (default K),
+    so that p^(n)(t, w)/n! = sum_i B[i, n] t^j w^e at the flat index
+    j E + e = idx[i, n], with p^(n) the n-th derivative in Z
+    (:func:`shifted_rows`).  B is 0 where n > k.  Read-only, as every
+    caller shares them."""
+    k_top = max((k for (k, _), _ in terms), default=0) + 1
+    e_top = max((e for (_, e), _ in terms), default=0) + 1
     rows = k_top if rows is None else rows
-    return (binom[:rows, :, None] * coeffs[idx[:rows]]).reshape(rows, k_top * e_top)
+    ks = np.array([k for (k, _), _ in terms], dtype=int)
+    es = np.array([e for (_, e), _ in terms], dtype=int)
+    a = np.array([to_complex(x) for _, x in terms], dtype=complex)
+    n = np.arange(rows)
+    binom = _pascal(max(k_top, rows) - 1)[ks, :rows] * a[:, None]
+    idx = np.maximum(ks[:, None] - n, 0) * e_top + es[:, None]
+    for x in (binom, idx):
+        x.setflags(write=False)
+    return binom, idx, k_top, e_top
 
 
-# the most elements of the (points, rows, K E) product that shifted_rows
-# forms at once, 256 KiB of complex: a block of rows at a time
-_BLOCK = 2 ** 14
-
-
-def shifted_rows(table: np.ndarray, t: np.ndarray, delta: np.ndarray,
-                 w: np.ndarray | None = None, e_top: int = 1) -> np.ndarray:
-    """delta^n p^(n)(t, w)/n! for the polynomial of the shift table (with
-    E = e_top exponents of w, at the points w) at each point: shape
-    (P, rows), the Taylor coefficients of u -> p(t + delta u, w).  The
-    rows are contracted a block at a time, at most _BLOCK products (and
-    never less than a row) per block; each row is reduced on its own, so
-    its value does not depend on the blocks."""
-    rows, size = table.shape
-    tp = _powers(t, size // e_top)
+def shifted_rows(table, t: np.ndarray, delta: np.ndarray,
+                 w: np.ndarray | None = None) -> np.ndarray:
+    """delta^n p^(n)(t, w)/n! for the polynomial of the term table
+    (:func:`term_table`) at each point, w frozen at the points w: shape
+    (P, rows), the Taylor coefficients of u -> p(t + delta u, w).  Each
+    point's monomials t^j w^e are taken at the terms' indices, times B,
+    and summed along the term axis in the terms' order: one
+    (P, terms, rows) array, 0.1 MB for the associativity check's operands
+    of 28 terms and 27 rows at 8 points."""
+    binom, idx, k_top, e_top = table
+    mono = _powers(t, k_top)
     if e_top > 1:
-        tp = (tp[:, :, None] * _powers(w, e_top)[:, None, :]).reshape(len(t), size)
-    if tp.size * rows <= _BLOCK:
-        return np.add.reduce(tp[:, None, :] * table, axis=-1) * _powers(delta, rows)
-    step = max(1, _BLOCK // tp.size)
-    return np.concatenate([np.add.reduce(tp[:, None, :] * table[i:i + step], axis=-1)
-                           for i in range(0, rows, step)], axis=1) * _powers(delta, rows)
+        mono = (mono[:, :, None] * _powers(w, e_top)[:, None, :]).reshape(len(t), -1)
+    terms = mono.take(idx, axis=1)
+    terms *= binom
+    return np.add.reduce(terms, axis=1) * _powers(delta, idx.shape[1])
 
 
 # large enough for every table of one pass of the verify suites and the
 # bundled specs, which read about 75 distinct coefficient tuples
 @functools.lru_cache(maxsize=256)
-def _coefficient_table(coeffs: tuple, rows: int) -> np.ndarray:
-    """The shift table of a polynomial in one variable with these
-    coefficients, to ``rows`` rows.  Read-only, as every caller shares
-    it."""
-    table = shift_table(np.array([to_complex(c) for c in coeffs], dtype=complex)[:, None],
-                        rows)
-    table.setflags(write=False)
-    return table
+def _coefficient_table(coeffs: tuple, rows: int):
+    """The term table of a polynomial in one variable with these
+    coefficients, to ``rows`` rows."""
+    return term_table([((k, 0), a) for k, a in enumerate(coeffs) if a != 0], rows)
 
 
 @functools.lru_cache(maxsize=16)
@@ -240,15 +236,10 @@ def _series_tower(g: SeriesFn, t, c, values, width) -> Tower:
 
 
 def bipoly_table(coeffs: dict, bar: bool):
-    """(shift table, E) of the bivariate polynomial {(i, j): a} with the
-    varying slot first: the holomorphic one, or the antiholomorphic one
-    with ``bar``; E is the number of exponents of the frozen slot."""
-    terms = [((j, i) if bar else (i, j), a) for (i, j), a in coeffs.items()]
-    dense = np.zeros((max((k for (k, _), _ in terms), default=0) + 1,
-                      max((e for (_, e), _ in terms), default=0) + 1), dtype=complex)
-    for (k, e), a in terms:
-        dense[k, e] = to_complex(a)
-    return shift_table(dense), dense.shape[1]
+    """The term table (:func:`term_table`) of the bivariate polynomial
+    {(i, j): a} with the varying slot first: the holomorphic one, or the
+    antiholomorphic one with ``bar``."""
+    return term_table([((j, i) if bar else (i, j), a) for (i, j), a in coeffs.items()])
 
 
 def chart_rows(charts: list):
@@ -262,9 +253,8 @@ def moebius_tower(table, charts: list, frozen: list, width: int) -> Tower:
     each chart (M(0), delta, r) with its frozen value: the Taylor
     coefficients of u -> F(M(0) + delta u, w0), composed with
     v = u/(1 - r u)."""
-    shifts, e_top = table
     t, delta, r = chart_rows(charts)
-    e = shifted_rows(shifts, t, delta, np.array(frozen, dtype=complex), e_top)
+    e = shifted_rows(table, t, delta, np.array(frozen, dtype=complex))
     return Tower(moebius_compose(e, r, width))
 
 
