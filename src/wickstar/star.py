@@ -30,9 +30,10 @@ product of polynomials ends after min(deg g, deg gt) + 1 terms, and
 :func:`star_annulus_poly`, :func:`star_punctured_poly` and the
 exact-finite surface mode sum them in one pass over integer numerators
 (:func:`_surface_poly`): g^(n)/n! is the binomial row C(k, n) a_k at
-w^{k-n}, the products are integer convolutions, kappa_0..kappa_m share
-one denominator, and the weight enters by Horner's rule in n, one
-multiplication of the running sum by w^2 - s per term.  Every
+w^{k-n}, kappa_0..kappa_m share one denominator, kappa_n is multiplied
+into the row of g once and that row is convolved with the row of gt
+straight into one integer accumulator, and the weight enters by Horner's
+rule in n, the accumulator multiplied by w^2 - s in place per term.  Every
 coefficient of an exact result takes one kind, the widest among its
 inputs: int < Fraction < QC.  A float coefficient, hbar or point enters
 the pass as its exact binary value, and the result is rounded once, per
@@ -61,7 +62,10 @@ point's row does not depend on the batch it is in, and ``star_disk``,
 StarResult) or a 1-D sequence of them (giving a list).  The symbolic
 disk product (:func:`star_disk_poly_truncated`) sums its BiPoly terms
 against kappa_0..kappa_m (:func:`_kappas`), and the exact surface
-products of polynomials take their one integer pass (above).
+products of polynomials take their one integer pass (above).  There is
+one kappa recurrence: an exact hbar's row is stepped on Gaussian-integer
+numerators and each entry reduced once, a float hbar's is stepped in
+float arithmetic.
 
 The deformation parameter lives in C minus {0, -1, -1/2, -1/3, ...}.
 Its pole is decided once per hbar (:func:`_pole_of`) by the test of the
@@ -77,11 +81,11 @@ import functools
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, hypot, inf, nextafter, ulp
+from math import comb, hypot, inf, nextafter, ulp
 
 from .errors import DomainError, FloatRangeError, NonTerminatingError, WickstarError
-from .exact import QC, _exact, _make, is_exact, to_complex
-from .functions import BiPoly, PolyFn, _convolve, _exact_coeffs, _numerators
+from .exact import QC, _exact, _make, _parts, is_exact, to_complex
+from .functions import BiPoly, PolyFn, _exact_coeffs, _numerators
 from .peschl_minda import DiskFunction, PolyDisk, pm_step
 from .sphere import _check_disk
 
@@ -174,8 +178,19 @@ def _pole_error(n: int) -> DomainError:
 
 def _c_stream(hv, nmax: int):
     """[c_0, ..., c_nmax] as kappa_n/n! (:func:`_kappas`): exact for an
-    exact hbar; at a float hbar an entry past n = 170 underflows to 0."""
-    return [k * Fraction(1, factorial(n)) for n, k in enumerate(_kappas(hv, nmax))]
+    exact hbar, each entry divided by n! from its parts and reduced once;
+    at a float hbar an entry past n = 170 underflows to 0."""
+    out, fact = [], 1
+    for n, k in enumerate(_kappas(hv, nmax)):
+        fact *= n or 1
+        if isinstance(k, Fraction):
+            out.append(Fraction(k.numerator, k.denominator * fact))
+        elif isinstance(k, QC):
+            a, b, d = _parts(k)
+            out.append(_make(a, b, d * fact))
+        else:
+            out.append(k * Fraction(1, fact))
+    return out
 
 
 def c_sequence(h, nmax: int):
@@ -359,12 +374,37 @@ def _kappas(hv, m: int) -> list:
     kappa_n = kappa_{n-1} n hbar/(1 + (n-1) hbar), the family's one
     recurrence; it raises first iff the row forms hbar's pole's divisor.
     The entries take the kind of hbar: Fraction for an int or a Fraction,
-    QC for a QC, complex for a float or a complex."""
+    QC for a QC, complex for a float or a complex.
+
+    A float hbar is stepped in float arithmetic, one entry from the last
+    (the float engine's rows, ``towers._kappa_row``, are these).  An exact
+    hbar = (a + b i)/d is stepped on Gaussian integers, the numerator
+    N_n = N_{n-1} n (a + b i) and the denominator
+    D_n = D_{n-1} (d + (n-1)(a + b i)), and each entry N_n/D_n is reduced
+    once."""
     _row_pole(hv, m)
-    one = _one_like(hv)
-    out = [one]
+    if not is_exact(hv):
+        one = complex(1)
+        out = [one]
+        for n in range(1, m + 1):
+            out.append(out[-1] * (n * hv) / (one + (n - 1) * hv))
+        return out
+    a, b, d = _parts(hv)
+    if isinstance(hv, QC):
+        nr, ni, dr, di = 1, 0, 1, 0
+        out = [_make(1, 0, 1)]
+        for n in range(1, m + 1):
+            p, q = d + (n - 1) * a, (n - 1) * b
+            nr, ni = n * (nr * a - ni * b), n * (nr * b + ni * a)
+            dr, di = dr * p - di * q, dr * q + di * p
+            # N/D = N conj(D)/|D|^2
+            out.append(_make(nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di))
+        return out
+    num = den = 1
+    out = [Fraction(1)]
     for n in range(1, m + 1):
-        out.append(out[-1] * (n * hv) / (one + (n - 1) * hv))
+        num, den = num * n * a, den * (d + (n - 1) * a)
+        out.append(Fraction(num, den))
     return out
 
 
@@ -380,30 +420,23 @@ def _exact_kappas(hv, m: int) -> tuple:
     return tuple(kappas), (tuple(kr), tuple(ki), dk)
 
 
-def _taylor_shift(a: list, n: int) -> list:
-    """The coefficients C(k, n) a_k of g^(n)/n! = sum_k C(k, n) a_k w^{k-n}."""
-    return [comb(k, n) * x for k, x in enumerate(a[n:], n)]
-
-
-def _times_weight(x: list, s: int) -> list:
-    """The integer row x times w^2 - s, to the length of x: the two entries
-    shifted out must be 0."""
-    shifted = [0, 0, *x][:len(x)]
-    return [p - s * q for p, q in zip(shifted, x)] if s else shifted
-
-
 def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     """The exact surface product of two polynomials as a PolyFn in w: the
     one pass of the module docstring, sum_n kappa_n (w^2 - s)^n P_n with
     P_n = (g^(n)/n!) (gt^(n)/n!) and s = _WEIGHT_SHIFT[surface], ending
     after m + 1 terms, m = min(deg g, deg gt).
 
-    It is summed by Horner's rule in n: from n = m down to 0 the integer
-    accumulator is multiplied by w^2 - s (:func:`_times_weight`), and
-    kappa_n P_n is added at offset 0.  The sum is exact, and the shift
-    drops only zeros: before step n the accumulator holds the terms above
-    n, sum_{k>n} kappa_k (w^2 - s)^{k-n-1} P_k, of degree at most
-    size - 3 - 2n, as P_k has degree size - 1 - 2k.  Each coefficient is
+    It is summed by Horner's rule in n, from n = m down to 0, in one fused
+    step per n on Gaussian-integer numerators: kappa_n is multiplied into
+    the binomial row C(k, n) a_k of g^(n)/n! once, that row is convolved
+    with the row of gt^(n)/n! straight into the accumulator, and, for
+    n > 0, the accumulator is multiplied by w^2 - s in place.  Where both
+    rows are real and kappa_n is not, the rows are convolved on their own
+    and kappa_n is taken once per coefficient, not twice per term.  The
+    sum is exact, so its order does not matter, and the multiplication
+    stops two places past the accumulator's degree: after step n it holds
+    sum_{k>=n} kappa_k (w^2 - s)^{k-n} P_k, of degree at most
+    size - 1 - 2n, as P_k has degree size - 1 - 2k.  Each coefficient is
     built once, in the widest kind among the inputs
     (:func:`wickstar.functions._exact_coeffs`) and at least a Fraction, as
     kappa is; a float or complex hbar or coefficient enters as its exact
@@ -414,27 +447,44 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     (ar, ai, da), (br, bi, db) = map(_numerators, (a, b))
     size = len(ar) + len(br) - 1
     s = _WEIGHT_SHIFT[surface]
-    complex_ab = any(ai) or any(bi)
+    complex_a, complex_b = any(ai), any(bi)
     re = [0] * size
-    im = [0] * size if complex_ab or any(ki) else None
+    im = [0] * size if complex_a or complex_b or any(ki) else None
     for n in range(m, -1, -1):
-        re = _times_weight(re, s)
-        if im is not None:
-            im = _times_weight(im, s)
         u, v = kr[n], ki[n]
-        xr, yr = _taylor_shift(ar, n), _taylor_shift(br, n)
-        xi, yi = (_taylor_shift(ai, n), _taylor_shift(bi, n)) if complex_ab else ((), ())
-        pr, pi = _convolve(xr, xi, yr, yi, len(xr) + len(yr) - 1)
-        if pi is not None:
-            for j, (p, q) in enumerate(zip(pr, pi)):
-                re[j] += p * u - q * v
-                im[j] += p * v + q * u
+        # the row C(k, n) b_k of gt^(n)/n!, k >= n
+        cs = [comb(k, n) for k in range(n, len(br))]
+        yr = [c * y for c, y in zip(cs, br[n:])]
+        if not (complex_a or complex_b):
+            # real rows: a real kappa_n goes into the row of g; a complex
+            # one is taken once per coefficient of the rows' convolution
+            # rather than twice per term
+            into, f = ([0] * (size - 2 * n), 1) if v else (re, u)
+            for i, k in enumerate(range(n, len(ar))):
+                p = f * comb(k, n) * ar[k]
+                if p:
+                    for j, y in enumerate(yr, i):
+                        into[j] += p * y
+            if v:
+                for j, x in enumerate(into):
+                    re[j] += u * x
+                    im[j] += v * x
         else:
-            for j, p in enumerate(pr):
-                re[j] += p * u
-            if im is not None:
-                for j, p in enumerate(pr):
-                    im[j] += p * v
+            yi = [c * y for c, y in zip(cs, bi[n:])]
+            for i, k in enumerate(range(n, len(ar))):
+                # kappa_n C(k, n) a_k = p + q i, convolved into the accumulator
+                c = comb(k, n)
+                x, z = c * ar[k], c * ai[k]
+                p, q = x * u - z * v, x * v + z * u
+                for j, (y, t) in enumerate(zip(yr, yi), i):
+                    re[j] += p * y - q * t
+                    im[j] += p * t + q * y
+        if n:
+            # times w^2 - s in place, up to the accumulator's degree + 2
+            top = size + 2 - 2 * n
+            for acc in (re, im) if im is not None else (re,):
+                acc[2:top] = [p - s * q for p, q in zip(acc, acc[2:top])] if s else acc[:top - 2]
+                acc[0], acc[1] = -s * acc[0], -s * acc[1]
     coeffs = _exact_coeffs(re, im, dk * da * db, kappas, a, b)
     return StarResult(PolyFn(coeffs), len(kappas), 0.0, "terminated")
 

@@ -126,10 +126,12 @@ def suite_unit(rng):
 
 def suite_cn(rng):
     hs = [Fraction(1), Fraction(1, 2), QC(1, 1)]
+    rows = [c_sequence(h, 30) for h in hs]
     bad = 0
-    for h in hs:
-        bad += sum(c != d for c, d in zip(c_sequence(h, 30), c_direct_sequence(h, 30)))
-    for n, c in enumerate(c_sequence(Fraction(1), 30)):
+    for h, row in zip(hs, rows):
+        bad += sum(c != d for c, d in zip(row, c_direct_sequence(h, 30)))
+    # rows[0] is the row at hbar = 1, where c_n = 1/n!
+    for n, c in enumerate(rows[0]):
         if c != Fraction(1, math.factorial(n)):
             bad += 1
     c1 = _check("cn-recurrence-vs-product",

@@ -1,5 +1,6 @@
-"""Exit codes of the command-line program, each case run as a fresh
-process from an empty temporary directory.
+"""The command-line program run as a fresh process from an empty
+temporary directory: its exit codes, a spec written there, and the bytes
+that in-process calls must repeat.
 
 The command is read from the environment variable WICKSTAR_COMMAND
 (split as a shell would split it), so the same cases can run against an
@@ -7,16 +8,19 @@ installed console script: ``WICKSTAR_COMMAND=wickstar python -m pytest
 tests/test_installed_cli.py``.  By default it is ``python -m wickstar``
 on the interpreter and the package that the tests import."""
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import wickstar
+import wickstar.cli
 
 IDENT = json.dumps({"type": "poly", "coeffs": [[0, 0], [1, 0]]})
 SERIES = json.dumps({"type": "series", "coeffs": [[1, 0], [1, 0], [0.5, 0]], "rho": 4,
@@ -87,12 +91,37 @@ def _command():
     return [sys.executable, "-m", "wickstar"], env
 
 
+def _run(argv, cwd):
+    command, env = _command()
+    return subprocess.run([*command, *argv], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("code, argv", CASES)
 def test_exit_code(code, argv, tmp_path):
     for name, spec in SPECS.items():
         (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
     (tmp_path / "spec-dir").mkdir()
-    command, env = _command()
-    proc = subprocess.run([*command, *argv], cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = _run(argv, tmp_path)
     assert proc.returncode == code, proc.stderr
+
+
+def test_a_five_fold_elliptic_spec_keeps_the_indices_equal_mod_5(tmp_path):
+    # n_fold 5 takes the elliptic filter's second prime, 1,000,000,021
+    spec = {"experiment": "elliptic-indices", "n_fold": 5, "degree": 6}
+    (tmp_path / "elliptic-5.json").write_text(json.dumps(spec), encoding="utf-8")
+    proc = _run(["rigidity", "--spec", "elliptic-5.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    kept = json.loads(proc.stdout)["invariant_indices"]
+    assert kept == [[p, q] for p in range(7) for q in range(7) if (p - q) % 5 == 0]
+
+
+def test_repeated_in_process_verify_prints_the_commands_bytes(tmp_path):
+    proc = _run(["verify", "--seed", "42"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for _ in range(2):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = wickstar.cli.main(["verify", "--seed", "42"])
+        assert code == 0
+        assert buf.getvalue().encode("utf-8") == proc.stdout

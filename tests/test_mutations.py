@@ -101,6 +101,18 @@ def test_cn_recurrence_check_catches_a_kappa_off_by_one_part_in_1e30(scaled_kapp
     assert checks["cn-recurrence-vs-product"]["status"] == "fail"
 
 
+def test_the_exact_surface_product_reads_the_patched_kappa_row(scaled_kappa):
+    # the oracle steps its own kappa, so a product that moves with the patch
+    # reads the row that cn-recurrence-vs-product checks
+    g = PolyFn([Fraction(1), Fraction(-2), Fraction(3)])
+    gt = PolyFn([Fraction(2), Fraction(1, 3), Fraction(-1)])
+    h = Fraction(1, 2)
+    want = surface_poly_by_terms(g, gt, h, "annulus").value
+    assert star_annulus_poly(g, gt, h) == want
+    scaled_kappa(2)
+    assert star_annulus_poly(g, gt, h) != want
+
+
 @pytest.fixture
 def scaled_float_kappa3(monkeypatch):
     """kappa_3 times 1 + 10^-9 in every row of the float engine

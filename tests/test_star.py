@@ -181,11 +181,30 @@ _near_float = st.one_of(
     st.builds(lambda k, d: complex(-1 / k, d), _ks, st.floats(-1e-13, 1e-13)))
 
 
-@settings(max_examples=120, deadline=None)
-@given(h=st.one_of(_near_exact, _near_float), m=st.integers(0, 40))
+def _off_poles(h) -> bool:
+    """An exact hbar is neither 0 nor -1/k for an integer k >= 1."""
+    return h != 0 and not (h.imag == 0 and Fraction(h.real).numerator == -1)
+
+
+_big = st.integers(-10**30, 10**30)
+_dyadic = st.floats(-1e12, 1e12).map(Fraction)
+_far_exact = st.one_of(
+    st.integers(-10**3, 10**3),
+    st.integers(10**6, 10**40),
+    st.builds(Fraction, _big, st.integers(1, 10**30)),
+    st.builds(lambda p, q: QC(Fraction(p, q)), _big, st.integers(1, 10**30)),
+    _dyadic,
+    _dyadic.map(QC),
+    st.builds(QC, _dyadic, _dyadic)).filter(_off_poles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.one_of(_near_exact, _near_float, _far_exact), m=st.integers(0, 60))
 def test_every_row_decides_the_pole_as_the_per_step_rule(h, m):
     # the per-step rule tests every divisor 1 + j hbar, j < m; the rows
-    # decide the pole once per hbar, and raise exactly when it does
+    # decide the pole once per hbar, and raise exactly when it does; an
+    # exact row is formed on integer numerators, and the per-step rule on
+    # Fraction and QC arithmetic gives the same entries and kinds
     want, error = _steps(h, m)
     got, got_error = _outcome(star._kappas, h, m)
     assert got_error == error
@@ -197,7 +216,8 @@ def test_every_row_decides_the_pole_as_the_per_step_rule(h, m):
     if error is None:
         assert _same_row(got, _steps(_exact(h), m)[0])
     # c_sequence takes a hbar off every pole (Hbar); every hbar drawn is
-    # within 1e-3 of -1/k, k <= 40, so a pole it hits has a divisor j < 64
+    # off every pole or within 1e-3 of -1/k, k <= 40, so a pole it hits
+    # has a divisor j < 64
     far, far_error = _steps(h, 64)
     got, got_error = _outcome(c_sequence, h, m)
     assert (got_error is None) == (far_error is None)
