@@ -30,10 +30,11 @@ product of polynomials ends after min(deg g, deg gt) + 1 terms, and
 :func:`star_annulus_poly`, :func:`star_punctured_poly` and the
 exact-finite surface mode sum them in one pass over integer numerators
 (:func:`_surface_poly`): g^(n)/n! is the binomial row C(k, n) a_k at
-w^{k-n}, kappa_0..kappa_m share one denominator, kappa_n is multiplied
-into the row of g once and that row is convolved with the row of gt
-straight into one integer accumulator, and the weight enters by Horner's
-rule in n, the accumulator multiplied by w^2 - s in place per term.  Every
+w^{k-n}, kappa_0..kappa_m share one denominator, kappa_n meets each
+term of the rows' convolution once (through the row of g when the rows
+are complex, per coefficient of their integer product when they are
+real), and the weight enters by Horner's rule in n, one integer
+accumulator multiplied by w^2 - s in place per term.  Every
 coefficient of an exact result takes one kind, the widest among its
 inputs: int < Fraction < QC.  A float coefficient, hbar or point enters
 the pass as its exact binary value, and the result is rounded once, per
@@ -178,18 +179,16 @@ def _pole_error(n: int) -> DomainError:
 
 def _c_stream(hv, nmax: int):
     """[c_0, ..., c_nmax] as kappa_n/n! (:func:`_kappas`): exact for an
-    exact hbar, each entry divided by n! from its parts and reduced once;
-    at a float hbar an entry past n = 170 underflows to 0."""
+    exact hbar, each entry (a + b i)/d rebuilt once as (a + b i)/(d n!)
+    in its kind; at a float hbar an entry past n = 170 underflows to 0."""
     out, fact = [], 1
     for n, k in enumerate(_kappas(hv, nmax)):
         fact *= n or 1
-        if isinstance(k, Fraction):
-            out.append(Fraction(k.numerator, k.denominator * fact))
-        elif isinstance(k, QC):
-            a, b, d = _parts(k)
-            out.append(_make(a, b, d * fact))
-        else:
+        if not is_exact(k):
             out.append(k * Fraction(1, fact))
+            continue
+        a, b, d = _parts(k)
+        out.append(_make(a, b, d * fact) if isinstance(k, QC) else Fraction(a, d * fact))
     return out
 
 
@@ -390,21 +389,16 @@ def _kappas(hv, m: int) -> list:
             out.append(out[-1] * (n * hv) / (one + (n - 1) * hv))
         return out
     a, b, d = _parts(hv)
-    if isinstance(hv, QC):
-        nr, ni, dr, di = 1, 0, 1, 0
-        out = [_make(1, 0, 1)]
-        for n in range(1, m + 1):
-            p, q = d + (n - 1) * a, (n - 1) * b
-            nr, ni = n * (nr * a - ni * b), n * (nr * b + ni * a)
-            dr, di = dr * p - di * q, dr * q + di * p
-            # N/D = N conj(D)/|D|^2
-            out.append(_make(nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di))
-        return out
-    num = den = 1
-    out = [Fraction(1)]
+    qc = isinstance(hv, QC)
+    nr, ni, dr, di = 1, 0, 1, 0
+    out = [_make(1, 0, 1) if qc else Fraction(1)]
     for n in range(1, m + 1):
-        num, den = num * n * a, den * (d + (n - 1) * a)
-        out.append(Fraction(num, den))
+        p, q = d + (n - 1) * a, (n - 1) * b
+        nr, ni = n * (nr * a - ni * b), n * (nr * b + ni * a)
+        dr, di = dr * p - di * q, dr * q + di * p
+        # N/D = N conj(D)/|D|^2; for a real hbar b = 0, so ni = di = 0
+        out.append(_make(nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di)
+                   if qc else Fraction(nr, dr))
     return out
 
 
@@ -426,15 +420,15 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     P_n = (g^(n)/n!) (gt^(n)/n!) and s = _WEIGHT_SHIFT[surface], ending
     after m + 1 terms, m = min(deg g, deg gt).
 
-    It is summed by Horner's rule in n, from n = m down to 0, in one fused
-    step per n on Gaussian-integer numerators: kappa_n is multiplied into
-    the binomial row C(k, n) a_k of g^(n)/n! once, that row is convolved
-    with the row of gt^(n)/n! straight into the accumulator, and, for
-    n > 0, the accumulator is multiplied by w^2 - s in place.  Where both
-    rows are real and kappa_n is not, the rows are convolved on their own
-    and kappa_n is taken once per coefficient, not twice per term.  The
-    sum is exact, so its order does not matter, and the multiplication
-    stops two places past the accumulator's degree: after step n it holds
+    It is summed by Horner's rule in n, from n = m down to 0, in one step
+    per n on Gaussian-integer numerators, with the binomial rows
+    C(k, n) a_k of g^(n)/n! and C(k, n) b_k of gt^(n)/n!.  Real rows are
+    convolved into one integer row and kappa_n is taken once per
+    coefficient of it; complex rows take kappa_n into the row of g once
+    and are convolved straight into the accumulator.  For n > 0 the
+    accumulator is then multiplied by w^2 - s in place.  The sum is
+    exact, so its order does not matter, and the multiplication stops two
+    places past the accumulator's degree: after step n it holds
     sum_{k>=n} kappa_k (w^2 - s)^{k-n} P_k, of degree at most
     size - 1 - 2n, as P_k has degree size - 1 - 2k.  Each coefficient is
     built once, in the widest kind among the inputs
@@ -447,27 +441,26 @@ def _surface_poly(g: PolyFn, gt: PolyFn, hv, surface: str) -> StarResult:
     (ar, ai, da), (br, bi, db) = map(_numerators, (a, b))
     size = len(ar) + len(br) - 1
     s = _WEIGHT_SHIFT[surface]
-    complex_a, complex_b = any(ai), any(bi)
+    real_rows = not (any(ai) or any(bi))
     re = [0] * size
-    im = [0] * size if complex_a or complex_b or any(ki) else None
+    im = None if real_rows and not any(ki) else [0] * size
     for n in range(m, -1, -1):
         u, v = kr[n], ki[n]
         # the row C(k, n) b_k of gt^(n)/n!, k >= n
         cs = [comb(k, n) for k in range(n, len(br))]
         yr = [c * y for c, y in zip(cs, br[n:])]
-        if not (complex_a or complex_b):
-            # real rows: a real kappa_n goes into the row of g; a complex
-            # one is taken once per coefficient of the rows' convolution
-            # rather than twice per term
-            into, f = ([0] * (size - 2 * n), 1) if v else (re, u)
+        if real_rows:
+            # the rows' convolution, then kappa_n = u + v i once per coefficient
+            into = [0] * (size - 2 * n)
             for i, k in enumerate(range(n, len(ar))):
-                p = f * comb(k, n) * ar[k]
+                p = comb(k, n) * ar[k]
                 if p:
                     for j, y in enumerate(yr, i):
                         into[j] += p * y
-            if v:
+            for j, x in enumerate(into):
+                re[j] += u * x
+            if im is not None:
                 for j, x in enumerate(into):
-                    re[j] += u * x
                     im[j] += v * x
         else:
             yi = [c * y for c, y in zip(cs, bi[n:])]

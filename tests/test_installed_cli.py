@@ -6,7 +6,9 @@ The command is read from the environment variable WICKSTAR_COMMAND
 (split as a shell would split it), so the same cases can run against an
 installed console script: ``WICKSTAR_COMMAND=wickstar python -m pytest
 tests/test_installed_cli.py``.  By default it is ``python -m wickstar``
-on the interpreter and the package that the tests import."""
+on the interpreter and the package that the tests import.  The
+in-process calls always run the imported package, which is the source
+tree when pytest runs with this repository's configuration."""
 
 import io
 import json
@@ -117,6 +119,9 @@ def test_a_five_fold_elliptic_spec_keeps_the_indices_equal_mod_5(tmp_path):
 
 
 def test_repeated_in_process_verify_prints_the_commands_bytes(tmp_path):
+    # The in-process half runs the package this module imports: under the
+    # repository's pytest configuration (pythonpath = src) that is the
+    # source tree, even when WICKSTAR_COMMAND names an installed command.
     proc = _run(["verify", "--seed", "42"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     for _ in range(2):
